@@ -14,7 +14,7 @@ from pathlib import Path
 from .scenarios import RunManifest, run_scenario, validate_config
 
 
-def _load_config(path, seed=None, workers=None):
+def _load_config(path, seed=None):
     text = Path(path).read_text()
     cfg, errors = validate_config(text)
     if errors:
@@ -23,8 +23,6 @@ def _load_config(path, seed=None, workers=None):
         return None
     if seed is not None:
         cfg.master_seed = seed
-    if workers is not None:
-        cfg.workers = workers
     return cfg
 
 
@@ -39,7 +37,7 @@ def _print_manifest_summary(manifest: RunManifest):
 
 
 def _cmd_run(args, engines=("ensemble", "fp")) -> int:
-    cfg = _load_config(args.config, args.seed, args.workers)
+    cfg = _load_config(args.config, args.seed)
     if cfg is None:
         return 1
     try:
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="scenario config JSON file")
         sp.add_argument("--seed", type=int, default=None, help="override master_seed")
-        sp.add_argument("--workers", type=int, default=None, help="override worker count")
+        sp.add_argument("--workers", type=int, default=None, help="accepted and ignored; chunks run serially")
         sp.add_argument("--out", default=None, help="output directory")
         return sp
 

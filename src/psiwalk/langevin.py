@@ -10,14 +10,25 @@ point back into the box, periodic boundaries wrap.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
-and master seed, independent of chunking, worker count, or execution order.
-Ensembles are processed in fixed-size chunks and merged in stream order; the
-chunk partition never depends on the worker count.
+and master seed, independent of chunking and of how the noise is blocked.
+Ensembles run in fixed-size chunks of ``_CHUNK`` trajectories, one after the
+other in the calling thread, and merge in stream order.  There are no chunk
+threads: per-step numpy dispatch holds the GIL, and two threads measured
+0.64-0.69x the speed of one.
+
+Noise budget: a chunk of m trajectories in d dimensions draws its noise into
+one buffer of at most ``_NOISE_VALUES`` doubles (8 MiB), B = _NOISE_VALUES //
+(m d) steps per trajectory at a time, refilled when used up wherever that
+falls relative to snapshot segments, checkpoints and recorded rows.  A
+stream's draws concatenate bit-exactly across calls, so B never changes a
+result; it only trades memory against per-call generator overhead.
+First-passage chunks start with blocks of ``_FIRST_BLOCK`` steps and let
+them grow with the steps already taken, up to B, so that walkers which hit
+early do not draw (and throw away) a whole budget of noise.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +37,9 @@ from scipy import ndimage
 from .grids import DensityField, Grid, WaveField, interpolate
 from .guidance import DriftField, GuidanceParams, drift_field, regularized_density
 
-_CHUNK = 4096          # trajectories per work unit (fixed: determinism)
-_NOISE_BLOCK = 1024    # steps of noise pregenerated per trajectory
+_CHUNK = 4096           # trajectories per chunk (fixed: determinism)
+_NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
+_FIRST_BLOCK = 1024     # steps in a first-passage chunk's first noise block
 
 
 class IntegratorFailure(RuntimeError):
@@ -169,8 +181,7 @@ class SnapshotDrift:
     """Piecewise-constant-in-time drift from an ordered list of snapshots.
 
     Drift fields (and basin maps, when a node threshold is given) are built
-    lazily per snapshot and cached; many trajectory workers may read them
-    concurrently once built.
+    lazily per snapshot and cached, so every chunk of an ensemble reuses them.
     """
 
     def __init__(self, snapshots, params: GuidanceParams, node_threshold: float | None = None):
@@ -305,6 +316,18 @@ def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:
     return v * scale
 
 
+def _noise_buffer(m: int, dims: int, steps: int) -> np.ndarray:
+    """Noise buffer for m trajectories: up to ``steps`` steps within the budget."""
+    return np.empty((m, max(1, min(steps, _NOISE_VALUES // (m * dims))), dims))
+
+
+def _fill_noise(rngs, buf: np.ndarray) -> np.ndarray:
+    """Fill row i of ``buf`` (steps x dims) with the next draws of ``rngs[i]``."""
+    for r, row in zip(rngs, buf):
+        r.standard_normal(out=row)
+    return buf
+
+
 def _advance_block(positions, t, dt, noise, drift_vecs_at, grid, sigma, cap,
                    basin_map, basin_prev, crossings, stream_ids):
     """Advance a batch through noise.shape[1] steps; returns (positions, t)."""
@@ -408,49 +431,50 @@ def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: floa
 
     checkpoint_steps = {int(round((tc - t0) / dt)): tc for tc in checkpoint_times}
     captured = {}
-    if 0 in checkpoint_steps:
-        captured[checkpoint_steps[0]] = positions.copy()
-
     path_rows = []
-    if record_stride:
-        path_rows.append(positions.copy())
+
+    def observe(step, positions):
+        if step in checkpoint_steps:
+            captured[checkpoint_steps[step]] = positions.copy()
+        if record_stride and step % record_stride == 0:
+            path_rows.append(positions.copy())
 
     segments = _plan_segments(source, t0, t_final, dt)
+    total = sum(steps for _, steps, _ in segments)
+    buf = _noise_buffer(m, grid.dims, total)
+    used = filled = 0
     t = t0
-    global_step = 0
-    for seg_start, steps, snap_i in segments:
+    step = 0
+    observe(step, positions)
+    for _, steps, snap_i in segments:
         dfield = source.drift(snap_i)
         bmap = source.basins(snap_i)
         if bmap is not None:
             b = bmap.basins_at(positions)
             np.copyto(basin_prev, b, where=b >= 0)
         drift_vecs_at = _drift_evaluator(grid, dfield.vectors)
+        seg_end = step + steps
+        while step < seg_end:
+            if used == filled:
+                # Fixed per-trajectory consumption order: each stream's draws
+                # continue where its previous fill stopped.
+                filled = min(buf.shape[1], total - step)
+                _fill_noise(rngs, buf[:, :filled])
+                used = 0
+            # Advance to the next event: buffer end, segment end, checkpoint
+            # or recorded row.
+            stop = min([seg_end, step + filled - used] + [c for c in checkpoint_steps if c > step])
+            if record_stride:
+                stop = min(stop, (step // record_stride + 1) * record_stride)
+            positions, t = _advance_block(
+                positions, t, dt, buf[:, used : used + stop - step], drift_vecs_at, grid,
+                sigma, params.drift_cap, bmap, basin_prev, crossings, stream_ids,
+            )
+            used += stop - step
+            step = stop
+            observe(step, positions)
 
-        done = 0
-        while done < steps:
-            blk = min(_NOISE_BLOCK, steps - done)
-            # Fixed per-trajectory consumption order: blk steps x dims draws.
-            noise = np.stack([r.standard_normal((blk, grid.dims)) for r in rngs])
-            if record_stride or checkpoint_steps:
-                for s in range(blk):
-                    positions, t = _advance_block(
-                        positions, t, dt, noise[:, s : s + 1, :], drift_vecs_at,
-                        grid, sigma, params.drift_cap, bmap, basin_prev,
-                        crossings, stream_ids,
-                    )
-                    global_step += 1
-                    if global_step in checkpoint_steps:
-                        captured[checkpoint_steps[global_step]] = positions.copy()
-                    if record_stride and global_step % record_stride == 0:
-                        path_rows.append(positions.copy())
-            else:
-                positions, t = _advance_block(
-                    positions, t, dt, noise, drift_vecs_at, grid, sigma,
-                    params.drift_cap, bmap, basin_prev, crossings, stream_ids,
-                )
-                global_step += blk
-            done += blk
-
+    del buf  # release the noise before stacking the recorded paths
     paths = np.stack(path_rows, axis=1) if path_rows else None
     return positions, crossings, captured, paths
 
@@ -464,7 +488,6 @@ def run_ensemble(
     t_final: float,
     histogram_grid: Grid | None = None,
     master_seed: int = 0,
-    workers: int = 1,
     node_threshold: float | None = None,
     checkpoint_times=(),
     record_stride: int | None = None,
@@ -491,21 +514,11 @@ def run_ensemble(
         if abs(steps_to - round(steps_to)) > 1e-6:
             raise ValueError(f"checkpoint time {tc} is not aligned to dt_L={dt_L}")
 
-    chunk_ids = [list(range(a, min(a + _CHUNK, n))) for a in range(0, n, _CHUNK)]
-
-    def work(ids):
-        return _run_chunk(ids, master_seed, sampler, source, dt_L, t0, t_final,
-                          checkpoint_times, record_stride)
-
-    if workers > 1 and len(chunk_ids) > 1:
-        # Materialize shared caches before threading so reads are concurrent.
-        for _, _, snap_i in _plan_segments(source, t0, t_final, dt_L):
-            source.drift(snap_i)
-            source.basins(snap_i)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunk_ids))
-    else:
-        results = [work(ids) for ids in chunk_ids]
+    results = [
+        _run_chunk(list(range(a, min(a + _CHUNK, n))), master_seed, sampler, source, dt_L,
+                   t0, t_final, checkpoint_times, record_stride)
+        for a in range(0, n, _CHUNK)
+    ]
 
     final_positions = np.concatenate([r[0] for r in results])
     crossings = np.concatenate([r[1] for r in results])
@@ -566,16 +579,9 @@ def simulate_trajectory(
         return initial if record_stride is None else (initial, np.array([initial.t]),
                                                       initial.x[None, :].copy())
 
-    class _OneShot:
-        def __init__(self, x):
-            self.x = np.atleast_1d(np.asarray(x, dtype=float))
-
-        def sample(self, rng):
-            return self.x.copy()
-
     ids = [initial.noise.stream_id]
     positions, crossings, _, paths = _run_chunk(
-        ids, initial.noise.master_seed, _OneShot(initial.x), source, dt_L,
+        ids, initial.noise.master_seed, PointSampler(initial.x), source, dt_L,
         initial.t, t_final, (), record_stride,
     )
     state = TrajectoryState(
@@ -615,7 +621,6 @@ def run_first_passage_ensemble(
     stop,
     t_max: float,
     master_seed: int = 0,
-    workers: int = 1,
     first_stream: int = 0,
     t0: float = 0.0,
 ) -> list[FirstPassage]:
@@ -638,11 +643,12 @@ def run_first_passage_ensemble(
         times[~alive] = t0
         t = t0
         max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
+        buf = _noise_buffer(m, grid.dims, max_steps)
         step = 0
         while np.any(alive) and step < max_steps:
-            blk = min(_NOISE_BLOCK, max_steps - step)
+            blk = min(buf.shape[1], max_steps - step, max(_FIRST_BLOCK, step))
             idx_alive = np.flatnonzero(alive)
-            noise = np.stack([rngs[i].standard_normal((blk, grid.dims)) for i in idx_alive])
+            noise = _fill_noise([rngs[i] for i in idx_alive], buf[: len(idx_alive), :blk])
             pos = positions[idx_alive]
             sd = side[idx_alive]
             done_local = np.zeros(len(idx_alive), dtype=bool)
@@ -664,13 +670,7 @@ def run_first_passage_ensemble(
         return times
 
     ids_all = list(range(first_stream, first_stream + n))
-    chunk_ids = [ids_all[a : a + _CHUNK] for a in range(0, n, _CHUNK)]
-    if workers > 1 and len(chunk_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, chunk_ids))
-    else:
-        parts = [work(ids) for ids in chunk_ids]
-    times = np.concatenate(parts)
+    times = np.concatenate([work(ids_all[a : a + _CHUNK]) for a in range(0, n, _CHUNK)])
     out = []
     for i, sid in enumerate(ids_all):
         censored = bool(np.isnan(times[i]))

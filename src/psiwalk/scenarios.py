@@ -34,6 +34,8 @@ SCENARIO_NAMES = (
     "product_separation",
     "free_packet",
 )
+# Scenarios that compare histograms coarsened by ``histogram_refine``.
+_HISTOGRAM_SCENARIOS = ("harmonic_ground", "double_well", "interference")
 
 
 # --------------------------------------------------------------------------
@@ -50,7 +52,6 @@ class ScenarioConfig:
     ensemble: dict
     params: dict
     master_seed: int
-    workers: int
     histogram_refine: int
     out_dir: str | None = None
 
@@ -65,7 +66,6 @@ class ScenarioConfig:
             "ensemble": copy.deepcopy(self.ensemble),
             "params": copy.deepcopy(self.params),
             "master_seed": self.master_seed,
-            "workers": self.workers,
             "histogram_refine": self.histogram_refine,
             "out_dir": self.out_dir,
         }
@@ -107,7 +107,6 @@ def _defaults(scenario: str) -> dict:
         "time": {"dt_psi": 1e-3, "dt_langevin": 1e-3, "t_final": 10.0, "snapshot_stride": 10},
         "ensemble": {"n_trajectories": 1000, "sampler": {"type": "density"}},
         "master_seed": 20260808,
-        "workers": 1,
         "histogram_refine": 4,
         "out_dir": None,
     }
@@ -243,8 +242,9 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         errors.append("guidance.drift_cap must be positive, null, or 'auto'")
 
     gr = merged.get("grid", {})
+    grid = None
     try:
-        Grid(
+        grid = Grid(
             points=tuple(int(n) for n in gr["points"]),
             extent=tuple((float(lo), float(hi)) for lo, hi in gr["extent"]),
             boundary=tuple(gr["boundary"]),
@@ -258,10 +258,14 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     sampler = en.get("sampler", {})
     if sampler.get("type") not in ("point", "density"):
         errors.append("ensemble.sampler.type must be 'point' or 'density'")
-    if merged.get("workers", 1) < 1:
-        errors.append("workers must be >= 1")
-    if merged.get("histogram_refine", 1) < 1:
-        errors.append("histogram_refine must be >= 1")
+    elif sampler["type"] == "point" and grid and en.get("n_trajectories", 0) > 0:
+        if np.atleast_1d(sampler.get("at", [])).shape != (grid.dims,):
+            errors.append(f"ensemble.sampler.at must have {grid.dims} coordinate(s), one per grid axis")
+    refine = merged.get("histogram_refine")
+    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
+        errors.append(f"histogram_refine must be an integer >= 1, got {refine!r}")
+    elif scenario in _HISTOGRAM_SCENARIOS and grid and any(n % refine for n in grid.points):
+        errors.append(f"histogram_refine={refine} must divide every grid axis {grid.points}")
 
     if errors:
         return None, errors
@@ -275,7 +279,6 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         ensemble=merged["ensemble"],
         params=merged["params"],
         master_seed=int(merged["master_seed"]),
-        workers=int(merged["workers"]),
         histogram_refine=int(merged["histogram_refine"]),
         out_dir=merged.get("out_dir"),
     )
@@ -460,7 +463,6 @@ def _run_harmonic_ground(cfg: ScenarioConfig, engines):
             cfg.time["dt_langevin"],
             cfg.time["t_final"],
             master_seed=cfg.master_seed,
-            workers=cfg.workers,
             checkpoint_times=checkpoints,
         )
         tv = analysis.total_variation(
@@ -548,7 +550,6 @@ def _run_double_well(cfg: ScenarioConfig, engines):
             cfg.time["dt_langevin"],
             cfg.time["t_final"],
             master_seed=cfg.master_seed,
-            workers=cfg.workers,
             checkpoint_times=checkpoints,
         )
         tv = analysis.total_variation(
@@ -587,7 +588,7 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     start = float(mfpt.get("start", -dg.b))
     results = langevin.run_first_passage_ensemble(
         n, [start], psi, params, dt, stop, t_max,
-        master_seed=cfg.master_seed, workers=cfg.workers,
+        master_seed=cfg.master_seed,
     )
     est = analysis.mfpt_estimate(results, params=dg, lam=params.lam)
     out.metrics["mfpt_mean"] = est.mean
@@ -627,7 +628,6 @@ def _localization_block(cfg, out, psi, dg, params, loc):
         dt,
         horizon,
         master_seed=cfg.master_seed,
-        workers=cfg.workers,
         record_stride=int(loc.get("record_stride", 20)),
     )
     jumps = np.zeros(n, dtype=np.int64)
@@ -749,7 +749,6 @@ def _run_interference(cfg: ScenarioConfig, engines):
             cfg.time["dt_langevin"],
             fringe_time,
             master_seed=cfg.master_seed,
-            workers=cfg.workers,
             node_threshold=float(p["node_threshold"]),
         )
         from .guidance import regularized_density
@@ -803,7 +802,6 @@ def _run_product_separation(cfg: ScenarioConfig, engines):
             cfg.time["dt_langevin"],
             cfg.time["t_final"],
             master_seed=cfg.master_seed,
-            workers=cfg.workers,
             record_stride=int(p.get("record_stride", 1)),
         )
         stats = analysis.independence_test(result.paths)

@@ -6,6 +6,7 @@ from psiwalk import (
     DoubleGaussianParams,
     Grid,
     GuidanceParams,
+    HamiltonianSpec,
     IntegratorFailure,
     NodeBasinMap,
     NoiseSpec,
@@ -15,8 +16,10 @@ from psiwalk import (
     TrajectoryState,
     WaveField,
     drift_field,
+    evolve,
     first_passage_time,
     make_double_gaussian,
+    make_packet,
     mfpt_estimate,
     run_ensemble,
     run_first_passage_ensemble,
@@ -25,8 +28,10 @@ from psiwalk import (
     substream,
     total_variation,
 )
+from psiwalk import langevin
 from psiwalk.analysis import coarsen
 from psiwalk.guidance import regularized_density
+from psiwalk.langevin import SnapshotDrift
 
 from _oracles import MFPT_FULL_CROSSING
 
@@ -86,14 +91,80 @@ def test_ensemble_of_one_equals_single_trajectory():
     assert np.array_equal(res.final_positions[0], single.x)
 
 
-def test_worker_count_does_not_change_results():
-    g, psi = gaussian_setup()
+def colliding_packets(dims):
+    """Snapshots every 0.07 of two packets colliding on a 64-per-axis grid."""
+    g = Grid.make((64,) * dims, ((-8.0, 8.0),) * dims, "periodic")
+    left = make_packet(g, [-2.0] * dims, 1.0, momentum=[3.0] * dims)
+    right = make_packet(g, [2.0] * dims, 1.0, momentum=[-3.0] * dims)
+    psi0 = WaveField(g, left.values + right.values)
+    return evolve(psi0, HamiltonianSpec(), 0.21, 0.01, snapshot_stride=7)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
+    # 13 walkers in chunks of 5, 5 and 3; a noise budget of 3 steps per full
+    # chunk and 5 for the partial one puts refills inside the 7-step snapshot
+    # segments, and checkpoints (steps 5, 11) and recorded rows (every 4th
+    # step) split the blocks.  Every row must equal a per-stream reference
+    # that draws once per step.
+    snaps = colliding_packets(dims)
+    # a large epsilon flattens the node barriers so that 1-d walkers cross them
+    params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
+    sampler = DensitySampler(regularized_density(snaps[0], params))
+    dt, t_final, seed, n = 0.01, 0.2, 21, 13
+    kw = dict(master_seed=seed, node_threshold=0.5, checkpoint_times=(0.05, 0.11),
+              record_stride=4)
+    whole = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
+    monkeypatch.setattr(langevin, "_CHUNK", 5)
+    monkeypatch.setattr(langevin, "_NOISE_VALUES", 15 * dims)
+    res = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
+
+    source = SnapshotDrift(snaps, params)
+    for sid in range(n):
+        rng = substream(seed, sid)
+        st = TrajectoryState(x=sampler.sample(rng), t=0.0, noise=NoiseSpec(seed, sid), rng=rng)
+        path = [st.x]
+        for s in range(20):
+            st = step_em(st, source.drift(source.segment_index(s * dt)), params, dt)
+            path.append(st.x)
+            if s + 1 == 5:
+                assert np.array_equal(res.checkpoints[0][1][sid], st.x)
+            if s + 1 == 11:
+                assert np.array_equal(res.checkpoints[1][1][sid], st.x)
+        assert np.array_equal(res.paths[sid], np.stack(path[::4]))
+        assert np.array_equal(res.final_positions[sid], st.x)
+    assert dims == 2 or res.crossings.sum() > 0
+    assert np.array_equal(res.crossings, whole.crossings)
+    assert np.array_equal(res.paths, whole.paths)
+
+
+@pytest.mark.parametrize("noise_values, first_block", [(12, 1024), (400, 2)])
+def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_values, first_block):
+    # 10 walkers in chunks of 4, 4 and 2, with 3-step noise blocks or with
+    # blocks growing 2, 2, 4, 8, ... up to 100 steps: walkers retire
+    # mid-block; each time must equal a one-draw-per-step reference.
+    g = Grid.make(256, (-8.0, 8.0), "reflecting")
+    psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.0))
     params = GuidanceParams(lam=1.0)
-    kw = dict(dt_L=5e-3, t_final=1.0, master_seed=5)
-    r1 = run_ensemble(5000, PointSampler([0.0]), psi, params, workers=1, **kw)
-    r4 = run_ensemble(5000, PointSampler([0.0]), psi, params, workers=4, **kw)
-    assert np.array_equal(r1.final_positions, r4.final_positions)
-    assert np.array_equal(r1.histogram.values, r4.histogram.values)
+    stop, dt, t_max, seed = PlaneCrossing(at=0.0), 0.01, 1.0, 5
+    monkeypatch.setattr(langevin, "_CHUNK", 4)
+    monkeypatch.setattr(langevin, "_NOISE_VALUES", noise_values)
+    monkeypatch.setattr(langevin, "_FIRST_BLOCK", first_block)
+    results = run_first_passage_ensemble(10, [-1.0], psi, params, dt, stop, t_max,
+                                         master_seed=seed)
+    df = drift_field(psi, params)
+    for sid, fp in enumerate(results):
+        st = TrajectoryState(x=[-1.0], t=0.0, noise=NoiseSpec(seed, sid))
+        side = stop.initial_side(st.x)
+        expected = None
+        for k in range(1, 101):
+            st = step_em(st, df, params, dt)
+            if stop.hit(st.x, side)[0]:
+                expected = 0.0 + k * dt
+                break
+        assert fp.censored == (expected is None)
+        assert fp.time == (t_max if expected is None else expected)
+    assert 0 < sum(fp.censored for fp in results) < 10
 
 
 # -- single-step contracts ----------------------------------------------------

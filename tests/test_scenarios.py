@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from psiwalk.cli import main
 from psiwalk.scenarios import RunManifest, run_scenario, validate_config
 
@@ -45,11 +47,41 @@ def test_all_violations_reported():
         {
             "scenario": "free_packet",
             "guidance": {"lam": -1.0, "epsilon": 0.0},
-            "workers": 0,
+            "time": {"snapshot_stride": 0},
         }
     )
     assert cfg is None
     assert len(errors) >= 3
+
+
+def test_histogram_refine_must_divide_every_grid_axis():
+    # caught before the 8192-walker ensemble runs, not by coarsen afterwards
+    cfg, errors = validate_config({"scenario": "interference", "histogram_refine": 3})
+    assert cfg is None
+    assert errors == ["histogram_refine=3 must divide every grid axis (2048,)"]
+
+
+def test_point_sampler_must_match_grid_dims():
+    cfg, errors = validate_config(
+        {"scenario": "harmonic_ground", "ensemble": {"sampler": {"type": "point", "at": [0.0, 1.0]}}}
+    )
+    assert cfg is None
+    assert errors == ["ensemble.sampler.at must have 1 coordinate(s), one per grid axis"]
+
+
+def test_point_sampler_check_passes_scalar_in_1d_and_unused_samplers():
+    scalar = {"scenario": "harmonic_ground", "ensemble": {"sampler": {"type": "point", "at": 0.5}}}
+    assert validate_config(scalar)[1] == []
+    # free_packet runs no walkers, so its sampler is never built
+    unused = {"scenario": "free_packet", "ensemble": {"sampler": {"type": "point", "at": [0.0, 1.0]}}}
+    assert validate_config(unused)[1] == []
+
+
+@pytest.mark.parametrize("value", ["2", 2.5, 2.0, True])
+def test_histogram_refine_must_be_integer(value):
+    cfg, errors = validate_config({"scenario": "harmonic_ground", "histogram_refine": value})
+    assert cfg is None
+    assert errors == [f"histogram_refine must be an integer >= 1, got {value!r}"]
 
 
 def test_invalid_json_reported():
