@@ -15,8 +15,12 @@ from .scenarios import RunManifest, run_scenario, validate_config
 
 
 def _load_config(path, seed=None):
-    text = Path(path).read_text()
-    cfg, errors = validate_config(text)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        cfg, errors = None, [f"cannot read {path}: {exc.strerror}"]
+    else:
+        cfg, errors = validate_config(text)
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
@@ -50,10 +54,8 @@ def _cmd_run(args, engines=("ensemble", "fp")) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg, errors = validate_config(Path(args.config).read_text())
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
+    cfg = _load_config(args.config)
+    if cfg is None:
         return 1
     print(json.dumps(cfg.to_dict(), indent=1, sort_keys=True))
     return 0

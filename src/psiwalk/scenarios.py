@@ -16,6 +16,7 @@ import hashlib
 import json
 import time as _time
 from dataclasses import dataclass, field as dc_field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,35 @@ def _deep_merge(dst: dict, src: dict) -> dict:
     return dst
 
 
+def _is_number(value, kind=Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _oracle_errors(oracle, tm) -> list[str]:
+    """Violations of ``params.oracle``: the density solver and the walkers
+    must reach every checkpoint in whole ``fp_dt`` and ``dt_langevin`` steps."""
+    if not oracle:
+        return []
+    if not isinstance(oracle, dict):
+        return ["params.oracle must be an object or null"]
+    fp_dt = oracle.get("fp_dt", tm.get("dt_langevin"))
+    if not _is_number(fp_dt) or fp_dt <= 0:
+        return [f"params.oracle.fp_dt must be a positive number, got {fp_dt!r}"]
+    checkpoints = oracle.get("checkpoints", [])
+    t_final = tm.get("t_final")
+    if (not isinstance(checkpoints, (list, tuple))
+            or not all(_is_number(tc) and 0 <= tc <= (t_final or 0) for tc in checkpoints)):
+        return [f"params.oracle.checkpoints must be a list of times in [0, time.t_final={t_final}]"]
+    errors = []
+    for name, dt in (("params.oracle.fp_dt", fp_dt), ("time.dt_langevin", tm.get("dt_langevin"))):
+        for tc in checkpoints:
+            try:
+                smoluchowski.horizon_steps(0.0, tc, dt)
+            except ValueError:
+                errors.append(f"{name}={dt} does not divide the checkpoint time {tc}")
+    return errors
+
+
 def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     """Parse and validate a config (JSON text, path-free).  Returns the config
     with defaults applied, or None plus the full list of violations."""
@@ -214,8 +244,34 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
             f"unknown scenario {scenario!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         ]
     merged = _deep_merge(_defaults(scenario), source)
+    for section in ("grid", "guidance", "time", "ensemble", "params"):
+        if not isinstance(merged.get(section), dict):
+            errors.append(f"{section} must be a JSON object")
+    if errors:
+        return None, errors
 
     tm = merged["time"]
+    g = merged["guidance"]
+    en = merged["ensemble"]
+    # Type checks first, so that the range checks below compare numbers only.
+    for name, value, kind, optional in (
+        ("hbar", merged["hbar"], Real, False),
+        ("mass", merged["mass"], Real, False),
+        ("master_seed", merged["master_seed"], Integral, False),
+        ("time.dt_psi", tm.get("dt_psi"), Real, True),
+        ("time.dt_langevin", tm.get("dt_langevin"), Real, True),
+        ("time.t_final", tm.get("t_final"), Real, True),
+        ("time.snapshot_stride", tm.get("snapshot_stride", 1), Integral, False),
+        ("guidance.lam", g.get("lam"), Real, True),
+        ("guidance.epsilon", g.get("epsilon", 1e-12), Real, False),
+        ("ensemble.n_trajectories", en.get("n_trajectories", 0), Integral, False),
+    ):
+        if not (_is_number(value, kind) or (optional and value is None)):
+            what = "an integer" if kind is Integral else "a number"
+            errors.append(f"{name} must be {what}, got {value!r}")
+    if errors:
+        return None, errors
+
     for key in ("dt_psi", "dt_langevin"):
         if tm.get(key) is not None and tm[key] <= 0:
             errors.append(f"time.{key} must be positive")
@@ -230,7 +286,6 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     if tm.get("snapshot_stride", 1) < 1:
         errors.append("time.snapshot_stride must be >= 1")
 
-    g = merged["guidance"]
     if g.get("lam") is None and "diffusion" not in g:
         errors.append("guidance needs either lam or diffusion {length_scale, time_scale}")
     if g.get("lam") is not None and g["lam"] <= 0:
@@ -238,7 +293,7 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     if g.get("epsilon", 1e-12) <= 0:
         errors.append("guidance.epsilon must be positive")
     cap = g.get("drift_cap")
-    if cap is not None and cap != "auto" and (not np.isscalar(cap) or cap <= 0):
+    if cap is not None and cap != "auto" and (not _is_number(cap) or cap <= 0):
         errors.append("guidance.drift_cap must be positive, null, or 'auto'")
 
     gr = merged.get("grid", {})
@@ -252,11 +307,10 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"grid: {exc}")
 
-    en = merged["ensemble"]
     if en.get("n_trajectories", 0) < 0:
         errors.append("ensemble.n_trajectories must be >= 0")
     sampler = en.get("sampler", {})
-    if sampler.get("type") not in ("point", "density"):
+    if not isinstance(sampler, dict) or sampler.get("type") not in ("point", "density"):
         errors.append("ensemble.sampler.type must be 'point' or 'density'")
     elif sampler["type"] == "point" and grid and en.get("n_trajectories", 0) > 0:
         if np.atleast_1d(sampler.get("at", [])).shape != (grid.dims,):
@@ -266,6 +320,8 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         errors.append(f"histogram_refine must be an integer >= 1, got {refine!r}")
     elif scenario in _HISTOGRAM_SCENARIOS and grid and any(n % refine for n in grid.points):
         errors.append(f"histogram_refine={refine} must divide every grid axis {grid.points}")
+
+    errors += _oracle_errors(merged["params"].get("oracle"), tm)
 
     if errors:
         return None, errors
@@ -496,10 +552,16 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
         p0_values = regularized_density(psi, params).normalized().values
     p0 = DensityField(grid, p0_values, 0.0)
     dt = float(oracle.get("fp_dt", cfg.time["dt_langevin"]))
+    # One evolution through the sorted checkpoints, each leg starting where the
+    # last one ended.
+    densities = {}
+    dens = p0
+    for tc in sorted({tc for tc, _ in result.checkpoints}):
+        dens = densities[tc] = smoluchowski.fp_evolve(dens, psi, params, dt, tc, method="auto")[-1]
     rows = []
     worst = 0.0
     for tc, positions in result.checkpoints:
-        dens = smoluchowski.fp_evolve(p0, psi, params, dt, tc, method="auto")[-1]
+        dens = densities[tc]
         hist = analysis.histogram(positions, dens.grid)
         hc = _coarse(hist, cfg.histogram_refine)
         dc = _coarse(dens, cfg.histogram_refine).normalized()

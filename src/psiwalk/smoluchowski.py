@@ -17,16 +17,26 @@ rounding regardless of time step.  The explicit step is positivity-preserving
 under its stability bound; backward Euler with per-axis operator splitting
 (an M-matrix solve) handles stiff large-lambda runs at any dt.
 
+Cost.  An ``FPOperator`` computes its face weights when it is built and its
+explicit stability bound on first use.  The first implicit step at a given dt
+factors each axis once: all pencils of the axis are laid end to end as one
+tridiagonal system with zero coupling between pencils, factored by ``dgttrf``.
+A periodic axis also keeps its Sherman-Morrison vector.  Every implicit step
+is then one ``dgttrs`` solve per axis, plus a vectorized rank-one correction
+on periodic axes.  The operator keeps only the factors of the last dt it was
+stepped with.
+
 A "central" scheme (gm = 1 - w/2, gp = 1 + w/2) is included for comparison;
 it is second order but loses positivity and exact equilibrium for |w| > 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import PERIODIC, DensityField, Grid, WaveField
 from .guidance import GuidanceParams
@@ -54,6 +64,14 @@ def _gm(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lo_hi(dims: int, axis: int):
+    """Index tuples selecting the low and the high cell of every interior face."""
+    lo = [slice(None)] * dims
+    hi = [slice(None)] * dims
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 @dataclass(eq=False)
 class FPOperator:
     """Discrete drift-diffusion operator for one wave-field snapshot.
@@ -67,6 +85,20 @@ class FPOperator:
     lam: float
     scheme: str
     face_w: list[np.ndarray]
+    # (cp, cm) per axis: the weights of (p_hi, p_lo) in the face flux.
+    _coeffs: list = field(init=False, repr=False)
+    _stable_dt: float | None = field(init=False, repr=False, default=None)
+    # (dt, one _AxisSolver per axis) of the last implicit dt, or None.
+    _factors: tuple | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        self._coeffs = []
+        for w in self.face_w:
+            if self.scheme == "chang_cooper":
+                cm = _gm(w)
+                self._coeffs.append((cm + w, cm))
+            else:
+                self._coeffs.append((1.0 + 0.5 * w, 1.0 - 0.5 * w))
 
     @classmethod
     def from_log_density(cls, grid: Grid, log_rho: np.ndarray, lam: float,
@@ -78,13 +110,10 @@ class FPOperator:
         face_w = []
         for axis in range(grid.dims):
             if grid.boundary[axis] == PERIODIC:
-                w = log_rho - np.roll(log_rho, -1, axis=axis)
+                face_w.append(log_rho - np.roll(log_rho, -1, axis=axis))
             else:
-                lo = [slice(None)] * grid.dims
-                hi = [slice(None)] * grid.dims
-                lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-                w = log_rho[tuple(lo)] - log_rho[tuple(hi)]
-            face_w.append(w)
+                lo, hi = _lo_hi(grid.dims, axis)
+                face_w.append(log_rho[lo] - log_rho[hi])
         return cls(grid=grid, lam=lam, scheme=scheme, face_w=face_w)
 
     @classmethod
@@ -94,69 +123,123 @@ class FPOperator:
         eps = params.effective_epsilon(float(rho.max()))
         return cls.from_log_density(psi.grid, np.log(rho + eps), params.lam, scheme)
 
-    def _coeffs(self, axis: int):
-        """(cp, cm) multiplying (p_hi, p_lo) in the face flux, for one axis."""
-        w = self.face_w[axis]
-        if self.scheme == "chang_cooper":
-            cm = _gm(w)
-            cp = cm + w
-        else:
-            cm = 1.0 - 0.5 * w
-            cp = 1.0 + 0.5 * w
-        return cp, cm
+    def _face_flux(self, axis: int, p: np.ndarray) -> np.ndarray:
+        """(lam/dx) * (cp p_hi - cm p_lo) through every face of ``axis``."""
+        cp, cm = self._coeffs[axis]
+        dx = self.grid.spacing[axis]
+        if self.grid.boundary[axis] == PERIODIC:
+            return (self.lam / dx) * (cp * np.roll(p, -1, axis=axis) - cm * p)
+        lo, hi = _lo_hi(self.grid.dims, axis)
+        return (self.lam / dx) * (cp * p[hi] - cm * p[lo])
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """Flux divergence: the right-hand side of dp/dt."""
         out = np.zeros_like(p)
         for axis in range(self.grid.dims):
             dx = self.grid.spacing[axis]
-            cp, cm = self._coeffs(axis)
+            flux = self._face_flux(axis, p)
             if self.grid.boundary[axis] == PERIODIC:
-                flux = (self.lam / dx) * (cp * np.roll(p, -1, axis=axis) - cm * p)
                 out += (flux - np.roll(flux, 1, axis=axis)) / dx
             else:
-                lo = [slice(None)] * self.grid.dims
-                hi = [slice(None)] * self.grid.dims
-                lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-                flux = (self.lam / dx) * (cp * p[tuple(hi)] - cm * p[tuple(lo)])
-                out[tuple(lo)] += flux / dx
-                out[tuple(hi)] -= flux / dx
+                lo, hi = _lo_hi(self.grid.dims, axis)
+                out[lo] += flux / dx
+                out[hi] -= flux / dx
         return out
 
     def flux_max(self, p: np.ndarray) -> float:
         """Largest face-flux magnitude; zero at the discrete equilibrium."""
-        worst = 0.0
-        for axis in range(self.grid.dims):
-            dx = self.grid.spacing[axis]
-            cp, cm = self._coeffs(axis)
-            if self.grid.boundary[axis] == PERIODIC:
-                flux = (self.lam / dx) * (cp * np.roll(p, -1, axis=axis) - cm * p)
-            else:
-                lo = [slice(None)] * self.grid.dims
-                hi = [slice(None)] * self.grid.dims
-                lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-                flux = (self.lam / dx) * (cp * p[tuple(hi)] - cm * p[tuple(lo)])
-            worst = max(worst, float(np.max(np.abs(flux))))
-        return worst
+        return max(float(np.max(np.abs(self._face_flux(axis, p))))
+                   for axis in range(self.grid.dims))
 
     def stable_dt(self) -> float:
         """Largest explicit dt keeping the update a nonnegative combination."""
-        diag = np.zeros(self.grid.points)
-        for axis in range(self.grid.dims):
-            dx = self.grid.spacing[axis]
-            cp, cm = self._coeffs(axis)
-            if self.grid.boundary[axis] == PERIODIC:
-                diag += (self.lam / dx**2) * (cm + np.roll(cp, 1, axis=axis))
-            else:
-                lo = [slice(None)] * self.grid.dims
-                hi = [slice(None)] * self.grid.dims
-                lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-                contrib = np.zeros(self.grid.points)
-                contrib[tuple(lo)] += (self.lam / dx**2) * cm
-                contrib[tuple(hi)] += (self.lam / dx**2) * cp
-                diag += contrib
-        peak = float(diag.max())
-        return np.inf if peak == 0 else 1.0 / peak
+        if self._stable_dt is None:
+            diag = np.zeros(self.grid.points)
+            for axis, (cp, cm) in enumerate(self._coeffs):
+                c = self.lam / self.grid.spacing[axis] ** 2
+                if self.grid.boundary[axis] == PERIODIC:
+                    diag += c * (cm + np.roll(cp, 1, axis=axis))
+                else:
+                    lo, hi = _lo_hi(self.grid.dims, axis)
+                    contrib = np.zeros(self.grid.points)
+                    contrib[lo] += c * cm
+                    contrib[hi] += c * cp
+                    diag += contrib
+            peak = float(diag.max())
+            self._stable_dt = np.inf if peak == 0 else 1.0 / peak
+        return self._stable_dt
+
+    def _solvers(self, dt: float) -> list["_AxisSolver"]:
+        """Per-axis backward-Euler factors for ``dt``, built on first use."""
+        if self._factors is None or self._factors[0] != dt:
+            self._factors = (dt, [_AxisSolver(self, axis, dt) for axis in range(self.grid.dims)])
+        return self._factors[1]
+
+
+class _AxisSolver:
+    """Backward-Euler matrix of one axis, factored once for all its pencils.
+
+    The pencils (the 1-d lines of cells along the axis) are laid end to end as
+    one tridiagonal system whose entries between pencils are zero, so a single
+    ``dgttrs`` call solves every pencil.  A periodic pencil is cyclic: its
+    tridiagonal part is modified as in the Sherman-Morrison method, and the
+    rank-one correction ``z`` and ``1 + v.z`` are kept per pencil.
+    """
+
+    def __init__(self, op: FPOperator, axis: int, dt: float):
+        grid = op.grid
+        cp, cm = op._coeffs[axis]
+        self.axis = axis
+        scale = dt * op.lam / grid.spacing[axis] ** 2
+        # Pencil layout: the axis swapped to the end, one pencil per row.
+        cp = cp.swapaxes(axis, -1)
+        cp = cp.reshape(-1, cp.shape[-1])
+        cm = cm.swapaxes(axis, -1).reshape(cp.shape[0], -1)
+        m, n = cp.shape[0], grid.points[axis]
+        self.periodic = grid.boundary[axis] == PERIODIC
+        sub = np.zeros((m, n))      # entry (i, i-1) of each pencil
+        sup = np.zeros((m, n))      # entry (i, i+1)
+        if self.periodic:
+            sup[:, :-1] = -scale * cp[:, :-1]           # face i couples cell i to i+1
+            sub[:, 1:] = -scale * cm[:, :-1]
+            diag = 1.0 + scale * (cm + np.roll(cp, 1, axis=1))
+            corner_lo = -scale * cm[:, -1]              # (0, n-1): inflow through wrap face
+            corner_hi = -scale * cp[:, -1]              # (n-1, 0)
+            gamma = -diag[:, 0]
+            diag[:, 0] -= gamma
+            diag[:, -1] -= corner_lo * corner_hi / gamma
+        else:
+            diag = np.ones((m, n))
+            diag[:, :-1] += scale * cm
+            diag[:, 1:] += scale * cp
+            sup[:, :-1] = -scale * cp
+            sub[:, 1:] = -scale * cm
+        # The last row of each pencil couples to nothing in the next pencil.
+        # Each column is diagonally dominant, so dgttrf never swaps rows and
+        # performs the same operations as a separate tridiagonal solve per pencil.
+        *self.lu, info = dgttrf(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1])
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        if self.periodic:
+            u = np.zeros((m, n))
+            u[:, 0] = gamma
+            u[:, -1] = corner_hi
+            self.z = self._solve(u)
+            self.ratio = corner_lo / gamma
+            self.denom = 1.0 + (self.z[:, 0] + self.ratio * self.z[:, -1])
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Tridiagonal solve of every pencil; ``rhs`` has shape (m, n)."""
+        x, _ = dgttrs(*self.lu, rhs.reshape(-1, 1))
+        return x.reshape(rhs.shape)
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        moved = values.swapaxes(self.axis, -1)
+        y = self._solve(moved.reshape(-1, moved.shape[-1]))
+        if self.periodic:
+            v_dot_y = y[:, 0] + self.ratio * y[:, -1]
+            y = y - (v_dot_y / self.denom)[:, None] * self.z
+        return y.reshape(moved.shape).swapaxes(self.axis, -1)
 
 
 def fp_step(p: DensityField, op: FPOperator, dt: float) -> DensityField:
@@ -172,36 +255,6 @@ def fp_step(p: DensityField, op: FPOperator, dt: float) -> DensityField:
     return DensityField(p.grid, values, p.time + dt)
 
 
-def _solve_tridiag(sub, diag, sup, rhs):
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
-
-
-def _solve_cyclic(sub, diag, sup, corner_lo, corner_hi, rhs):
-    """Cyclic tridiagonal solve by a rank-one (Sherman-Morrison) update.
-
-    ``corner_lo`` is the matrix entry (0, n-1), ``corner_hi`` the entry
-    (n-1, 0).
-    """
-    n = diag.size
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner_lo * corner_hi / gamma
-    y = _solve_tridiag(sub, d, sup, rhs)
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner_hi
-    z = _solve_tridiag(sub, d, sup, u)
-    v_dot_y = y[0] + (corner_lo / gamma) * y[-1]
-    v_dot_z = z[0] + (corner_lo / gamma) * z[-1]
-    return y - (v_dot_y / (1.0 + v_dot_z)) * z
-
-
 def fp_step_implicit(p: DensityField, op: FPOperator, dt: float) -> DensityField:
     """Backward-Euler step split per axis; stable and positive at any dt.
 
@@ -210,45 +263,21 @@ def fp_step_implicit(p: DensityField, op: FPOperator, dt: float) -> DensityField
     """
     if p.grid != op.grid:
         raise ValueError("density and operator grids differ")
-    grid = op.grid
-    values = p.values.copy()
-    for axis in range(grid.dims):
-        dx = grid.spacing[axis]
-        cp, cm = op._coeffs(axis)
-        scale = dt * op.lam / dx**2
-        moved = np.moveaxis(values, axis, -1)
-        pencil_shape = moved.shape
-        flat = moved.reshape(-1, pencil_shape[-1])
-        # Face coefficients rearranged into the same pencil layout.
-        cp_p = np.moveaxis(cp, axis, -1).reshape(flat.shape[0], -1)
-        cm_p = np.moveaxis(cm, axis, -1).reshape(flat.shape[0], -1)
-        n = pencil_shape[-1]
-        out = np.empty_like(flat)
-        periodic = grid.boundary[axis] == PERIODIC
-        for j in range(flat.shape[0]):
-            cpj, cmj = cp_p[j], cm_p[j]
-            if periodic:
-                sup = -scale * cpj                      # face i couples cell i to i+1
-                sub = np.empty(n)
-                sub[1:] = -scale * cmj[:-1]
-                sub[0] = 0.0
-                diag = 1.0 + scale * (cmj + np.roll(cpj, 1))
-                corner_lo = -scale * cmj[-1]            # (0, n-1): inflow through wrap face
-                corner_hi = -scale * cpj[-1]            # (n-1, 0)
-                out[j] = _solve_cyclic(sub, diag, sup, corner_lo, corner_hi, flat[j])
-            else:
-                diag = np.ones(n)
-                diag[:-1] += scale * cmj
-                diag[1:] += scale * cpj
-                sup = np.zeros(n)
-                sup[:-1] = -scale * cpj
-                sub = np.zeros(n)
-                sub[1:] = -scale * cmj
-                out[j] = _solve_tridiag(sub, diag, sup, flat[j])
-        values = np.moveaxis(out.reshape(pencil_shape), -1, axis)
+    values = p.values
+    for solver in op._solvers(dt):
+        values = solver.solve(values)
     if values.min() < 0:
         values = np.maximum(values, 0.0)
-    return DensityField(grid, values, p.time + dt)
+    return DensityField(op.grid, values, p.time + dt)
+
+
+def horizon_steps(t0: float, t_final: float, dt: float) -> int:
+    """Number of ``dt`` steps from ``t0`` to ``t_final``; rejects a dt that
+    does not divide the horizon."""
+    steps = int(round((t_final - t0) / dt))
+    if steps < 0 or abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError(f"dt={dt} does not divide the horizon [{t0}, {t_final}]")
+    return steps
 
 
 def fp_evolve(
@@ -264,7 +293,8 @@ def fp_evolve(
     """Evolve the density against a sequence of wave-field snapshots.
 
     The operator is rebuilt from the snapshot governing each time segment
-    (piecewise-constant drift, matching the Langevin engine).  ``method`` is
+    (piecewise-constant drift, matching the Langevin engine); only the current
+    segment's operator and its factors are held.  ``method`` is
     "explicit", "implicit", or "auto" (explicit when dt is within the
     stability bound).  Returns density snapshots every ``snapshot_stride``
     steps, always including the initial and final states.
@@ -273,27 +303,20 @@ def fp_evolve(
         psi_snapshots = [psi_snapshots]
     psi_snapshots = sorted(psi_snapshots, key=lambda s: s.time)
     t0 = p0.time
-    steps = int(round((t_final - t0) / dt))
-    if steps < 0 or abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"dt={dt} does not divide the horizon [{t0}, {t_final}]")
+    steps = horizon_steps(t0, t_final, dt)
     if steps == 0:
         return [p0]
 
     snap_times = np.array([s.time for s in psi_snapshots])
-    ops: dict[int, FPOperator] = {}
-
-    def op_for(t: float) -> FPOperator:
-        i = int(np.searchsorted(snap_times, t + 1e-12, side="right") - 1)
-        i = min(max(i, 0), len(psi_snapshots) - 1)
-        if i not in ops:
-            ops[i] = FPOperator.from_wavefield(psi_snapshots[i], params, scheme)
-        return ops[i]
+    current, op = None, None
 
     out = [p0]
     p = p0
     for s in range(steps):
-        t = t0 + s * dt
-        op = op_for(t)
+        i = int(np.searchsorted(snap_times, t0 + s * dt + 1e-12, side="right") - 1)
+        i = min(max(i, 0), len(psi_snapshots) - 1)
+        if i != current:
+            current, op = i, FPOperator.from_wavefield(psi_snapshots[i], params, scheme)
         if method == "explicit":
             p = fp_step(p, op, dt)
         elif method == "implicit":

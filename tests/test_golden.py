@@ -6,8 +6,9 @@ manifest's metrics (the only output of ``double_well_equilibrium``), must hash
 to the stored values.  A pure refactor of an engine keeps these hashes; a change
 that moves the numerics on purpose re-stores them and says so.  The reduced
 sizes still cover what the engines branch on: a partial second chunk and noise
-refills inside drift-snapshot segments (interference), checkpoints
-(harmonic_ground with an oracle), per-step path recording in 2-d
+refills inside drift-snapshot segments (interference), checkpoints and the
+density-solver cross-check on both its explicit and implicit branch
+(harmonic_ground with an oracle, and ``EXTRA``), per-step path recording in 2-d
 (product_separation), retiring first-passage walkers (double_well_mfpt) and the
 implicit density solver on moving operators (adiabatic_tracking).
 
@@ -42,6 +43,19 @@ REDUCED = {
     "product_separation": {"time": {"t_final": 42.0}},
 }
 
+# Cases beyond the shipped configs: name -> (shipped config, overrides).  The
+# oracle case checks the density solver at unsorted and repeated checkpoints
+# on its implicit branch (lam 10 puts fp_dt above the explicit bound).
+EXTRA = {
+    "harmonic_ground_oracle": ("harmonic_ground", {
+        "guidance": {"lam": 10.0},
+        "time": {"t_final": 1.0},
+        "ensemble": {"n_trajectories": 2000},
+        "params": {"oracle": {"checkpoints": [1.0, 0.25, 0.5, 0.25], "fp_dt": 1e-3}},
+    }),
+}
+CASES = {**{name: (name, over) for name, over in REDUCED.items()}, **EXTRA}
+
 GOLDEN = {
     "adiabatic_tracking": {
         "tracking.csv": "be599e83ff0dfc561f54738e0f86c90dea243e403ad6995774d2eb6661ab2e22",
@@ -64,6 +78,11 @@ GOLDEN = {
         "oracle_tv.csv": "fd288563197db0702a07c22a510cef9288be4ba23471b11e02f1a48099866157",
         "manifest metrics": "8f94f69f9b03f3f0d33e1a453072fda42f4d9bb65350c2b5ec3fe4348b318f7a",
     },
+    "harmonic_ground_oracle": {
+        "equilibrium.csv": "6ca755ec65533554491128da1ffe99694c99e843e38819b5da40914faa718af1",
+        "oracle_tv.csv": "9b69040a6dc59b2b650337de2f71e9ddd11fa62c41aefbbcc3baed795d9e2fff",
+        "manifest metrics": "2be35b7d8e6e13b642595b5040dbd5b14579f29232efb115c6a43ba1472e83e0",
+    },
     "interference": {
         "interference.csv": "f77f7e9ffcb8086b48aa42cb88d5b1fe3a04b7cd129c16fff4fc4217d5556827",
         "manifest metrics": "5ab9ec756fb146114d0125dbe3823e6a690cdba126cce99f2bc42beffccc2e48",
@@ -79,9 +98,10 @@ def test_every_shipped_config_is_covered():
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(REDUCED)
 
 
-@pytest.mark.parametrize("name", sorted(REDUCED))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_metric_csv_hashes(name, tmp_path):
-    source = _deep_merge(json.loads((CONFIGS / f"{name}.json").read_text()), REDUCED[name])
+    config, overrides = CASES[name]
+    source = _deep_merge(json.loads((CONFIGS / f"{config}.json").read_text()), overrides)
     cfg, errors = validate_config(source)
     assert errors == []
     manifest = run_scenario(cfg, out_dir=tmp_path)

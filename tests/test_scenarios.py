@@ -84,6 +84,46 @@ def test_histogram_refine_must_be_integer(value):
     assert errors == [f"histogram_refine must be an integer >= 1, got {value!r}"]
 
 
+@pytest.mark.parametrize("override, error", [
+    ({"time": {"dt_psi": "0.001"}}, "time.dt_psi must be a number, got '0.001'"),
+    ({"ensemble": {"n_trajectories": "10"}}, "ensemble.n_trajectories must be an integer, got '10'"),
+    ({"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
+    ({"guidance": {"drift_cap": "x"}}, "guidance.drift_cap must be positive, null, or 'auto'"),
+    ({"time": 5}, "time must be a JSON object"),
+], ids=["dt_psi", "n_trajectories", "master_seed", "drift_cap", "time"])
+def test_mistyped_values_are_listed_not_raised(override, error):
+    cfg, errors = validate_config({"scenario": "free_packet", **override})
+    assert cfg is None
+    assert errors == [error]
+
+
+def test_oracle_fp_dt_must_divide_every_checkpoint():
+    # caught before the ensemble runs, not by the density solver afterwards
+    def oracle_errors(oracle):
+        return validate_config({"scenario": "harmonic_ground", "params": {"oracle": oracle}})[1]
+
+    assert oracle_errors({"checkpoints": [0.25, 0.5], "fp_dt": 0.02}) == [
+        "params.oracle.fp_dt=0.02 does not divide the checkpoint time 0.25"]
+    assert oracle_errors({"checkpoints": [0.25], "fp_dt": 0.0}) == [
+        "params.oracle.fp_dt must be a positive number, got 0.0"]
+    assert oracle_errors({"checkpoints": [0.25, 30.0]}) == [
+        "params.oracle.checkpoints must be a list of times in [0, time.t_final=20.0]"]
+    assert oracle_errors({"checkpoints": [0.25, 0.0005], "fp_dt": 5e-4}) == [
+        "time.dt_langevin=0.001 does not divide the checkpoint time 0.0005"]
+    # fp_dt defaults to dt_langevin (1e-3), which divides both
+    assert oracle_errors({"checkpoints": [0.25, 0.5]}) == []
+
+
+def test_cli_lists_mistyped_config_without_traceback(tmp_path, capsys):
+    p = write_config(tmp_path, {"scenario": "harmonic_ground", "time": {"dt_psi": "0.001"},
+                                "params": {"oracle": {"checkpoints": [0.25], "fp_dt": 0.02}}})
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: time.dt_psi must be a number, got '0.001'\n"
+    assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read ")
+
+
 def test_invalid_json_reported():
     cfg, errors = validate_config("{not json")
     assert cfg is None and "JSON" in errors[0]
