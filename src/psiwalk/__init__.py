@@ -35,8 +35,6 @@ from .guidance import (
     DiffusionSpec,
     DriftField,
     GuidanceParams,
-    diffusion_constant,
-    drift_at,
     drift_field,
     potential_field,
     regularized_density,
@@ -53,11 +51,9 @@ from .langevin import (
     RegionEntry,
     SnapshotDrift,
     TrajectoryState,
-    first_passage_time,
     run_ensemble,
     run_first_passage_ensemble,
     simulate_trajectory,
-    step_em,
     substream,
 )
 from .smoluchowski import FPOperator, StepSizeError, fp_evolve, fp_step, fp_step_implicit

@@ -17,6 +17,7 @@ is a plain sum times the cell volume and is exact for constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +116,16 @@ class Grid:
             col = x[:, k]
             if self.boundary[k] == PERIODIC:
                 inside = (col >= lo) & (col < hi)
-                if np.all(inside):
+                if inside.all():
                     continue
                 if out is None:
                     out = x.copy()
-                out[:, k] = np.where(inside, col, (col - lo) % span + lo)
+                # The wrap can round up onto hi itself, which is lo's image.
+                wrapped = (col - lo) % span + lo
+                out[:, k] = np.where(inside, col, np.where(wrapped < hi, wrapped, lo))
             else:
                 inside = (col >= lo) & (col <= hi)
-                if np.all(inside):
+                if inside.all():
                     continue
                 if out is None:
                     out = x.copy()
@@ -280,46 +283,66 @@ def interpolate(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     the query sits on a grid point.
     """
     values = np.asarray(values)
-    single = np.asarray(x).ndim == 1
-    pts = grid.fold(x)
-    m = pts.shape[0]
+    out = _Interpolant(grid, values)(grid.fold(x))
+    if values.ndim == grid.dims:
+        out = out[:, 0]
+    return out[0] if np.asarray(x).ndim == 1 else out
 
-    i0 = np.empty((m, grid.dims), dtype=np.int64)
-    i1 = np.empty((m, grid.dims), dtype=np.int64)
-    frac = np.empty((m, grid.dims))
-    for k in range(grid.dims):
-        lo, hi = grid.extent[k]
-        n = grid.points[k]
-        dx = (hi - lo) / n
-        if grid.boundary[k] == PERIODIC:
-            f = (pts[:, k] - lo) / dx
-        else:
-            f = np.clip((pts[:, k] - lo) / dx - 0.5, 0.0, n - 1.0)
-        # Snap queries that are a rounding error away from a node, so values
-        # stored on grid points are reproduced bit-for-bit.
-        r = np.round(f)
-        f = np.where(np.abs(f - r) <= 1e-9, r, f)
-        if grid.boundary[k] == PERIODIC:
-            base = np.floor(f)
-            i0[:, k] = base.astype(np.int64) % n
-            i1[:, k] = (i0[:, k] + 1) % n
-            frac[:, k] = f - base
-        else:
-            base = np.minimum(np.floor(f), n - 2)
-            i0[:, k] = base.astype(np.int64)
-            i1[:, k] = i0[:, k] + 1
-            frac[:, k] = f - base
 
-    vec = values.ndim == grid.dims + 1
-    out_shape = (m, values.shape[-1]) if vec else (m,)
-    out = np.zeros(out_shape, dtype=values.dtype)
-    for corner in range(2**grid.dims):
-        idx = []
-        w = np.ones(m)
+class _Interpolant:
+    """:func:`interpolate` of fixed grid data, called with in-box points.
+
+    The data is stored as one contiguous C-order table per component, and
+    periodic axes carry a wrapped copy of their first slice at the end, so
+    the upper neighbour along every axis is the lower flat index plus that
+    axis's stride.  Calling with ``(m, dims)`` points returns ``(m, v)``.
+    """
+
+    def __init__(self, grid: Grid, values: np.ndarray):
+        if values.ndim == grid.dims:
+            values = values[..., None]
         for k in range(grid.dims):
-            hi_side = (corner >> k) & 1
-            idx.append(i1[:, k] if hi_side else i0[:, k])
-            w = w * (frac[:, k] if hi_side else 1.0 - frac[:, k])
-        v = values[tuple(idx)]
-        out += v * (w[:, None] if vec else w)
-    return out[0] if single else out
+            if grid.boundary[k] == PERIODIC:
+                values = np.concatenate([values, np.take(values, [0], axis=k)], axis=k)
+        tables = np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+        self.axes = []
+        offsets = [0]   # flat offset of each corner from the lower one
+        for k in range(grid.dims):
+            lo, hi = grid.extent[k]
+            n = grid.points[k]
+            stride = math.prod(values.shape[k + 1 : grid.dims])
+            self.axes.append((k, lo, (hi - lo) / n, n, grid.boundary[k] == PERIODIC, stride))
+            offsets = offsets + [o + stride for o in offsets]
+        self.corner_tables = [[t[o:] for o in offsets] for t in tables]
+        self.dtype = tables.dtype
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        for k, lo, dx, n, periodic, stride in self.axes:
+            if periodic:
+                f = (pts[:, k] - lo) / dx
+            else:
+                f = np.minimum(np.maximum((pts[:, k] - lo) / dx - 0.5, 0.0), n - 1.0)
+            # Snap queries that are a rounding error away from a node, so
+            # values stored on grid points are reproduced bit-for-bit.
+            r = np.rint(f)
+            f = np.where(np.abs(f - r) <= 1e-9, r, f)
+            if periodic:
+                base = np.floor(f)
+                i0 = base.astype(np.int64) % n
+            else:
+                base = np.minimum(np.floor(f), n - 2)
+                i0 = base.astype(np.int64)
+            frac = f - base
+            term = i0 * stride if stride > 1 else i0
+            # Corner c takes the upper side of axis k when bit k of c is set;
+            # its weight multiplies the axis factors in axis order.
+            if k == 0:
+                flat, weights = term, [1.0 - frac, frac]
+            else:
+                flat = flat + term
+                weights = [w * (1.0 - frac) for w in weights] + [w * frac for w in weights]
+        out = np.zeros((len(self.corner_tables), pts.shape[0]), dtype=self.dtype)
+        for acc, corners in zip(out, self.corner_tables):
+            for table, w in zip(corners, weights):
+                acc += table[flat] * w
+        return out.T

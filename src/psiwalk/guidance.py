@@ -61,10 +61,6 @@ class DiffusionSpec:
         return self.length_scale**2 / self.time_scale
 
 
-def diffusion_constant(spec: DiffusionSpec) -> float:
-    return spec.lam
-
-
 @dataclass(frozen=True, eq=False)
 class DriftField:
     """Drift vectors on a grid at a fixed time, shape ``(*points, dims)``."""
@@ -105,38 +101,16 @@ def drift_field(psi: WaveField, params: GuidanceParams) -> DriftField:
     """``lam * grad ln(|Psi|^2 + eps)``, clipped to ``drift_cap`` when set."""
     rho = DensityField(psi.grid, np.abs(psi.values) ** 2, psi.time)
     eps = params.effective_epsilon(float(rho.values.max()))
-    vectors = params.lam * gradient_log(rho, eps)
-    if params.drift_cap is not None:
-        mag = np.sqrt(np.sum(vectors**2, axis=-1, keepdims=True))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(mag > params.drift_cap, params.drift_cap / mag, 1.0)
-        vectors = vectors * scale
+    vectors = _cap_vectors(params.lam * gradient_log(rho, eps), params.drift_cap)
     return DriftField(grid=psi.grid, vectors=vectors, time=psi.time, params=params)
 
 
-def drift_at(
-    field_t0: DriftField,
-    field_t1: DriftField | None,
-    x,
-    t: float,
-    time_interpolation: str = "constant",
-) -> np.ndarray:
-    """Drift at off-grid position(s) and intermediate time.
+def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:
+    """Scale vectors (last axis) longer than ``cap`` down to that length."""
+    if cap is None:
+        return v
+    mag = np.sqrt(np.sum(v**2, axis=-1, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(mag > cap, cap / mag, 1.0)
+    return v * scale
 
-    Spatial interpolation is multilinear.  In time the default is piecewise
-    constant on the earlier snapshot; ``time_interpolation="linear"`` blends
-    the two bracketing snapshots.
-    """
-    if field_t1 is None:
-        return field_t0.at(x)
-    t0, t1 = field_t0.time, field_t1.time
-    if not t0 <= t <= t1:
-        raise ValueError(f"t={t} outside snapshot bracket [{t0}, {t1}]")
-    if time_interpolation == "constant":
-        return field_t0.at(x)
-    if time_interpolation != "linear":
-        raise ValueError(f"unknown time interpolation {time_interpolation!r}")
-    if t1 == t0:
-        return field_t0.at(x)
-    w = (t - t0) / (t1 - t0)
-    return (1.0 - w) * field_t0.at(x) + w * field_t1.at(x)

@@ -8,6 +8,15 @@ independent unit white noise per dimension, discretized as
 eta_s standard normal per dimension.  Reflecting boundaries fold the proposed
 point back into the box, periodic boundaries wrap.
 
+One kernel, ``_advance_block``, takes every step of every entry point: it
+interpolates the drift at the in-box positions, caps it, adds the noise,
+raises IntegratorFailure on a non-finite step, folds, and counts node-basin
+crossings.  Callers advance it a block of steps at a time up to their next
+event: noise-buffer end, snapshot-segment end, checkpoint or recorded row
+(``run_ensemble``, ``simulate_trajectory``), or the first step at which a
+walker meets the stop predicate (``run_first_passage_ensemble``, which then
+retires the walkers that hit from the batch).
+
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
 and master seed, independent of chunking and of how the noise is blocked.
@@ -29,13 +38,13 @@ early do not draw (and throw away) a whole budget of noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .grids import DensityField, Grid, WaveField, interpolate
-from .guidance import DriftField, GuidanceParams, drift_field, regularized_density
+from .grids import DensityField, Grid, WaveField, _Interpolant
+from .guidance import DriftField, GuidanceParams, _cap_vectors, drift_field, regularized_density
 
 _CHUNK = 4096           # trajectories per chunk (fixed: determinism)
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
@@ -68,32 +77,18 @@ class NoiseSpec:
     master_seed: int
     stream_id: int
 
-    def generator(self) -> np.random.Generator:
-        return substream(self.master_seed, self.stream_id)
-
 
 @dataclass
 class TrajectoryState:
-    """Walker position, time, noise identity and node-crossing count.
-
-    ``rng`` is the live generator; it is created lazily from ``noise`` and
-    carried along by :func:`step_em` so consecutive steps continue the same
-    draw sequence.
-    """
+    """Walker position, time, noise identity and node-crossing count."""
 
     x: np.ndarray
     t: float
     noise: NoiseSpec
     crossings: int = 0
-    rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
-
-    def generator(self) -> np.random.Generator:
-        if self.rng is None:
-            self.rng = self.noise.generator()
-        return self.rng
 
 
 # --------------------------------------------------------------------------
@@ -157,16 +152,27 @@ class NodeBasinMap:
         structure = ndimage.generate_binary_structure(psi.grid.dims, 1)
         labeled, _ = ndimage.label(open_cells, structure=structure)
         labels = labeled.astype(np.int64) - 1  # node cells -> -1
-        # A basin straddling a periodic boundary is one component: merge the
-        # labels that touch through each periodic face.
+        # A basin straddling a periodic boundary is one component: join the
+        # labels that touch through each periodic face (union-find, so chains
+        # of joins end in one basin) and keep each basin's smallest label.
+        root = np.arange(labels.max() + 1)
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
         for axis in range(psi.grid.dims):
             if psi.grid.boundary[axis] != "periodic":
                 continue
             first = np.take(labels, 0, axis=axis).ravel()
             last = np.take(labels, -1, axis=axis).ravel()
             for a, b in zip(first, last):
-                if a >= 0 and b >= 0 and a != b:
-                    labels[labels == max(a, b)] = min(a, b)
+                if a >= 0 and b >= 0:
+                    a, b = find(a), find(b)
+                    root[max(a, b)] = min(a, b)
+        root = np.array([find(a) for a in range(root.size)], dtype=np.int64)
+        labels[labels >= 0] = root[labels[labels >= 0]]
         return cls(psi.grid, labels)
 
     def basins_at(self, x) -> np.ndarray:
@@ -268,53 +274,7 @@ class FirstPassage:
 
 
 # --------------------------------------------------------------------------
-# core stepping kernels
-
-def _drift_evaluator(grid: Grid, vectors: np.ndarray):
-    """Batch drift lookup for in-box positions.
-
-    The 1-d specialization removes generic-interpolation overhead from the
-    hot loop; its arithmetic mirrors :func:`psiwalk.grids.interpolate`
-    operation for operation, so results stay bit-identical.
-    """
-    if grid.dims != 1:
-        return lambda x: interpolate(grid, vectors, x)
-    v = vectors[:, 0]
-    lo, hi = grid.extent[0]
-    n = grid.points[0]
-    dx = (hi - lo) / n
-    periodic = grid.boundary[0] == "periodic"
-
-    def at(x):
-        col = x[:, 0]
-        if periodic:
-            f = (col - lo) / dx
-        else:
-            f = np.clip((col - lo) / dx - 0.5, 0.0, n - 1.0)
-        r = np.round(f)
-        f = np.where(np.abs(f - r) <= 1e-9, r, f)
-        if periodic:
-            base = np.floor(f)
-            i0 = base.astype(np.int64) % n
-            i1 = (i0 + 1) % n
-        else:
-            base = np.minimum(np.floor(f), n - 2)
-            i0 = base.astype(np.int64)
-            i1 = i0 + 1
-        frac = f - base
-        return (v[i0] * (1.0 - frac) + v[i1] * frac)[:, None]
-
-    return at
-
-
-def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:
-    if cap is None:
-        return v
-    mag = np.sqrt(np.sum(v**2, axis=-1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > cap, cap / mag, 1.0)
-    return v * scale
-
+# the stepping kernel
 
 def _noise_buffer(m: int, dims: int, steps: int) -> np.ndarray:
     """Noise buffer for m trajectories: up to ``steps`` steps within the budget."""
@@ -328,58 +288,36 @@ def _fill_noise(rngs, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _advance_block(positions, t, dt, noise, drift_vecs_at, grid, sigma, cap,
-                   basin_map, basin_prev, crossings, stream_ids):
-    """Advance a batch through noise.shape[1] steps; returns (positions, t)."""
+def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
+                   basin_map=None, basin_prev=None, crossings=None, stop=None, side=None):
+    """Advance a batch through up to noise.shape[1] Euler-Maruyama steps.
+
+    ``drift`` maps in-box positions to drift vectors.  Each step raises
+    IntegratorFailure on a non-finite proposal, counts node-basin changes into
+    ``crossings`` when a basin map is given, and with a ``stop`` predicate
+    ends the block after the first step at which some walker hits.  Returns
+    ``(positions, t, steps, hit)``, ``hit`` marking the walkers that stopped
+    (None when the block ran to its end).
+    """
+    inbox = grid.fold(positions)   # a sampler's start points may lie outside
     for s in range(noise.shape[1]):
-        v = _cap_vectors(drift_vecs_at(positions), cap)
+        v = _cap_vectors(drift(inbox), cap)
         positions = positions + (v * dt + sigma * noise[:, s, :])
-        if not np.all(np.isfinite(positions)):
+        if not np.isfinite(positions).all():
             bad = int(np.argwhere(~np.isfinite(positions).all(axis=1))[0, 0])
             raise IntegratorFailure(positions[bad], t + dt, stream_ids[bad])
-        positions = grid.fold(positions)
+        positions = inbox = grid.fold(positions)
         t = t + dt
         if basin_map is not None:
             b = basin_map.basins_at(positions)
             moved = (b >= 0) & (basin_prev >= 0) & (b != basin_prev)
             crossings += moved
             np.copyto(basin_prev, b, where=b >= 0)
-    return positions, t
-
-
-def step_em(state: TrajectoryState, drift_source, params: GuidanceParams, dt_L: float,
-            grid: Grid | None = None, basin_map: NodeBasinMap | None = None) -> TrajectoryState:
-    """One Euler-Maruyama step of a single trajectory.
-
-    ``drift_source`` is a DriftField (grid implied) or a callable
-    ``f(x, t) -> vector`` with ``grid`` passed explicitly.  The state's
-    generator is advanced and carried into the returned state.
-    """
-    if dt_L <= 0:
-        raise ValueError("dt_L must be positive")
-    if isinstance(drift_source, DriftField):
-        grid = drift_source.grid
-        v = drift_source.at(state.x)
-    else:
-        if grid is None:
-            raise ValueError("grid is required with a callable drift source")
-        v = np.asarray(drift_source(state.x, state.t), dtype=float)
-    v = _cap_vectors(v, params.drift_cap)
-    rng = state.generator()
-    eta = rng.standard_normal(grid.dims)
-    sigma = np.sqrt(2.0 * params.lam * dt_L)
-    x_new = state.x + (v * dt_L + sigma * eta)
-    if not np.all(np.isfinite(x_new)):
-        raise IntegratorFailure(state.x, state.t + dt_L, state.noise.stream_id)
-    x_new = grid.fold(x_new)[0]
-    crossings = state.crossings
-    if basin_map is not None:
-        b_old = basin_map.basins_at(state.x)[0]
-        b_new = basin_map.basins_at(x_new)[0]
-        if b_old >= 0 and b_new >= 0 and b_old != b_new:
-            crossings += 1
-    return TrajectoryState(x=x_new, t=state.t + dt_L, noise=state.noise,
-                           crossings=crossings, rng=rng)
+        if stop is not None:
+            hit = stop.hit(positions, side)
+            if hit.any():
+                return positions, t, s + 1, hit
+    return positions, t, noise.shape[1], None
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +390,7 @@ def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: floa
         if bmap is not None:
             b = bmap.basins_at(positions)
             np.copyto(basin_prev, b, where=b >= 0)
-        drift_vecs_at = _drift_evaluator(grid, dfield.vectors)
+        drift = _Interpolant(grid, dfield.vectors)
         seg_end = step + steps
         while step < seg_end:
             if used == filled:
@@ -466,9 +404,9 @@ def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: floa
             stop = min([seg_end, step + filled - used] + [c for c in checkpoint_steps if c > step])
             if record_stride:
                 stop = min(stop, (step // record_stride + 1) * record_stride)
-            positions, t = _advance_block(
-                positions, t, dt, buf[:, used : used + stop - step], drift_vecs_at, grid,
-                sigma, params.drift_cap, bmap, basin_prev, crossings, stream_ids,
+            positions, t, _, _ = _advance_block(
+                positions, t, dt, buf[:, used : used + stop - step], drift, grid,
+                sigma, params.drift_cap, stream_ids, bmap, basin_prev, crossings,
             )
             used += stop - step
             step = stop
@@ -501,6 +439,8 @@ def run_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if dt_L <= 0:
+        raise ValueError("dt_L must be positive")
     source = psi_snapshots if isinstance(psi_snapshots, SnapshotDrift) else SnapshotDrift(
         psi_snapshots, params, node_threshold
     )
@@ -571,6 +511,8 @@ def simulate_trajectory(
     stride is given.  Identical NoiseSpec means bit-identical paths.
     """
     source = SnapshotDrift(psi_snapshots, params, node_threshold)
+    if dt_L <= 0:
+        raise ValueError("dt_L must be positive")
     if t_final < initial.t:
         raise ValueError("t_final must be >= the initial time")
     if t_final > float(source.times[-1]) and len(source.snapshots) > 1:
@@ -594,24 +536,6 @@ def simulate_trajectory(
     return state, times, paths[0]
 
 
-def first_passage_time(
-    initial: TrajectoryState,
-    psi: WaveField,
-    params: GuidanceParams,
-    dt_L: float,
-    stop,
-    t_max: float,
-) -> FirstPassage:
-    """First time the stop predicate holds, censored at ``t_max``."""
-    results = run_first_passage_ensemble(
-        1, initial.x, psi, params, dt_L, stop, t_max,
-        master_seed=initial.noise.master_seed,
-        first_stream=initial.noise.stream_id,
-        t0=initial.t,
-    )
-    return results[0]
-
-
 def run_first_passage_ensemble(
     n: int,
     x0,
@@ -624,14 +548,23 @@ def run_first_passage_ensemble(
     first_stream: int = 0,
     t0: float = 0.0,
 ) -> list[FirstPassage]:
-    """First-passage times of ``n`` walkers started at ``x0`` on a static field."""
+    """First-passage times of ``n`` walkers started at ``x0`` on a static field.
+
+    A walker's time is ``t0 + k dt_L`` for the first step k after which the
+    ``stop`` predicate holds (``t0`` if it holds at the start), censored at
+    ``t_max``.  A walker leaves its chunk's batch when it hits; the others
+    keep the rest of their noise block.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if dt_L <= 0:
+        raise ValueError("dt_L must be positive")
     dfield = drift_field(psi, params)
     grid = dfield.grid
-    drift_vecs_at = _drift_evaluator(grid, dfield.vectors)
+    drift = _Interpolant(grid, dfield.vectors)
     sigma = np.sqrt(2.0 * params.lam * dt_L)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
 
     def work(ids):
         m = len(ids)
@@ -639,41 +572,33 @@ def run_first_passage_ensemble(
         positions = np.tile(x0, (m, 1))
         side = stop.initial_side(positions)
         times = np.full(m, np.nan)
-        alive = ~stop.hit(positions, side)
-        times[~alive] = t0
-        t = t0
-        max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
+        at_start = stop.hit(positions, side)
+        times[at_start] = t0
+        rows = np.flatnonzero(~at_start)   # the walker in each row of the batch
+        positions, side = positions[rows], side[rows]
         buf = _noise_buffer(m, grid.dims, max_steps)
         step = 0
-        while np.any(alive) and step < max_steps:
+        while rows.size and step < max_steps:
             blk = min(buf.shape[1], max_steps - step, max(_FIRST_BLOCK, step))
-            idx_alive = np.flatnonzero(alive)
-            noise = _fill_noise([rngs[i] for i in idx_alive], buf[: len(idx_alive), :blk])
-            pos = positions[idx_alive]
-            sd = side[idx_alive]
-            done_local = np.zeros(len(idx_alive), dtype=bool)
-            t_local = np.full(len(idx_alive), np.nan)
-            for s in range(blk):
-                act = ~done_local
-                if not np.any(act):
+            noise = _fill_noise([rngs[i] for i in rows], buf[: rows.size, :blk])
+            while rows.size and noise.shape[1]:
+                positions, _, k, hit = _advance_block(
+                    positions, t0 + step * dt_L, dt_L, noise, drift, grid, sigma,
+                    params.drift_cap, ids[rows], stop=stop, side=side,
+                )
+                step += k
+                if hit is None:
                     break
-                v = _cap_vectors(drift_vecs_at(pos[act]), params.drift_cap)
-                pos[act] = grid.fold(pos[act] + (v * dt_L + sigma * noise[act, s, :]))
-                hit = np.zeros(len(idx_alive), dtype=bool)
-                hit[act] = stop.hit(pos[act], sd[act])
-                t_local[hit & ~done_local] = t + (step + s + 1) * dt_L
-                done_local |= hit
-            positions[idx_alive] = pos
-            times[idx_alive[done_local]] = t_local[done_local]
-            alive[idx_alive[done_local]] = False
-            step += blk
+                times[rows[hit]] = t0 + step * dt_L
+                rows, positions, side = rows[~hit], positions[~hit], side[~hit]
+                noise = noise[~hit, k:]
         return times
 
-    ids_all = list(range(first_stream, first_stream + n))
+    ids_all = np.arange(first_stream, first_stream + n)
     times = np.concatenate([work(ids_all[a : a + _CHUNK]) for a in range(0, n, _CHUNK)])
     out = []
     for i, sid in enumerate(ids_all):
         censored = bool(np.isnan(times[i]))
-        out.append(FirstPassage(stream_id=sid, time=t_max if censored else float(times[i]),
+        out.append(FirstPassage(stream_id=int(sid), time=t_max if censored else float(times[i]),
                                 censored=censored))
     return out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiwalk import (
     DensityField,
@@ -171,3 +173,109 @@ def test_periodic_fold():
     g = Grid.make(16, (-1.0, 1.0), "periodic")
     folded = g.fold(np.array([[1.5], [-1.25]]))
     assert np.allclose(folded[:, 0], [-0.5, 0.75])
+
+
+# -- properties -------------------------------------------------------------------
+
+def parent_interpolate(grid, values, x):
+    """The per-corner fancy-indexing interpolation that ``interpolate`` replaced."""
+    values = np.asarray(values)
+    single = np.asarray(x).ndim == 1
+    pts = grid.fold(x)
+    m = pts.shape[0]
+    i0 = np.empty((m, grid.dims), dtype=np.int64)
+    i1 = np.empty((m, grid.dims), dtype=np.int64)
+    frac = np.empty((m, grid.dims))
+    for k in range(grid.dims):
+        lo, hi = grid.extent[k]
+        n = grid.points[k]
+        dx = (hi - lo) / n
+        if grid.boundary[k] == "periodic":
+            f = (pts[:, k] - lo) / dx
+        else:
+            f = np.clip((pts[:, k] - lo) / dx - 0.5, 0.0, n - 1.0)
+        r = np.round(f)
+        f = np.where(np.abs(f - r) <= 1e-9, r, f)
+        if grid.boundary[k] == "periodic":
+            base = np.floor(f)
+            i0[:, k] = base.astype(np.int64) % n
+            i1[:, k] = (i0[:, k] + 1) % n
+        else:
+            base = np.minimum(np.floor(f), n - 2)
+            i0[:, k] = base.astype(np.int64)
+            i1[:, k] = i0[:, k] + 1
+        frac[:, k] = f - base
+    vec = values.ndim == grid.dims + 1
+    out = np.zeros((m, values.shape[-1]) if vec else (m,), dtype=values.dtype)
+    for corner in range(2**grid.dims):
+        idx = []
+        w = np.ones(m)
+        for k in range(grid.dims):
+            hi_side = (corner >> k) & 1
+            idx.append(i1[:, k] if hi_side else i0[:, k])
+            w = w * (frac[:, k] if hi_side else 1.0 - frac[:, k])
+        v = values[tuple(idx)]
+        out += v * (w[:, None] if vec else w)
+    return out[0] if single else out
+
+
+@st.composite
+def grids(draw):
+    dims = draw(st.integers(1, 3))
+    points = tuple(draw(st.integers(8, 13)) for _ in range(dims))
+    extent = []
+    for _ in range(dims):
+        lo = draw(st.floats(-50.0, 50.0, allow_subnormal=False))
+        extent.append((lo, lo + draw(st.floats(0.01, 100.0))))
+    boundary = tuple(draw(st.sampled_from(["periodic", "reflecting"])) for _ in range(dims))
+    return Grid(points, tuple(extent), boundary)
+
+
+@st.composite
+def queries(draw, grid, m):
+    """Points on nodes, on walls, inside and outside the box, per axis."""
+    cols = []
+    for k in range(grid.dims):
+        lo, hi = grid.extent[k]
+        span = hi - lo
+        node = st.sampled_from(list(grid.coords(k)))
+        cols.append(draw(st.lists(
+            st.one_of(node, st.sampled_from([lo, hi]), st.floats(lo, hi),
+                      st.floats(lo - 3 * span, hi + 3 * span)),
+            min_size=m, max_size=m)))
+    return np.array(cols, dtype=float).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_interpolate_bit_identical_to_per_corner_indexing(data):
+    grid = data.draw(grids())
+    shape = grid.points + data.draw(st.sampled_from([(), (1,), (3,)]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).standard_normal(shape)
+    values[np.abs(values) < 0.3] = -0.0   # signed zeros must survive
+    x = data.draw(queries(grid, data.draw(st.integers(1, 6))))
+    for q in (x, x[0]):
+        new, old = interpolate(grid, values, q), parent_interpolate(grid, values, q)
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def in_box(grid, x):
+    ok = np.ones(x.shape[0], dtype=bool)
+    for k, ((lo, hi), b) in enumerate(zip(grid.extent, grid.boundary)):
+        ok &= (x[:, k] >= lo) & ((x[:, k] < hi) if b == "periodic" else (x[:, k] <= hi))
+    return ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fold_lands_in_box_idempotently_and_keeps_inside_points(data):
+    grid = data.draw(grids())
+    x = data.draw(queries(grid, data.draw(st.integers(1, 6))))
+    folded = grid.fold(x)
+    assert np.all(in_box(grid, folded))
+    assert np.array_equal(grid.fold(folded), folded)
+    inside = in_box(grid, x)
+    assert np.array_equal(folded[inside], x[inside])

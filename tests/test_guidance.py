@@ -6,8 +6,6 @@ from psiwalk import (
     Grid,
     GuidanceParams,
     WaveField,
-    diffusion_constant,
-    drift_at,
     drift_field,
     potential_field,
 )
@@ -17,7 +15,7 @@ from psiwalk import (
     "l,tau,expected", [(1.0, 1.0, 1.0), (2.0, 0.5, 8.0), (1.0, 1e-6, 1e6)]
 )
 def test_diffusion_constant(l, tau, expected):
-    assert diffusion_constant(DiffusionSpec(l, tau)) == pytest.approx(expected)
+    assert DiffusionSpec(l, tau).lam == pytest.approx(expected)
 
 
 def test_diffusion_spec_validation():
@@ -135,31 +133,7 @@ def test_drift_at_node_and_zero():
     params = GuidanceParams(lam=1.0)
     d0 = drift_field(psi, params)
     i = 17
-    assert drift_at(d0, None, np.array([x[i]]), d0.time)[0] == d0.vectors[i, 0]
+    assert d0.at(np.array([x[i]]))[0] == d0.vectors[i, 0]
     zero = WaveField(g, np.ones_like(psi.values))
     dz = drift_field(zero, params)
-    assert np.all(drift_at(dz, dz, np.array([0.3]), 0.0) == 0.0)
-
-
-def test_drift_at_linear_time_interpolation():
-    g, x, psi = gaussian_field()
-    params = GuidanceParams(lam=1.0)
-    d0 = drift_field(psi, params)
-    shifted = WaveField(g, np.exp(-((x - 0.5) ** 2) / 2), time=1.0)
-    d1 = drift_field(shifted, params)
-    q = np.array([0.42])
-    mid = drift_at(d0, d1, q, 0.5, time_interpolation="linear")
-    expected = 0.5 * (d0.at(q) + d1.at(q))
-    assert mid == pytest.approx(expected)
-    # default piecewise-constant mode uses the earlier snapshot
-    const = drift_at(d0, d1, q, 0.5)
-    assert const == pytest.approx(d0.at(q))
-
-
-def test_drift_at_rejects_time_outside_bracket():
-    g, x, psi = gaussian_field()
-    params = GuidanceParams(lam=1.0)
-    d0 = drift_field(psi, params)
-    d1 = drift_field(WaveField(g, psi.values, time=1.0), params)
-    with pytest.raises(ValueError):
-        drift_at(d0, d1, np.array([0.0]), 2.0)
+    assert np.all(dz.at(np.array([0.3])) == 0.0)

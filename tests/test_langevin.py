@@ -17,14 +17,12 @@ from psiwalk import (
     WaveField,
     drift_field,
     evolve,
-    first_passage_time,
     make_double_gaussian,
     make_packet,
     mfpt_estimate,
     run_ensemble,
     run_first_passage_ensemble,
     simulate_trajectory,
-    step_em,
     substream,
     total_variation,
 )
@@ -48,6 +46,24 @@ def flat_setup(dims=1, n=64, half=8.0):
     return g, WaveField(g, np.ones((n,) * dims))
 
 
+def em_reference(x, rng, drift_of_step, params, dt, steps):
+    """Path of one walker under the Euler-Maruyama update, one draw per step.
+
+    ``drift_of_step(s)`` is the DriftField governing step s.
+    """
+    sigma = np.sqrt(2.0 * params.lam * dt)
+    path = [np.atleast_1d(np.asarray(x, dtype=float))]
+    for s in range(steps):
+        field = drift_of_step(s)
+        v = field.at(path[-1])
+        if params.drift_cap is not None:
+            mag = np.sqrt(np.sum(v**2))
+            v = v * (params.drift_cap / mag if mag > params.drift_cap else 1.0)
+        step = v * dt + sigma * rng.standard_normal(field.grid.dims)
+        path.append(field.grid.fold(path[-1] + step)[0])
+    return path
+
+
 # -- streams and determinism -------------------------------------------------
 
 def test_substreams_are_reproducible_and_distinct():
@@ -68,17 +84,15 @@ def test_same_noise_spec_bit_identical_paths():
     assert np.array_equal(runs[0][2], runs[1][2])
 
 
-def test_step_em_matches_engine():
+def test_single_trajectory_matches_reference_stepper():
     g, psi = gaussian_setup()
-    params = GuidanceParams(lam=1.0)
+    params = GuidanceParams(lam=1.0, drift_cap=0.5)
     df = drift_field(psi, params)
-    st = TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(7, 0))
-    for _ in range(100):
-        st = step_em(st, df, params, 5e-3)
+    path = em_reference([0.0], substream(7, 0), lambda s: df, params, 5e-3, 100)
     engine = simulate_trajectory(
         TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(7, 0)), psi, params, 5e-3, 0.5
     )
-    assert np.array_equal(st.x, engine.x)
+    assert np.array_equal(path[-1], engine.x)
 
 
 def test_ensemble_of_one_equals_single_trajectory():
@@ -122,17 +136,12 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
     source = SnapshotDrift(snaps, params)
     for sid in range(n):
         rng = substream(seed, sid)
-        st = TrajectoryState(x=sampler.sample(rng), t=0.0, noise=NoiseSpec(seed, sid), rng=rng)
-        path = [st.x]
-        for s in range(20):
-            st = step_em(st, source.drift(source.segment_index(s * dt)), params, dt)
-            path.append(st.x)
-            if s + 1 == 5:
-                assert np.array_equal(res.checkpoints[0][1][sid], st.x)
-            if s + 1 == 11:
-                assert np.array_equal(res.checkpoints[1][1][sid], st.x)
+        path = em_reference(sampler.sample(rng), rng,
+                            lambda s: source.drift(source.segment_index(s * dt)), params, dt, 20)
+        assert np.array_equal(res.checkpoints[0][1][sid], path[5])
+        assert np.array_equal(res.checkpoints[1][1][sid], path[11])
         assert np.array_equal(res.paths[sid], np.stack(path[::4]))
-        assert np.array_equal(res.final_positions[sid], st.x)
+        assert np.array_equal(res.final_positions[sid], path[-1])
     assert dims == 2 or res.crossings.sum() > 0
     assert np.array_equal(res.crossings, whole.crossings)
     assert np.array_equal(res.paths, whole.paths)
@@ -154,14 +163,10 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
                                          master_seed=seed)
     df = drift_field(psi, params)
     for sid, fp in enumerate(results):
-        st = TrajectoryState(x=[-1.0], t=0.0, noise=NoiseSpec(seed, sid))
-        side = stop.initial_side(st.x)
-        expected = None
-        for k in range(1, 101):
-            st = step_em(st, df, params, dt)
-            if stop.hit(st.x, side)[0]:
-                expected = 0.0 + k * dt
-                break
+        path = em_reference([-1.0], substream(seed, sid), lambda s: df, params, dt, 100)
+        side = stop.initial_side(path[0])
+        hits = [k for k in range(1, 101) if stop.hit(path[k], side)[0]]
+        expected = 0.0 + hits[0] * dt if hits else None
         assert fp.censored == (expected is None)
         assert fp.time == (t_max if expected is None else expected)
     assert 0 < sum(fp.censored for fp in results) < 10
@@ -172,31 +177,67 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
 def test_zero_drift_zero_lambda_keeps_position():
     g, psi = flat_setup()
     params = GuidanceParams(lam=0.0)
-    df = drift_field(psi, params)
     st = TrajectoryState(x=[0.37], t=0.0, noise=NoiseSpec(1, 0))
-    st = step_em(st, df, params, 1e-2)
+    st = simulate_trajectory(st, psi, params, 1e-2, 1e-2)
     assert st.x[0] == 0.37
     assert st.t == pytest.approx(1e-2)
 
 
 def test_constant_drift_deterministic_limit():
     g, _ = flat_setup()
-    params = GuidanceParams(lam=0.0)
-    st = TrajectoryState(x=[0.25], t=0.0, noise=NoiseSpec(1, 0))
-    st = step_em(st, lambda x, t: np.array([2.0]), params, 0.25, grid=g)
-    assert st.x[0] == 0.25 + 2.0 * 0.25
+    positions, t, steps, hit = langevin._advance_block(
+        np.array([[0.25]]), 0.0, 0.25, np.zeros((1, 1, 1)), lambda x: np.full_like(x, 2.0),
+        g, 0.0, None, [0],
+    )
+    assert positions[0, 0] == 0.25 + 2.0 * 0.25
+    assert (t, steps, hit) == (0.25, 1, None)
 
 
-def test_step_em_rejects_bad_dt_and_nonfinite_drift():
+def test_entry_points_reject_nonpositive_dt():
     g, psi = flat_setup()
     params = GuidanceParams(lam=1.0)
-    df = drift_field(psi, params)
-    st = TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(1, 0))
-    with pytest.raises(ValueError):
-        step_em(st, df, params, 0.0)
+    for dt in (0.0, -1e-2):
+        with pytest.raises(ValueError):
+            run_ensemble(2, PointSampler([0.0]), psi, params, dt, 1.0)
+        with pytest.raises(ValueError):
+            run_first_passage_ensemble(2, [0.0], psi, params, dt, PlaneCrossing(at=1.0), 1.0)
+        with pytest.raises(ValueError):
+            simulate_trajectory(TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(1, 0)),
+                                psi, params, dt, 1.0)
+
+
+class TwoPointSampler:
+    """Starts a walker at ``a`` or ``b`` with one uniform draw."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def sample(self, rng):
+        return np.array([self.a if rng.random() < 0.5 else self.b])
+
+
+def test_nonfinite_step_raises_integrator_failure():
+    # lam * dt_L = 8e307 keeps the noise scale finite, but where the drift is
+    # lam * 4 (at x = 2 on |psi|^2 = exp(-(x - 4)^2)) the step overflows; at
+    # x = -4 the regularizer floor flattens the drift and the step is finite.
+    g = Grid.make(256, (-8.0, 8.0), "reflecting")
+    psi = WaveField(g, np.exp(-((g.coords(0) - 4.0) ** 2) / 2))
+    params = GuidanceParams(lam=8e304)
+    dt, seed = 1e3, 5
+    sampler = TwoPointSampler(2.0, -4.0)
+    starts = [sampler.sample(substream(seed, sid))[0] for sid in range(6)]
+    first_bad = starts.index(2.0)
+    assert first_bad > 0
     with pytest.raises(IntegratorFailure) as err:
-        step_em(st, lambda x, t: np.array([np.inf]), params, 1e-2, grid=g)
-    assert err.value.time == pytest.approx(1e-2)
+        run_ensemble(6, sampler, psi, params, dt, 5 * dt, master_seed=seed)
+    assert err.value.stream_id == first_bad
+    assert err.value.time == pytest.approx(dt)
+    # first passage: every walker starts at x = 2, so the first row fails
+    with pytest.raises(IntegratorFailure) as err:
+        run_first_passage_ensemble(4, [2.0], psi, params, dt, PlaneCrossing(at=7.0), 0.5 + 5 * dt,
+                                   master_seed=seed, first_stream=3, t0=0.5)
+    assert err.value.stream_id == 3
+    assert err.value.time == pytest.approx(0.5 + dt)
 
 
 def test_noise_moments_match_discretization():
@@ -274,8 +315,8 @@ def test_density_sampler_matches_density():
 
 def test_first_passage_at_boundary_is_zero():
     g, psi = gaussian_setup()
-    st = TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(8, 0))
-    fp = first_passage_time(st, psi, GuidanceParams(lam=1.0), 1e-3, PlaneCrossing(at=0.0), 10.0)
+    (fp,) = run_first_passage_ensemble(1, [0.0], psi, GuidanceParams(lam=1.0), 1e-3,
+                                       PlaneCrossing(at=0.0), 10.0, master_seed=8)
     assert fp.time == 0.0 and not fp.censored
 
 
@@ -331,6 +372,18 @@ def test_region_entry_predicate():
 
 
 # -- node confinement -----------------------------------------------------------
+
+def test_node_basins_merge_through_periodic_face_in_chains():
+    # Rows 0 and 7 touch through the periodic face of axis 0: (0, 1) joins the
+    # last row's basin, which joins (0, 5), so all open cells form one basin.
+    g = Grid.make((8, 8), [(0.0, 8.0), (0.0, 8.0)], ("periodic", "reflecting"))
+    values = np.zeros((8, 8))
+    values[0, [1, 5]] = 1.0
+    values[7, 1:6] = 1.0
+    labels = NodeBasinMap.from_wavefield(WaveField(g, values), 0.5).labels
+    assert np.unique(labels[values > 0]).tolist() == [0]
+    assert np.all(labels[values == 0] == -1)
+
 
 def test_node_basin_map_labels():
     g = Grid.make(240, (0.0, 2 * np.pi), "periodic")
