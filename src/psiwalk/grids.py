@@ -114,21 +114,20 @@ class Grid:
             lo, hi = self.extent[k]
             span = hi - lo
             col = x[:, k]
-            if self.boundary[k] == PERIODIC:
+            periodic = self.boundary[k] == PERIODIC
+            # NaN propagates through min/max and fails these tests, as it fails ``inside``.
+            top = col.max(initial=lo)
+            if col.min(initial=lo) >= lo and (top < hi if periodic else top <= hi):
+                continue
+            if out is None:
+                out = x.copy()
+            if periodic:
                 inside = (col >= lo) & (col < hi)
-                if inside.all():
-                    continue
-                if out is None:
-                    out = x.copy()
                 # The wrap can round up onto hi itself, which is lo's image.
                 wrapped = (col - lo) % span + lo
                 out[:, k] = np.where(inside, col, np.where(wrapped < hi, wrapped, lo))
             else:
                 inside = (col >= lo) & (col <= hi)
-                if inside.all():
-                    continue
-                if out is None:
-                    out = x.copy()
                 y = (col - lo) % (2.0 * span)
                 folded = lo + np.where(y > span, 2.0 * span - y, y)
                 out[:, k] = np.where(inside, col, folded)
@@ -175,9 +174,6 @@ class ScalarField:
 
     def _validate(self, values):
         _check_finite(values, "field values")
-
-    def with_time(self, time: float):
-        return type(self)(self.grid, self.values, time)
 
 
 class DensityField(ScalarField):
@@ -293,9 +289,11 @@ class _Interpolant:
     """:func:`interpolate` of fixed grid data, called with in-box points.
 
     The data is stored as one contiguous C-order table per component, and
-    periodic axes carry a wrapped copy of their first slice at the end, so
-    the upper neighbour along every axis is the lower flat index plus that
-    axis's stride.  Calling with ``(m, dims)`` points returns ``(m, v)``.
+    periodic axes carry copies of their first two slices at the end, so an
+    in-box query's lower node is in [0, n] without a modulo (n, node 0's copy,
+    takes weight 1 when a query rounds onto hi) and the upper neighbour along
+    every axis is the lower flat index plus that axis's stride.  Calling with
+    ``(m, dims)`` points returns ``(m, v)``.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -303,7 +301,7 @@ class _Interpolant:
             values = values[..., None]
         for k in range(grid.dims):
             if grid.boundary[k] == PERIODIC:
-                values = np.concatenate([values, np.take(values, [0], axis=k)], axis=k)
+                values = np.concatenate([values, np.take(values, [0, 1], axis=k)], axis=k)
         tables = np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
         self.axes = []
         offsets = [0]   # flat offset of each corner from the lower one
@@ -318,29 +316,30 @@ class _Interpolant:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         for k, lo, dx, n, periodic, stride in self.axes:
-            if periodic:
-                f = (pts[:, k] - lo) / dx
-            else:
-                f = np.minimum(np.maximum((pts[:, k] - lo) / dx - 0.5, 0.0), n - 1.0)
+            f = pts[:, k] - lo
+            f /= dx
+            if not periodic:
+                f -= 0.5
+                np.maximum(f, 0.0, out=f)
+                np.minimum(f, n - 1.0, out=f)
             # Snap queries that are a rounding error away from a node, so
             # values stored on grid points are reproduced bit-for-bit.
-            r = np.rint(f)
-            f = np.where(np.abs(f - r) <= 1e-9, r, f)
-            if periodic:
-                base = np.floor(f)
-                i0 = base.astype(np.int64) % n
-            else:
-                base = np.minimum(np.floor(f), n - 2)
-                i0 = base.astype(np.int64)
-            frac = f - base
-            term = i0 * stride if stride > 1 else i0
+            base = np.rint(f)
+            np.copyto(f, base, where=np.abs(f - base) <= 1e-9)
+            np.floor(f, out=base)
+            if not periodic:
+                np.minimum(base, n - 2, out=base)
+            term = base.astype(np.int64)
+            f -= base   # the fraction towards the upper node
+            if stride > 1:
+                term *= stride
             # Corner c takes the upper side of axis k when bit k of c is set;
             # its weight multiplies the axis factors in axis order.
             if k == 0:
-                flat, weights = term, [1.0 - frac, frac]
+                flat, weights = term, [1.0 - f, f]
             else:
-                flat = flat + term
-                weights = [w * (1.0 - frac) for w in weights] + [w * frac for w in weights]
+                flat += term
+                weights = [w * (1.0 - f) for w in weights] + [w * f for w in weights]
         out = np.zeros((len(self.corner_tables), pts.shape[0]), dtype=self.dtype)
         for acc, corners in zip(out, self.corner_tables):
             for table, w in zip(corners, weights):

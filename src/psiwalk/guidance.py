@@ -106,11 +106,11 @@ def drift_field(psi: WaveField, params: GuidanceParams) -> DriftField:
 
 
 def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:
-    """Scale vectors (last axis) longer than ``cap`` down to that length."""
+    """Scale vectors (last axis) longer than ``cap`` down to that length, in place."""
     if cap is None:
         return v
-    mag = np.sqrt(np.sum(v**2, axis=-1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > cap, cap / mag, 1.0)
-    return v * scale
-
+    mag = v * v if v.shape[-1] == 1 else np.sum(v * v, axis=-1, keepdims=True)
+    if (np.sqrt(mag, out=mag) > cap).any():   # vectors within the cap get cap / cap = 1
+        np.maximum(mag, cap, out=mag)
+        v *= np.divide(cap, mag, out=mag)
+    return v

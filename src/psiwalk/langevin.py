@@ -10,12 +10,14 @@ point back into the box, periodic boundaries wrap.
 
 One kernel, ``_advance_block``, takes every step of every entry point: it
 interpolates the drift at the in-box positions, caps it, adds the noise,
-raises IntegratorFailure on a non-finite step, folds, and counts node-basin
-crossings.  Callers advance it a block of steps at a time up to their next
-event: noise-buffer end, snapshot-segment end, checkpoint or recorded row
-(``run_ensemble``, ``simulate_trajectory``), or the first step at which a
-walker meets the stop predicate (``run_first_passage_ensemble``, which then
-retires the walkers that hit from the batch).
+raises IntegratorFailure on a non-finite step, folds, and looks up node
+basins, whose crossings it counts once per block of labels.  Callers fold
+their start points once (a sampler draws a chunk's in one call) and advance
+the kernel a block of steps at a time up to their next event: noise-buffer
+end, snapshot-segment end, checkpoint or recorded row (``run_ensemble``,
+``simulate_trajectory``), or the first step at which a walker meets the stop
+predicate (``run_first_passage_ensemble``, which then retires the walkers
+that hit from the batch).
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
@@ -44,9 +46,9 @@ import numpy as np
 from scipy import ndimage
 
 from .grids import DensityField, Grid, WaveField, _Interpolant
-from .guidance import DriftField, GuidanceParams, _cap_vectors, drift_field, regularized_density
+from .guidance import DriftField, GuidanceParams, _cap_vectors, drift_field
 
-_CHUNK = 4096           # trajectories per chunk (fixed: determinism)
+_CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
 _FIRST_BLOCK = 1024     # steps in a first-passage chunk's first noise block
 
@@ -100,13 +102,13 @@ class PointSampler:
     def __init__(self, x):
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.x.copy()
+    def sample(self, rngs) -> np.ndarray:
+        return np.tile(self.x, (len(rngs), 1))
 
 
 class DensitySampler:
     """Inverse-CDF sampling of a gridded density: pick a cell, then a uniform
-    offset inside it.  Consumes 1 + dims uniforms per draw."""
+    offset inside it.  Consumes 1 + dims uniforms per trajectory."""
 
     def __init__(self, density: DensityField):
         self.grid = density.grid
@@ -117,15 +119,15 @@ class DensitySampler:
         self.cdf = np.cumsum(p / total)
         self.cdf[-1] = 1.0
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        flat = int(np.searchsorted(self.cdf, rng.random()))
-        idx = np.unravel_index(flat, self.grid.points)
-        x = np.empty(self.grid.dims)
-        offsets = rng.random(self.grid.dims)
-        for k in range(self.grid.dims):
-            dx = self.grid.spacing[k]
-            center = self.grid.coords(k)[idx[k]]
-            x[k] = center + (offsets[k] - 0.5) * dx
+    def sample(self, rngs) -> np.ndarray:
+        dims = self.grid.dims
+        u = np.empty((len(rngs), 1 + dims))
+        for r, row in zip(rngs, u):
+            r.random(out=row)
+        idx = np.unravel_index(np.searchsorted(self.cdf, u[:, 0]), self.grid.points)
+        x = np.empty((len(rngs), dims))
+        for k in range(dims):
+            x[:, k] = self.grid.coords(k)[idx[k]] + (u[:, 1 + k] - 0.5) * self.grid.spacing[k]
         return x
 
 
@@ -144,6 +146,15 @@ class NodeBasinMap:
     def __init__(self, grid: Grid, labels: np.ndarray):
         self.grid = grid
         self.labels = labels
+        # Flat label table for ``lookup``: each axis gets a slice n for points
+        # on or rounding onto hi, node 0's if periodic, else the last cell's.
+        periodic = [b == "periodic" for b in grid.boundary]
+        table = labels
+        for k, p in enumerate(periodic):
+            table = np.concatenate([table, np.take(table, [0 if p else -1], axis=k)], axis=k)
+        self._axes = [(k, lo, (hi - lo) / n, 0.5 * periodic[k], int(np.prod(table.shape[k + 1 :])))
+                      for k, ((lo, hi), n) in enumerate(zip(grid.extent, grid.points))]
+        self.table = table.ravel().astype(np.min_scalar_type(-1 - max(int(labels.max()), 0)))
 
     @classmethod
     def from_wavefield(cls, psi: WaveField, threshold: float) -> "NodeBasinMap":
@@ -178,6 +189,19 @@ class NodeBasinMap:
     def basins_at(self, x) -> np.ndarray:
         idx = self.grid.cell_index(np.atleast_2d(x))
         return self.labels[tuple(idx[:, k] for k in range(self.grid.dims))]
+
+    def lookup(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``basins_at`` of in-box points into ``out``: the cell quotient of
+        ``Grid.cell_index``, read from the padded table without modulo or clip."""
+        for k, lo, dx, half, stride in self._axes:
+            q = x[:, k] - lo
+            q /= dx
+            q += half   # adding 0.0 on reflecting axes leaves the floor unchanged
+            term = np.floor(q, out=q).astype(np.int64)
+            if stride > 1:
+                term *= stride
+            flat = term if k == 0 else flat + term
+        return self.table.take(flat, out=out, mode="clip")
 
 
 # --------------------------------------------------------------------------
@@ -226,10 +250,6 @@ class SnapshotDrift:
                 self.snapshots[i], self.node_threshold
             )
         return self._basin_cache[i]
-
-    def equilibrium_density(self, i: int = -1) -> DensityField:
-        i = i % len(self.snapshots)
-        return regularized_density(self.snapshots[i], self.params)
 
 
 # --------------------------------------------------------------------------
@@ -288,36 +308,55 @@ def _fill_noise(rngs, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
+def _count_crossings(labels: np.ndarray, crossings: np.ndarray) -> np.ndarray:
+    """Add each column's basin changes down ``labels`` (row 0: the walkers'
+    last basins, -1 if none yet) to ``crossings``; return the last basins."""
+    if labels.min() < 0:   # a walker keeps its last basin through node cells (-1)
+        last = np.where(labels >= 0, np.arange(len(labels))[:, None], 0)
+        labels = np.take_along_axis(labels, np.maximum.accumulate(last, axis=0), axis=0)
+    crossings += ((labels[1:] != labels[:-1]) & (labels[:-1] >= 0)).sum(axis=0)
+    return labels[-1]
+
+
 def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
                    basin_map=None, basin_prev=None, crossings=None, stop=None, side=None):
-    """Advance a batch through up to noise.shape[1] Euler-Maruyama steps.
+    """Advance in-box positions through up to noise.shape[1] Euler-Maruyama steps.
 
-    ``drift`` maps in-box positions to drift vectors.  Each step raises
-    IntegratorFailure on a non-finite proposal, counts node-basin changes into
-    ``crossings`` when a basin map is given, and with a ``stop`` predicate
-    ends the block after the first step at which some walker hits.  Returns
-    ``(positions, t, steps, hit)``, ``hit`` marking the walkers that stopped
-    (None when the block ran to its end).
+    ``drift`` maps in-box positions to new drift arrays.  Each step raises
+    IntegratorFailure on a non-finite proposal, and with a ``stop`` predicate
+    the block ends after the first step at which some walker hits.  With a
+    basin map, the walkers' basins are looked up every step and their changes
+    since ``basin_prev`` counted into ``crossings`` once per label buffer (at
+    most 1/8 of the noise budget).  Returns ``(positions, t, steps, hit)``,
+    ``hit`` marking the walkers that stopped (None when the block ran out).
     """
-    inbox = grid.fold(positions)   # a sampler's start points may lie outside
-    for s in range(noise.shape[1]):
-        v = _cap_vectors(drift(inbox), cap)
-        positions = positions + (v * dt + sigma * noise[:, s, :])
-        if not np.isfinite(positions).all():
-            bad = int(np.argwhere(~np.isfinite(positions).all(axis=1))[0, 0])
-            raise IntegratorFailure(positions[bad], t + dt, stream_ids[bad])
-        positions = inbox = grid.fold(positions)
+    m, steps = noise.shape[:2]
+    if basin_map is not None:
+        rows = max(1, _NOISE_VALUES // (m * basin_map.table.itemsize) - 1)
+        labels = np.empty((min(steps, rows) + 1, m), basin_map.table.dtype)
+        labels[0], row = basin_prev, 0
+    for s in range(steps):
+        v = _cap_vectors(drift(positions), cap)
+        v *= dt
+        v += sigma * noise[:, s]
+        v += positions
+        if not np.isfinite(v.sum()):   # the sum may also overflow on finite rows
+            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+            if bad.size:
+                raise IntegratorFailure(v[bad[0]], t + dt, stream_ids[bad[0]])
+        positions = grid.fold(v)
         t = t + dt
         if basin_map is not None:
-            b = basin_map.basins_at(positions)
-            moved = (b >= 0) & (basin_prev >= 0) & (b != basin_prev)
-            crossings += moved
-            np.copyto(basin_prev, b, where=b >= 0)
+            row += 1
+            basin_map.lookup(positions, labels[row])
+            if stop is not None or row + 1 == len(labels) or s + 1 == steps:
+                basin_prev[:] = labels[0] = _count_crossings(labels[: row + 1], crossings)
+                row = 0
         if stop is not None:
             hit = stop.hit(positions, side)
             if hit.any():
                 return positions, t, s + 1, hit
-    return positions, t, noise.shape[1], None
+    return positions, t, steps, None
 
 
 # --------------------------------------------------------------------------
@@ -360,8 +399,10 @@ def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: floa
                t0: float, t_final: float, checkpoint_times, record_stride):
     params = source.params
     grid = source.grid
+    if record_stride is not None and record_stride < 0:
+        raise ValueError(f"record_stride must be >= 0, got {record_stride}")
     rngs = [substream(master_seed, sid) for sid in stream_ids]
-    positions = np.stack([sampler.sample(r) for r in rngs])
+    positions = grid.fold(sampler.sample(rngs))   # the kernel takes in-box points
     m = len(stream_ids)
     sigma = np.sqrt(2.0 * params.lam * dt)
     crossings = np.zeros(m, dtype=np.int64)
@@ -563,7 +604,7 @@ def run_first_passage_ensemble(
     grid = dfield.grid
     drift = _Interpolant(grid, dfield.vectors)
     sigma = np.sqrt(2.0 * params.lam * dt_L)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = grid.fold(x0)[0]
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
 
     def work(ids):

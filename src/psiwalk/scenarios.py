@@ -322,6 +322,14 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         errors.append(f"histogram_refine={refine} must divide every grid axis {grid.points}")
 
     errors += _oracle_errors(merged["params"].get("oracle"), tm)
+    strides, loc = {}, merged["params"].get("localization")
+    if scenario == "product_separation":
+        strides["params.record_stride"] = merged["params"].get("record_stride")
+    if scenario == "double_well" and isinstance(loc, dict):
+        strides["params.localization.record_stride"] = loc.get("record_stride", 20)
+    for name, stride in strides.items():
+        if not _is_number(stride, Integral) or stride < 1:
+            errors.append(f"{name} must be an integer >= 1, got {stride!r}")
 
     if errors:
         return None, errors

@@ -68,7 +68,7 @@ def test_histogram_convergence_rate():
     sampler = DensitySampler(dens)
     tvs = []
     for n, seed in ((1000, 1), (10_000, 2), (100_000, 3)):
-        draws = np.stack([sampler.sample(substream(seed, i)) for i in range(n)])
+        draws = sampler.sample([substream(seed, i) for i in range(n)])
         tvs.append(total_variation(histogram(draws, g), dens))
     for a, b in zip(tvs[:-1], tvs[1:]):
         assert np.sqrt(10.0) / 2.0 < a / b < np.sqrt(10.0) * 2.0

@@ -279,3 +279,31 @@ def test_fold_lands_in_box_idempotently_and_keeps_inside_points(data):
     assert np.array_equal(grid.fold(folded), folded)
     inside = in_box(grid, x)
     assert np.array_equal(folded[inside], x[inside])
+
+
+@pytest.mark.parametrize("extent", [(-8.0, 8.0), (0.0, 1.0), (-3.0, 7.0), (-1.1, 2.3), (0.1, 0.7)])
+@pytest.mark.parametrize("n", [8, 12, 64])
+def test_top_edge_queries_on_periodic_axes(extent, n):
+    # x = nextafter(hi, lo) is in the box, yet (x - lo) / dx is, or snaps to,
+    # n: interpolation reads node 0's wrapped copy with weight 1, and the
+    # kernel's basin lookup reads the padded slice that repeats node 0.
+    from psiwalk import NodeBasinMap
+
+    lo, hi = extent
+    grid = Grid((n, 9), (extent, (-1.0, 2.0)), ("periodic", "reflecting"))
+    top = np.nextafter(hi, lo)
+    assert np.floor((top - lo) / grid.spacing[0] + 0.5) == n
+    x = np.array([[top, -1.0], [top, 2.0], [top, 0.37], [top, np.nextafter(2.0, 0.0)],
+                  [lo, 2.0], [0.5 * (lo + hi), 0.1]])
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(grid.points + (2,))
+    assert np.array_equal(interpolate(grid, values, x), parent_interpolate(grid, values, x))
+    for g in (grid, Grid((n,), (extent,), ("periodic",))):
+        labels = rng.integers(-1, 40, g.points)
+        pts = x[:, : g.dims]
+        idx = g.cell_index(pts)
+        basins = NodeBasinMap(g, labels)
+        out = basins.lookup(pts, np.empty(len(pts), dtype=basins.table.dtype))
+        assert np.array_equal(out, labels[tuple(idx.T)])
+        vals = values[..., 0] if g.dims == 2 else values[:, 0, 0]
+        assert np.array_equal(interpolate(g, vals, pts), parent_interpolate(g, vals, pts))

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiwalk import (
     DensitySampler,
@@ -47,12 +51,13 @@ def flat_setup(dims=1, n=64, half=8.0):
 
 
 def em_reference(x, rng, drift_of_step, params, dt, steps):
-    """Path of one walker under the Euler-Maruyama update, one draw per step.
+    """Path of one walker under the Euler-Maruyama update, one draw per step,
+    from its start point folded into the box.
 
     ``drift_of_step(s)`` is the DriftField governing step s.
     """
     sigma = np.sqrt(2.0 * params.lam * dt)
-    path = [np.atleast_1d(np.asarray(x, dtype=float))]
+    path = [drift_of_step(0).grid.fold(x)[0]]
     for s in range(steps):
         field = drift_of_step(s)
         v = field.at(path[-1])
@@ -136,7 +141,7 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
     source = SnapshotDrift(snaps, params)
     for sid in range(n):
         rng = substream(seed, sid)
-        path = em_reference(sampler.sample(rng), rng,
+        path = em_reference(sampler.sample([rng])[0], rng,
                             lambda s: source.drift(source.segment_index(s * dt)), params, dt, 20)
         assert np.array_equal(res.checkpoints[0][1][sid], path[5])
         assert np.array_equal(res.checkpoints[1][1][sid], path[11])
@@ -170,6 +175,97 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
         assert fp.censored == (expected is None)
         assert fp.time == (t_max if expected is None else expected)
     assert 0 < sum(fp.censored for fp in results) < 10
+
+
+def reference_crossings(path, source, segment_of_step):
+    """Node-basin changes along a path, counted step by step: a walker keeps
+    its last basin through node cells, and each segment's map re-reads it."""
+    count, prev = 0, -1
+    for s in range(len(path) - 1):
+        bmap = source.basins(segment_of_step(s))
+        if s == 0 or segment_of_step(s) != segment_of_step(s - 1):
+            b = bmap.basins_at(path[s])[0]
+            prev = b if b >= 0 else prev
+        b = bmap.basins_at(path[s + 1])[0]
+        count += int(b >= 0 and prev >= 0 and b != prev)
+        prev = b if b >= 0 else prev
+    return count
+
+
+def standing_waves(dims, boundary):
+    """Three snapshots, 0.03 apart, of a shifting standing wave on a 16-point
+    grid per axis: about half the cells are node cells between 3 (1-d) or 9
+    (2-d) basins."""
+    g = Grid.make((16,) * dims, ((-4.0, 4.0),) * dims, boundary)
+    snaps = []
+    for i in range(3):
+        values = np.ones(g.points)
+        for axis in g.meshgrid():
+            values = values * np.cos(1.5 * axis + 0.4 * i) * np.exp(-axis**2 / 8)
+        snaps.append(WaveField(g, values, time=0.03 * i))
+    return snaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([1, 2]), boundary=st.sampled_from(["periodic", "reflecting"]),
+       chunk=st.integers(1, 8), noise_values=st.integers(1, 64), first_block=st.integers(1, 8),
+       seed=st.integers(0, 2**16))
+def test_kernel_matches_reference_for_any_chunk_and_noise_budget(
+        dims, boundary, chunk, noise_values, first_block, seed):
+    # Blocks, label buffers and chunks of any size: every result equals the
+    # one-draw-per-step reference, crossings included.
+    snaps = standing_waves(dims, boundary)
+    params = GuidanceParams(lam=3.0, epsilon=0.05, drift_cap=15.0)
+    sampler = DensitySampler(regularized_density(snaps[0], params))
+    dt, n, x0, stop = 0.01, 7, [0.3] * dims, PlaneCrossing(at=0.9)
+    with mock.patch.multiple(langevin, _CHUNK=chunk, _NOISE_VALUES=noise_values,
+                             _FIRST_BLOCK=first_block):
+        res = run_ensemble(n, sampler, snaps, params, dt, 0.09, master_seed=seed,
+                           node_threshold=0.1, checkpoint_times=(0.04,), record_stride=3)
+        passages = run_first_passage_ensemble(n, x0, snaps[0], params, dt, stop, 0.3,
+                                              master_seed=seed)
+
+    source = SnapshotDrift(snaps, params, node_threshold=0.1)
+
+    def segment(s):
+        return source.segment_index(s * dt)
+
+    for sid in range(n):
+        rng = substream(seed, sid)
+        path = em_reference(sampler.sample([rng])[0], rng,
+                            lambda s: source.drift(segment(s)), params, dt, 9)
+        assert np.array_equal(res.paths[sid], np.stack(path[::3]))
+        assert np.array_equal(res.checkpoints[0][1][sid], path[4])
+        assert np.array_equal(res.final_positions[sid], path[-1])
+        assert res.crossings[sid] == reference_crossings(path, source, segment)
+
+        path = em_reference(x0, substream(seed, sid), lambda s: source.drift(0), params, dt, 30)
+        side = stop.initial_side(path[0])
+        hits = [k for k in range(1, 31) if stop.hit(path[k], side)[0]]
+        assert passages[sid].censored == (not hits)
+        assert passages[sid].time == (hits[0] * dt if hits else 0.3)
+
+
+def test_kernel_reference_sees_crossings_and_node_cells():
+    # the property above exercises crossings and walkers inside node cells
+    for dims in (1, 2):
+        snaps = standing_waves(dims, "periodic")
+        params = GuidanceParams(lam=3.0, epsilon=0.05, drift_cap=15.0)
+        res = run_ensemble(20, DensitySampler(regularized_density(snaps[0], params)), snaps,
+                           params, 0.01, 0.09, master_seed=3, node_threshold=0.1,
+                           record_stride=1)
+        basins = SnapshotDrift(snaps, params, node_threshold=0.1).basins(0)
+        assert res.crossings.sum() > 0
+        assert (basins.basins_at(res.paths.reshape(-1, dims)) < 0).any()
+
+
+def test_coordinate_sum_overflow_is_not_a_failure():
+    # every walker is finite near 1.5e308, but their coordinate sum is not
+    g = Grid.make(8, (1.4e308, 1.6e308), "reflecting")
+    psi = WaveField(g, np.ones(8))
+    with np.errstate(over="ignore"):
+        res = run_ensemble(3, PointSampler([1.5e308]), psi, GuidanceParams(lam=0.0), 0.1, 0.5)
+    assert np.all(res.final_positions == 1.5e308)
 
 
 # -- single-step contracts ----------------------------------------------------
@@ -206,14 +302,34 @@ def test_entry_points_reject_nonpositive_dt():
                                 psi, params, dt, 1.0)
 
 
+def test_negative_record_stride_rejected_without_hanging():
+    # a negative stride would put the next recorded row behind the current
+    # step, so the next-event loop would never end: it must be refused
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("run_ensemble did not return")
+
+    g, psi = flat_setup()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ValueError, match="record_stride"):
+            run_ensemble(2, PointSampler([0.0]), psi, GuidanceParams(lam=1.0), 1e-2, 0.1,
+                         record_stride=-1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TwoPointSampler:
     """Starts a walker at ``a`` or ``b`` with one uniform draw."""
 
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def sample(self, rng):
-        return np.array([self.a if rng.random() < 0.5 else self.b])
+    def sample(self, rngs):
+        return np.array([[self.a if rng.random() < 0.5 else self.b] for rng in rngs])
 
 
 def test_nonfinite_step_raises_integrator_failure():
@@ -225,7 +341,7 @@ def test_nonfinite_step_raises_integrator_failure():
     params = GuidanceParams(lam=8e304)
     dt, seed = 1e3, 5
     sampler = TwoPointSampler(2.0, -4.0)
-    starts = [sampler.sample(substream(seed, sid))[0] for sid in range(6)]
+    starts = list(sampler.sample([substream(seed, sid) for sid in range(6)])[:, 0])
     first_bad = starts.index(2.0)
     assert first_bad > 0
     with pytest.raises(IntegratorFailure) as err:
@@ -304,7 +420,7 @@ def test_density_sampler_matches_density():
     params = GuidanceParams(lam=1.0)
     dens = regularized_density(psi, params)
     sampler = DensitySampler(dens)
-    draws = np.stack([sampler.sample(substream(4, i)) for i in range(10_000)])
+    draws = sampler.sample([substream(4, i) for i in range(10_000)])
     from psiwalk import histogram
 
     tv = total_variation(coarsen(histogram(draws, g), 4), coarsen(dens, 4).normalized())

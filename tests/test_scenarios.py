@@ -114,6 +114,21 @@ def test_oracle_fp_dt_must_divide_every_checkpoint():
     assert oracle_errors({"checkpoints": [0.25, 0.5]}) == []
 
 
+@pytest.mark.parametrize("stride", [0, -2, 2.5, "4", True])
+def test_record_stride_must_be_positive_integer(stride):
+    # listed before compute: the ensemble used to hang on a negative stride,
+    # or fail on the path shape after the whole run with 0
+    product = {"scenario": "product_separation", "params": {"record_stride": stride}}
+    assert validate_config(product)[1] == [
+        f"params.record_stride must be an integer >= 1, got {stride!r}"]
+    loc = {"scenario": "double_well",
+           "params": {"localization": {"n": 10, "record_stride": stride}}}
+    assert validate_config(loc)[1] == [
+        f"params.localization.record_stride must be an integer >= 1, got {stride!r}"]
+    assert validate_config({"scenario": "double_well",
+                            "params": {"localization": {"n": 10}}})[1] == []
+
+
 def test_cli_lists_mistyped_config_without_traceback(tmp_path, capsys):
     p = write_config(tmp_path, {"scenario": "harmonic_ground", "time": {"dt_psi": "0.001"},
                                 "params": {"oracle": {"checkpoints": [0.25], "fp_dt": 0.02}}})

@@ -342,3 +342,15 @@ def test_operator_reused_across_dt_matches_fresh_operators():
             fresh = FPOperator(op.grid, op.lam, op.scheme, op.face_w)
             assert np.array_equal(fp_step_implicit(p, op, step_dt).values,
                                   fp_step_implicit(p, fresh, step_dt).values)
+
+
+def test_fp_evolve_raises_on_nonfinite_state_before_next_snapshot():
+    # a state that overflows in the first explicit step raises no later than
+    # the next returned snapshot (step 4)
+    g, psi, params, op, eq = double_well_setup(n=64)
+    p0 = DensityField(g, np.where(np.arange(64) % 2, 1.5e308, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        fp_evolve(p0, psi, params, 1e-3, 4e-3, method="explicit", snapshot_stride=4)
+    # the returned snapshots carry the per-step accumulated time
+    out = fp_evolve(eq, psi, params, 1e-3, 4e-3, method="explicit", snapshot_stride=3)
+    assert [p.time for p in out] == [0.0, 0.001 + 0.001 + 0.001, 0.001 + 0.001 + 0.001 + 0.001]
