@@ -10,14 +10,13 @@ point back into the box, periodic boundaries wrap.
 
 One kernel, ``_advance_block``, takes every step of every entry point: it
 interpolates the drift at the in-box positions, caps it, adds the noise,
-raises IntegratorFailure on a non-finite step, folds, and looks up node
-basins, whose crossings it counts once per block of labels.  Callers fold
-their start points once (a sampler draws a chunk's in one call) and advance
-the kernel a block of steps at a time up to their next event: noise-buffer
-end, snapshot-segment end, checkpoint or recorded row (``run_ensemble``,
-``simulate_trajectory``), or the first step at which a walker meets the stop
-predicate (``run_first_passage_ensemble``, which then retires the walkers
-that hit from the batch).
+raises IntegratorFailure on a non-finite step, folds, and counts node-basin
+crossings.  Callers fold their start points once (a sampler draws a chunk's
+in one call) and advance the kernel a block of steps at a time up to their
+next event: noise-buffer end, snapshot-segment end, checkpoint or recorded
+row (``run_ensemble``, ``simulate_trajectory``), or the first step at which
+a walker meets the stop predicate (``run_first_passage_ensemble``, which
+then retires the walkers that hit from the batch).
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
@@ -154,7 +153,7 @@ class NodeBasinMap:
             table = np.concatenate([table, np.take(table, [0 if p else -1], axis=k)], axis=k)
         self._axes = [(k, lo, (hi - lo) / n, 0.5 * periodic[k], int(np.prod(table.shape[k + 1 :])))
                       for k, ((lo, hi), n) in enumerate(zip(grid.extent, grid.points))]
-        self.table = table.ravel().astype(np.min_scalar_type(-1 - max(int(labels.max()), 0)))
+        self.table = table.ravel()
 
     @classmethod
     def from_wavefield(cls, psi: WaveField, threshold: float) -> "NodeBasinMap":
@@ -192,7 +191,7 @@ class NodeBasinMap:
 
     def lookup(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``basins_at`` of in-box points into ``out``: the cell quotient of
-        ``Grid.cell_index``, read from the padded table without modulo or clip."""
+        ``Grid.cell_index``, read from the padded table without modulo."""
         for k, lo, dx, half, stride in self._axes:
             q = x[:, k] - lo
             q /= dx
@@ -201,7 +200,7 @@ class NodeBasinMap:
             if stride > 1:
                 term *= stride
             flat = term if k == 0 else flat + term
-        return self.table.take(flat, out=out, mode="clip")
+        return self.table.take(flat, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -308,16 +307,6 @@ def _fill_noise(rngs, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _count_crossings(labels: np.ndarray, crossings: np.ndarray) -> np.ndarray:
-    """Add each column's basin changes down ``labels`` (row 0: the walkers'
-    last basins, -1 if none yet) to ``crossings``; return the last basins."""
-    if labels.min() < 0:   # a walker keeps its last basin through node cells (-1)
-        last = np.where(labels >= 0, np.arange(len(labels))[:, None], 0)
-        labels = np.take_along_axis(labels, np.maximum.accumulate(last, axis=0), axis=0)
-    crossings += ((labels[1:] != labels[:-1]) & (labels[:-1] >= 0)).sum(axis=0)
-    return labels[-1]
-
-
 def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
                    basin_map=None, basin_prev=None, crossings=None, stop=None, side=None):
     """Advance in-box positions through up to noise.shape[1] Euler-Maruyama steps.
@@ -325,16 +314,14 @@ def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
     ``drift`` maps in-box positions to new drift arrays.  Each step raises
     IntegratorFailure on a non-finite proposal, and with a ``stop`` predicate
     the block ends after the first step at which some walker hits.  With a
-    basin map, the walkers' basins are looked up every step and their changes
-    since ``basin_prev`` counted into ``crossings`` once per label buffer (at
-    most 1/8 of the noise budget).  Returns ``(positions, t, steps, hit)``,
-    ``hit`` marking the walkers that stopped (None when the block ran out).
+    basin map, each step counts into ``crossings`` the walkers whose basin
+    differs from their last one, ``basin_prev``, which node cells (-1) keep.
+    Returns ``(positions, t, steps, hit)``, ``hit`` marking the walkers that
+    stopped (None when the block ran out).
     """
     m, steps = noise.shape[:2]
     if basin_map is not None:
-        rows = max(1, _NOISE_VALUES // (m * basin_map.table.itemsize) - 1)
-        labels = np.empty((min(steps, rows) + 1, m), basin_map.table.dtype)
-        labels[0], row = basin_prev, 0
+        basins = np.empty(m, np.int64)
     for s in range(steps):
         v = _cap_vectors(drift(positions), cap)
         v *= dt
@@ -347,11 +334,10 @@ def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
         positions = grid.fold(v)
         t = t + dt
         if basin_map is not None:
-            row += 1
-            basin_map.lookup(positions, labels[row])
-            if stop is not None or row + 1 == len(labels) or s + 1 == steps:
-                basin_prev[:] = labels[0] = _count_crossings(labels[: row + 1], crossings)
-                row = 0
+            basin_map.lookup(positions, basins)
+            if not np.array_equal(basins, basin_prev):   # most steps change no label
+                crossings += (basins != basin_prev) & (basins >= 0) & (basin_prev >= 0)
+                np.copyto(basin_prev, basins, where=basins >= 0)
         if stop is not None:
             hit = stop.hit(positions, side)
             if hit.any():
@@ -429,7 +415,7 @@ def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: floa
         dfield = source.drift(snap_i)
         bmap = source.basins(snap_i)
         if bmap is not None:
-            b = bmap.basins_at(positions)
+            b = bmap.lookup(positions, np.empty(m, np.int64))
             np.copyto(basin_prev, b, where=b >= 0)
         drift = _Interpolant(grid, dfield.vectors)
         seg_end = step + steps

@@ -37,6 +37,8 @@ SCENARIO_NAMES = (
 )
 # Scenarios that compare histograms coarsened by ``histogram_refine``.
 _HISTOGRAM_SCENARIOS = ("harmonic_ground", "double_well", "interference")
+# Default path stride of the double-well localization block.
+_LOCALIZATION_STRIDE = 20
 
 
 # --------------------------------------------------------------------------
@@ -326,7 +328,7 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     if scenario == "product_separation":
         strides["params.record_stride"] = merged["params"].get("record_stride")
     if scenario == "double_well" and isinstance(loc, dict):
-        strides["params.localization.record_stride"] = loc.get("record_stride", 20)
+        strides["params.localization.record_stride"] = loc.get("record_stride", _LOCALIZATION_STRIDE)
     for name, stride in strides.items():
         if not _is_number(stride, Integral) or stride < 1:
             errors.append(f"{name} must be an integer >= 1, got {stride!r}")
@@ -698,7 +700,7 @@ def _localization_block(cfg, out, psi, dg, params, loc):
         dt,
         horizon,
         master_seed=cfg.master_seed,
-        record_stride=int(loc.get("record_stride", 20)),
+        record_stride=int(loc.get("record_stride", _LOCALIZATION_STRIDE)),
     )
     jumps = np.zeros(n, dtype=np.int64)
     for i in range(n):

@@ -212,8 +212,8 @@ def standing_waves(dims, boundary):
        seed=st.integers(0, 2**16))
 def test_kernel_matches_reference_for_any_chunk_and_noise_budget(
         dims, boundary, chunk, noise_values, first_block, seed):
-    # Blocks, label buffers and chunks of any size: every result equals the
-    # one-draw-per-step reference, crossings included.
+    # Blocks and chunks of any size: every result equals the one-draw-per-step
+    # reference, crossings included.
     snaps = standing_waves(dims, boundary)
     params = GuidanceParams(lam=3.0, epsilon=0.05, drift_cap=15.0)
     sampler = DensitySampler(regularized_density(snaps[0], params))
@@ -257,6 +257,61 @@ def test_kernel_reference_sees_crossings_and_node_cells():
         basins = SnapshotDrift(snaps, params, node_threshold=0.1).basins(0)
         assert res.crossings.sum() > 0
         assert (basins.basins_at(res.paths.reshape(-1, dims)) < 0).any()
+
+
+class FixedBasins(SnapshotDrift):
+    """A drift source with given node-basin maps, one per snapshot."""
+
+    def __init__(self, snapshots, params, maps):
+        super().__init__(snapshots, params)
+        self.maps = maps
+
+    def basins(self, i):
+        return self.maps[i]
+
+
+def test_crossings_compare_carried_labels_of_any_size():
+    # 400 one-cell basins, then a map of mostly node cells with labels below
+    # 60, then 400 basins again: walkers on the second map's node cells carry
+    # labels up to 399 into it, and they must be compared as they are.
+    g = Grid.make(400, (0.0, 400.0), "periodic")
+    snaps = [WaveField(g, np.ones(400), time=0.1 * i) for i in range(3)]
+    params = GuidanceParams(lam=450.0)   # flat field: no drift, 3 cells of noise per step
+    cells = np.arange(400)
+    few = np.where(cells % 3 == 0, cells % 60, -1)
+    source = FixedBasins(snaps, params, [NodeBasinMap(g, m) for m in (cells, few, cells)])
+    dt = 0.01
+    res = run_ensemble(40, DensitySampler(regularized_density(snaps[0], params)), source,
+                       params, dt, 0.3, master_seed=4, record_stride=1)
+    for sid, path in enumerate(res.paths):
+        assert res.crossings[sid] == reference_crossings(
+            path, source, lambda s: source.segment_index(s * dt))
+    # some walker sits on a node cell at the switch, carrying a label above 127
+    at_switch = res.paths[:, 10]
+    on_node = source.maps[1].basins_at(at_switch) < 0
+    assert (on_node & (source.maps[0].basins_at(at_switch) > 127)).any()
+
+
+def test_start_point_off_a_reflecting_wall_starts_from_its_mirror_image():
+    # Start points are folded into the box before the first step: a walker
+    # started 0.25 beyond a reflecting wall moves exactly like one started
+    # 0.25 inside it, and first passage judges the folded start point.
+    g = Grid.make(256, (-8.0, 8.0), "reflecting")
+    psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.0))
+    params = GuidanceParams(lam=1.0)
+    outside, mirror = [8.25], [7.75]
+    runs = [run_ensemble(5, PointSampler(x), psi, params, 0.01, 0.5, master_seed=2,
+                         record_stride=1) for x in (outside, mirror)]
+    assert np.array_equal(runs[0].paths, runs[1].paths)
+    assert np.all(runs[0].paths[:, 0] == 7.75)
+    plane = [run_first_passage_ensemble(6, x, psi, params, 0.01, PlaneCrossing(at=6.0), 2.0,
+                                        master_seed=2) for x in (outside, mirror)]
+    assert plane[0] == plane[1]
+    assert 0 < sum(fp.censored for fp in plane[0]) < 6
+    # 8.25 lies outside [7.5, 8.0]; its image 7.75 is inside: a hit at t0
+    near_wall = run_first_passage_ensemble(3, outside, psi, params, 0.01,
+                                           RegionEntry((7.5,), (8.0,)), 1.0)
+    assert all(fp.time == 0.0 and not fp.censored for fp in near_wall)
 
 
 def test_coordinate_sum_overflow_is_not_a_failure():
