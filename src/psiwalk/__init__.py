@@ -13,10 +13,8 @@ from .grids import (
     REFLECTING,
     DensityField,
     Grid,
-    ScalarField,
     WaveField,
     gradient_log,
-    integrate,
     interpolate,
 )
 from .fieldio import read_field, write_field
@@ -29,14 +27,11 @@ from .schrodinger import (
     make_double_gaussian,
     make_packet,
     make_superposition,
-    step_splitstep,
 )
 from .guidance import (
-    DiffusionSpec,
     DriftField,
     GuidanceParams,
     drift_field,
-    potential_field,
     regularized_density,
 )
 from .langevin import (
@@ -45,15 +40,11 @@ from .langevin import (
     FirstPassage,
     IntegratorFailure,
     NodeBasinMap,
-    NoiseSpec,
     PlaneCrossing,
     PointSampler,
     RegionEntry,
-    SnapshotDrift,
-    TrajectoryState,
     run_ensemble,
     run_first_passage_ensemble,
-    simulate_trajectory,
     substream,
 )
 from .smoluchowski import FPOperator, StepSizeError, fp_evolve, fp_step, fp_step_implicit

@@ -1,8 +1,8 @@
 """Binary field snapshots with a JSON sidecar header.
 
-Layout: ``<name>.f64`` holds flat little-endian 64-bit floats in row-major
-order over the grid axes.  Complex (wave) fields interleave re/im per point;
-vector (drift) fields append the component axis last.  ``<name>.json`` holds
+Two kinds of field are written: ``wave`` and ``density``.  ``<name>.f64``
+holds flat little-endian 64-bit floats in row-major order over the grid axes;
+wave fields interleave re/im per point.  ``<name>.json`` holds
 ``{dims, points, extent, boundary, time, kind}``.  Round trips are bit-exact.
 """
 
@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import DensityField, Grid, ScalarField, WaveField
+from .grids import DensityField, Grid, WaveField
 
-_KINDS = ("wave", "density", "drift", "scalar")
+# kind -> (field type, on-disk dtype)
+_KINDS = {"wave": (WaveField, "<c16"), "density": (DensityField, "<f8")}
 
 
 def _header(grid: Grid, time: float, kind: str) -> dict:
@@ -30,7 +31,7 @@ def _header(grid: Grid, time: float, kind: str) -> dict:
 
 
 def write_field(field, path) -> Path:
-    """Write a field (or a guidance DriftField) as binary + sidecar.
+    """Write a wave or density field as binary + sidecar.
 
     ``path`` may omit the ``.f64`` suffix.  Returns the binary path.
     """
@@ -40,11 +41,7 @@ def write_field(field, path) -> Path:
     path = Path(path)
     if path.suffix != ".f64":
         path = path.with_suffix(".f64")
-    values = field.values if kind != "drift" else field.vectors
-    if kind == "wave":
-        raw = np.ascontiguousarray(values, dtype="<c16").tobytes()
-    else:
-        raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    raw = np.ascontiguousarray(field.values, dtype=_KINDS[kind][1]).tobytes()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(raw)
     sidecar = path.with_suffix(".json")
@@ -64,20 +61,8 @@ def read_field(path):
         boundary=tuple(header["boundary"]),
     )
     kind = header["kind"]
-    raw = path.read_bytes()
-    time = header["time"]
-    if kind == "wave":
-        values = np.frombuffer(raw, dtype="<c16").reshape(grid.points)
-        return WaveField(grid, values, time)
-    if kind == "density":
-        values = np.frombuffer(raw, dtype="<f8").reshape(grid.points)
-        return DensityField(grid, values, time)
-    if kind == "scalar":
-        values = np.frombuffer(raw, dtype="<f8").reshape(grid.points)
-        return ScalarField(grid, values, time)
-    if kind == "drift":
-        from .guidance import DriftField
-
-        vectors = np.frombuffer(raw, dtype="<f8").reshape(grid.points + (grid.dims,))
-        return DriftField(grid=grid, vectors=vectors, time=time, params=None)
-    raise ValueError(f"unknown snapshot kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown snapshot kind {kind!r}")
+    field_type, dtype = _KINDS[kind]
+    values = np.frombuffer(path.read_bytes(), dtype=dtype).reshape(grid.points)
+    return field_type(grid, values, header["time"])

@@ -1,4 +1,4 @@
-"""Uniform rectangular grids and the scalar/complex fields living on them.
+"""Uniform rectangular grids and the density and wave fields living on them.
 
 Conventions
 -----------
@@ -153,41 +153,30 @@ def _check_finite(values, what):
         raise ValueError(f"{what} must be finite everywhere")
 
 
-class ScalarField:
-    """Real scalar field sampled on a grid; immutable after construction."""
+class DensityField:
+    """Nonnegative real field (a probability density, possibly unnormalized)
+    sampled on a grid; immutable after construction."""
 
-    kind = "scalar"
+    kind = "density"
 
     def __init__(self, grid: Grid, values, time: float = 0.0):
-        values = np.array(values, dtype=self._dtype(), copy=True)
+        values = np.array(values, dtype=np.float64, copy=True)
         if values.shape != grid.points:
             raise ValueError(f"values shape {values.shape} does not match grid points {grid.points}")
-        self._validate(values)
+        _check_finite(values, "density values")
+        if np.any(values < 0):
+            raise ValueError("density values must be nonnegative")
         values.setflags(write=False)
         self.grid = grid
         self.values = values
         self.time = float(time)
 
-    @staticmethod
-    def _dtype():
-        return np.float64
-
-    def _validate(self, values):
-        _check_finite(values, "field values")
-
-
-class DensityField(ScalarField):
-    """Nonnegative scalar field (probability density, possibly unnormalized)."""
-
-    kind = "density"
-
-    def _validate(self, values):
-        _check_finite(values, "density values")
-        if np.any(values < 0):
-            raise ValueError("density values must be nonnegative")
-
     def total(self) -> float:
-        return integrate(self)
+        """Quadrature: the sum of the values times the cell volume.
+
+        Exact for constants on any grid (every point owns one equal cell).
+        """
+        return float(self.values.sum()) * self.grid.cell_volume
 
     def normalized(self) -> "DensityField":
         z = self.total()
@@ -218,16 +207,6 @@ class WaveField:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2)) * self.grid.cell_volume
-
-
-def integrate(field) -> float:
-    """Quadrature of a scalar field: sum of values times cell volume.
-
-    Exact for constants on any grid (every point owns one equal cell).
-    """
-    values = field.values if hasattr(field, "values") else np.asarray(field)
-    _check_finite(values, "integrand")
-    return float(values.sum()) * field.grid.cell_volume
 
 
 def gradient_log(field, epsilon: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityField, Grid, ScalarField, WaveField, gradient_log, interpolate
+from .grids import DensityField, Grid, WaveField, gradient_log, interpolate
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,6 @@ class GuidanceParams:
         return self.epsilon * scale
 
 
-@dataclass(frozen=True)
-class DiffusionSpec:
-    """Diffusion constant parameterized as length_scale^2 / time_scale."""
-
-    length_scale: float
-    time_scale: float
-
-    def __post_init__(self):
-        if self.length_scale <= 0 or self.time_scale <= 0:
-            raise ValueError("length_scale and time_scale must be positive")
-
-    @property
-    def lam(self) -> float:
-        return self.length_scale**2 / self.time_scale
-
-
 @dataclass(frozen=True, eq=False)
 class DriftField:
     """Drift vectors on a grid at a fixed time, shape ``(*points, dims)``."""
@@ -68,9 +52,6 @@ class DriftField:
     grid: Grid
     vectors: np.ndarray
     time: float
-    params: GuidanceParams | None
-
-    kind = "drift"
 
     def __post_init__(self):
         if self.vectors.shape != self.grid.points + (self.grid.dims,):
@@ -90,19 +71,12 @@ def regularized_density(psi: WaveField, params: GuidanceParams) -> DensityField:
     return DensityField(psi.grid, rho + eps, psi.time)
 
 
-def potential_field(psi: WaveField, params: GuidanceParams) -> ScalarField:
-    """Pointwise ``-ln(|Psi|^2 + eps)``; finite by construction."""
-    rho = np.abs(psi.values) ** 2
-    eps = params.effective_epsilon(float(rho.max()))
-    return ScalarField(psi.grid, -np.log(rho + eps), psi.time)
-
-
 def drift_field(psi: WaveField, params: GuidanceParams) -> DriftField:
     """``lam * grad ln(|Psi|^2 + eps)``, clipped to ``drift_cap`` when set."""
     rho = DensityField(psi.grid, np.abs(psi.values) ** 2, psi.time)
     eps = params.effective_epsilon(float(rho.values.max()))
     vectors = _cap_vectors(params.lam * gradient_log(rho, eps), params.drift_cap)
-    return DriftField(grid=psi.grid, vectors=vectors, time=psi.time, params=params)
+    return DriftField(grid=psi.grid, vectors=vectors, time=psi.time)
 
 
 def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:

@@ -14,9 +14,9 @@ raises IntegratorFailure on a non-finite step, folds, and counts node-basin
 crossings.  Callers fold their start points once (a sampler draws a chunk's
 in one call) and advance the kernel a block of steps at a time up to their
 next event: noise-buffer end, snapshot-segment end, checkpoint or recorded
-row (``run_ensemble``, ``simulate_trajectory``), or the first step at which
-a walker meets the stop predicate (``run_first_passage_ensemble``, which
-then retires the walkers that hit from the batch).
+row (``run_ensemble``), or the first step at which a walker meets the stop
+predicate (``run_first_passage_ensemble``, which then retires the walkers
+that hit from the batch).  A single trajectory is an ensemble of one.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
@@ -71,25 +71,6 @@ def substream(master_seed: int, stream_id: int) -> np.random.Generator:
     """
     key = ((int(master_seed) & (2**64 - 1)) << 64) | (int(stream_id) & (2**64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    master_seed: int
-    stream_id: int
-
-
-@dataclass
-class TrajectoryState:
-    """Walker position, time, noise identity and node-crossing count."""
-
-    x: np.ndarray
-    t: float
-    noise: NoiseSpec
-    crossings: int = 0
-
-    def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +432,6 @@ def run_ensemble(
     params: GuidanceParams,
     dt_L: float,
     t_final: float,
-    histogram_grid: Grid | None = None,
     master_seed: int = 0,
     node_threshold: float | None = None,
     checkpoint_times=(),
@@ -459,8 +439,8 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories with stream ids 0..n-1.
 
-    The final-position histogram is normalized on ``histogram_grid`` (the
-    field grid when omitted).  ``checkpoint_times`` capture full position
+    The final-position histogram is normalized on the field grid.
+    ``checkpoint_times`` capture full position
     snapshots at step-aligned times; ``record_stride`` keeps every k-th step
     of every trajectory (memory permitting).
     """
@@ -468,9 +448,7 @@ def run_ensemble(
         raise ValueError("n must be >= 1")
     if dt_L <= 0:
         raise ValueError("dt_L must be positive")
-    source = psi_snapshots if isinstance(psi_snapshots, SnapshotDrift) else SnapshotDrift(
-        psi_snapshots, params, node_threshold
-    )
+    source = SnapshotDrift(psi_snapshots, params, node_threshold)
     t0 = float(source.times[0])
     if t_final < t0:
         raise ValueError(f"t_final={t_final} precedes the first snapshot time {t0}")
@@ -501,7 +479,7 @@ def run_ensemble(
 
     from .analysis import histogram as _histogram
 
-    hist = _histogram(final_positions, histogram_grid if histogram_grid is not None else source.grid)
+    hist = _histogram(final_positions, source.grid)
     metadata = {
         "n": n,
         "lam": params.lam,
@@ -521,46 +499,6 @@ def run_ensemble(
         path_times=path_times,
         metadata=metadata,
     )
-
-
-def simulate_trajectory(
-    initial: TrajectoryState,
-    psi_snapshots,
-    params: GuidanceParams,
-    dt_L: float,
-    t_final: float,
-    record_stride: int | None = None,
-    node_threshold: float | None = None,
-):
-    """Integrate a single trajectory against bracketing snapshots.
-
-    Returns the final state, or ``(state, times, path)`` when a record
-    stride is given.  Identical NoiseSpec means bit-identical paths.
-    """
-    source = SnapshotDrift(psi_snapshots, params, node_threshold)
-    if dt_L <= 0:
-        raise ValueError("dt_L must be positive")
-    if t_final < initial.t:
-        raise ValueError("t_final must be >= the initial time")
-    if t_final > float(source.times[-1]) and len(source.snapshots) > 1:
-        raise ValueError("t_final exceeds the last snapshot time")
-    if t_final == initial.t:
-        return initial if record_stride is None else (initial, np.array([initial.t]),
-                                                      initial.x[None, :].copy())
-
-    ids = [initial.noise.stream_id]
-    positions, crossings, _, paths = _run_chunk(
-        ids, initial.noise.master_seed, PointSampler(initial.x), source, dt_L,
-        initial.t, t_final, (), record_stride,
-    )
-    state = TrajectoryState(
-        x=positions[0], t=t_final, noise=initial.noise,
-        crossings=initial.crossings + int(crossings[0]),
-    )
-    if record_stride is None:
-        return state
-    times = initial.t + dt_L * record_stride * np.arange(paths.shape[1])
-    return state, times, paths[0]
 
 
 def run_first_passage_ensemble(

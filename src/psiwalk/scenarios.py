@@ -3,9 +3,8 @@
 Every experiment is described by a JSON-serializable config with explicit
 defaults; a run produces a manifest (config echo, metrics, threshold checks,
 file inventory with checksums) plus metric CSVs and field snapshots.  All
-numeric artifacts are a pure function of (config, master_seed): reductions
-happen in stream order and the trajectory chunking is independent of the
-worker count.
+numeric artifacts are a pure function of (config, master_seed): every
+trajectory draws from its own stream and reductions happen in stream order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from . import analysis, langevin, schrodinger, smoluchowski
 from .fieldio import write_field
 from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField
-from .guidance import DiffusionSpec, GuidanceParams
+from .guidance import GuidanceParams, regularized_density
 from .version import __version__
 
 SCENARIO_NAMES = (
@@ -39,6 +38,7 @@ SCENARIO_NAMES = (
 _HISTOGRAM_SCENARIOS = ("harmonic_ground", "double_well", "interference")
 # Default path stride of the double-well localization block.
 _LOCALIZATION_STRIDE = 20
+_GUIDANCE_KEYS = ("lam", "epsilon", "drift_cap")
 
 
 # --------------------------------------------------------------------------
@@ -74,31 +74,28 @@ class ScenarioConfig:
         }
 
     def build_grid(self) -> Grid:
-        g = self.grid
-        return Grid(
-            points=tuple(int(n) for n in g["points"]),
-            extent=tuple((float(lo), float(hi)) for lo, hi in g["extent"]),
-            boundary=tuple(g["boundary"]),
-        )
-
-    def lam(self) -> float:
-        g = self.guidance
-        if g.get("lam") is not None:
-            return float(g["lam"])
-        d = g["diffusion"]
-        return DiffusionSpec(float(d["length_scale"]), float(d["time_scale"])).lam
+        return _grid(self.grid)
 
     def guidance_params(self) -> GuidanceParams:
+        lam = float(self.guidance["lam"])
         cap = self.guidance.get("drift_cap")
         if cap == "auto":
             # Displacement cap of two noise standard deviations per step: large
             # enough to never bind in smooth regions, finite at density nodes.
-            cap = 2.0 * np.sqrt(2.0 * self.lam() / float(self.time["dt_langevin"]))
+            cap = 2.0 * np.sqrt(2.0 * lam / float(self.time["dt_langevin"]))
         return GuidanceParams(
-            lam=self.lam(),
+            lam=lam,
             epsilon=float(self.guidance.get("epsilon", 1e-12)),
             drift_cap=None if cap is None else float(cap),
         )
+
+
+def _grid(g: dict) -> Grid:
+    return Grid(
+        points=tuple(int(n) for n in g["points"]),
+        extent=tuple((float(lo), float(hi)) for lo, hi in g["extent"]),
+        boundary=tuple(g["boundary"]),
+    )
 
 
 def _defaults(scenario: str) -> dict:
@@ -229,6 +226,23 @@ def _oracle_errors(oracle, tm) -> list[str]:
     return errors
 
 
+def _well_errors(scenario, params, grid) -> list[str]:
+    """Violations of the two-Gaussian parameters that the runner would raise
+    on: a, b (and the product state's gauss_width) must be positive, and the
+    double well's grid must cover [-(b + 6a), b + 6a]."""
+    names = {"double_well": ("a", "b"), "product_separation": ("a", "b", "gauss_width")}
+    errors = [f"params.{name} must be a positive number, got {params.get(name)!r}"
+              for name in names.get(scenario, ())
+              if not (_is_number(params.get(name)) and params[name] > 0)]
+    if scenario == "double_well" and not errors and grid:
+        reach = params["b"] + 6 * params["a"]
+        lo, hi = grid.extent[0]
+        if lo > -reach or hi < reach:
+            errors.append(f"grid extent [{lo}, {hi}] does not cover the double well's "
+                          f"[-(b + 6a), b + 6a] = [{-reach}, {reach}]")
+    return errors
+
+
 def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     """Parse and validate a config (JSON text, path-free).  Returns the config
     with defaults applied, or None plus the full list of violations."""
@@ -255,6 +269,8 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     tm = merged["time"]
     g = merged["guidance"]
     en = merged["ensemble"]
+    errors += [f"guidance.{key} is not a guidance key; valid keys: {', '.join(_GUIDANCE_KEYS)}"
+               for key in sorted(set(g) - set(_GUIDANCE_KEYS))]
     # Type checks first, so that the range checks below compare numbers only.
     for name, value, kind, optional in (
         ("hbar", merged["hbar"], Real, False),
@@ -264,7 +280,7 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         ("time.dt_langevin", tm.get("dt_langevin"), Real, True),
         ("time.t_final", tm.get("t_final"), Real, True),
         ("time.snapshot_stride", tm.get("snapshot_stride", 1), Integral, False),
-        ("guidance.lam", g.get("lam"), Real, True),
+        ("guidance.lam", g.get("lam"), Real, False),
         ("guidance.epsilon", g.get("epsilon", 1e-12), Real, False),
         ("ensemble.n_trajectories", en.get("n_trajectories", 0), Integral, False),
     ):
@@ -288,9 +304,7 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     if tm.get("snapshot_stride", 1) < 1:
         errors.append("time.snapshot_stride must be >= 1")
 
-    if g.get("lam") is None and "diffusion" not in g:
-        errors.append("guidance needs either lam or diffusion {length_scale, time_scale}")
-    if g.get("lam") is not None and g["lam"] <= 0:
+    if g["lam"] <= 0:
         errors.append("guidance.lam must be positive")
     if g.get("epsilon", 1e-12) <= 0:
         errors.append("guidance.epsilon must be positive")
@@ -298,14 +312,9 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     if cap is not None and cap != "auto" and (not _is_number(cap) or cap <= 0):
         errors.append("guidance.drift_cap must be positive, null, or 'auto'")
 
-    gr = merged.get("grid", {})
     grid = None
     try:
-        grid = Grid(
-            points=tuple(int(n) for n in gr["points"]),
-            extent=tuple((float(lo), float(hi)) for lo, hi in gr["extent"]),
-            boundary=tuple(gr["boundary"]),
-        )
+        grid = _grid(merged["grid"])
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"grid: {exc}")
 
@@ -324,6 +333,7 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         errors.append(f"histogram_refine={refine} must divide every grid axis {grid.points}")
 
     errors += _oracle_errors(merged["params"].get("oracle"), tm)
+    errors += _well_errors(scenario, merged["params"], grid)
     strides, loc = {}, merged["params"].get("localization")
     if scenario == "product_separation":
         strides["params.record_stride"] = merged["params"].get("record_stride")
@@ -457,8 +467,6 @@ def _sampler_from_config(cfg: ScenarioConfig, psi: WaveField, params: GuidancePa
     spec = cfg.ensemble["sampler"]
     if spec["type"] == "point":
         return langevin.PointSampler(np.asarray(spec["at"], dtype=float))
-    from .guidance import regularized_density
-
     return langevin.DensitySampler(regularized_density(psi, params))
 
 
@@ -512,46 +520,48 @@ def _run_harmonic_ground(cfg: ScenarioConfig, engines):
     )
     out.fields.append(("psi_final", psi_final))
 
-    from .guidance import regularized_density
-
     equilibrium = regularized_density(psi0, params)
     out.fields.append(("equilibrium", equilibrium))
 
     if "ensemble" in engines and cfg.ensemble["n_trajectories"] > 0:
-        sampler = _sampler_from_config(cfg, psi0, params)
-        oracle = p.get("oracle") or {}
-        checkpoints = tuple(oracle.get("checkpoints", ()))
-        result = langevin.run_ensemble(
-            cfg.ensemble["n_trajectories"],
-            sampler,
-            psi0,
-            params,
-            cfg.time["dt_langevin"],
-            cfg.time["t_final"],
-            master_seed=cfg.master_seed,
-            checkpoint_times=checkpoints,
-        )
-        tv = analysis.total_variation(
-            _coarse(result.histogram, cfg.histogram_refine),
-            _coarse(equilibrium, cfg.histogram_refine).normalized(),
-        )
-        out.metrics["tv_equilibrium"] = tv
-        out.checks.append(Check("tv_equilibrium", tv, f"< {p['tv_limit']}", tv < p["tv_limit"]))
-        out.fields.append(("final_histogram", result.histogram))
+        tv = _equilibrium_check(cfg, out, engines, psi0, params, equilibrium, p["tv_limit"])
         out.tables["equilibrium"] = (
             ["metric", "value"],
             [["tv_equilibrium", tv], ["norm_drift", norm_drift]],
         )
-
-        if oracle and "fp" in engines:
-            _oracle_cross_check(cfg, out, psi0, params, result, oracle)
     return out
+
+
+def _equilibrium_check(cfg, out, engines, psi, params, equilibrium, limit):
+    """Run the ensemble on the static field ``psi``, check the TV distance of
+    its final histogram from ``equilibrium`` against ``limit``, and cross-check
+    the density solver at ``params.oracle``'s checkpoints when it is set and
+    the "fp" engine runs.  Returns the TV distance."""
+    oracle = cfg.params.get("oracle") or {}
+    result = langevin.run_ensemble(
+        cfg.ensemble["n_trajectories"],
+        _sampler_from_config(cfg, psi, params),
+        psi,
+        params,
+        cfg.time["dt_langevin"],
+        cfg.time["t_final"],
+        master_seed=cfg.master_seed,
+        checkpoint_times=tuple(oracle.get("checkpoints", ())),
+    )
+    tv = analysis.total_variation(
+        _coarse(result.histogram, cfg.histogram_refine),
+        _coarse(equilibrium, cfg.histogram_refine).normalized(),
+    )
+    out.metrics["tv_equilibrium"] = tv
+    out.checks.append(Check("tv_equilibrium", tv, f"< {limit}", tv < limit))
+    out.fields.append(("final_histogram", result.histogram))
+    if oracle and "fp" in engines:
+        _oracle_cross_check(cfg, out, psi, params, result, oracle)
+    return tv
 
 
 def _oracle_cross_check(cfg, out, psi, params, result, oracle):
     """TV between the Langevin checkpoint histograms and the density solver."""
-    from .guidance import regularized_density
-
     start = cfg.ensemble["sampler"]
     grid = psi.grid
     if start["type"] == "point":
@@ -585,7 +595,7 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
     out.tables["oracle_tv"] = (["t", "tv", "maxnorm"], rows)
 
 
-def _path_table(result, dt: float, limit: int):
+def _path_table(result, limit: int):
     """CSV rows (stream_id, t, x1..xN) for the first ``limit`` recorded paths."""
     dims = result.paths.shape[2]
     header = ["stream_id", "t"] + [f"x{k + 1}" for k in range(dims)]
@@ -603,37 +613,14 @@ def _run_double_well(cfg: ScenarioConfig, engines):
     dg = schrodinger.DoubleGaussianParams(a=float(p["a"]), b=float(p["b"]))
     psi = schrodinger.make_double_gaussian(grid, dg)
     params = cfg.guidance_params()
-    from .guidance import regularized_density
-
     equilibrium = regularized_density(psi, params)
     out.fields.append(("psi_initial", psi))
     out.fields.append(("equilibrium", equilibrium))
 
     eq_block = p.get("equilibrium") or {}
-    oracle = p.get("oracle") or {}
     if "ensemble" in engines and eq_block.get("enabled") and cfg.ensemble["n_trajectories"] > 0:
-        sampler = _sampler_from_config(cfg, psi, params)
-        checkpoints = tuple(oracle.get("checkpoints", ()))
-        result = langevin.run_ensemble(
-            cfg.ensemble["n_trajectories"],
-            sampler,
-            psi,
-            params,
-            cfg.time["dt_langevin"],
-            cfg.time["t_final"],
-            master_seed=cfg.master_seed,
-            checkpoint_times=checkpoints,
-        )
-        tv = analysis.total_variation(
-            _coarse(result.histogram, cfg.histogram_refine),
-            _coarse(equilibrium, cfg.histogram_refine).normalized(),
-        )
-        out.metrics["tv_equilibrium"] = tv
-        limit = eq_block.get("tv_limit", 0.05)
-        out.checks.append(Check("tv_equilibrium", tv, f"< {limit}", tv < limit))
-        out.fields.append(("final_histogram", result.histogram))
-        if oracle and "fp" in engines:
-            _oracle_cross_check(cfg, out, psi, params, result, oracle)
+        _equilibrium_check(cfg, out, engines, psi, params, equilibrium,
+                           eq_block.get("tv_limit", 0.05))
 
     mfpt = p.get("mfpt")
     if mfpt and "ensemble" in engines:
@@ -722,7 +709,7 @@ def _localization_block(cfg, out, psi, dg, params, loc):
     )
     write_paths = int(loc.get("write_paths", 0))
     if write_paths:
-        out.tables["paths"] = _path_table(result, dt, write_paths)
+        out.tables["paths"] = _path_table(result, write_paths)
 
 
 def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
@@ -743,8 +730,6 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
 
     if "fp" not in engines:
         return out
-
-    from .guidance import regularized_density
 
     summary_rows = []
     series_rows = []
@@ -823,8 +808,6 @@ def _run_interference(cfg: ScenarioConfig, engines):
             master_seed=cfg.master_seed,
             node_threshold=float(p["node_threshold"]),
         )
-        from .guidance import regularized_density
-
         reference = regularized_density(snaps[-1], params)
         tv = analysis.total_variation(
             _coarse(result.histogram, cfg.histogram_refine),
@@ -893,7 +876,7 @@ def _run_product_separation(cfg: ScenarioConfig, engines):
         )
         write_paths = int(p.get("write_paths", 0))
         if write_paths:
-            out.tables["paths"] = _path_table(result, cfg.time["dt_langevin"], write_paths)
+            out.tables["paths"] = _path_table(result, write_paths)
     return out
 
 

@@ -68,10 +68,6 @@ class DoubleGaussianParams:
         if self.a <= 0 or self.b <= 0:
             raise ValueError("a and b must be positive")
 
-    @property
-    def localized_regime(self) -> bool:
-        return self.b / self.a >= 2.0
-
 
 def _require_periodic(grid: Grid):
     if any(b != PERIODIC for b in grid.boundary):
@@ -108,15 +104,6 @@ def _apply_step(values, exp_half_pot, exp_kin):
     return values
 
 
-def step_splitstep(psi: WaveField, h: HamiltonianSpec, dt: float) -> WaveField:
-    """Advance the wave field by one Strang-split step of size ``dt``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _require_periodic(psi.grid)
-    exp_half_pot, exp_kin = _phase_tables(psi.grid, h, dt)
-    return WaveField(psi.grid, _apply_step(psi.values, exp_half_pot, exp_kin), psi.time + dt)
-
-
 def evolve(
     psi: WaveField,
     h: HamiltonianSpec,
@@ -150,25 +137,6 @@ def evolve(
         if s % snapshot_stride == 0 or s == steps:
             snaps.append(WaveField(psi.grid, values, t0 + s * dt))
     return snaps
-
-
-def energy_expectation(psi: WaveField, h: HamiltonianSpec) -> float:
-    """<H> for diagnostics; kinetic part evaluated spectrally."""
-    _require_periodic(psi.grid)
-    grid = psi.grid
-    masses = h.mass_per_dim(grid.dims)
-    psik = np.fft.fftn(psi.values)
-    k2_over_m = np.zeros(grid.points)
-    for axis in range(grid.dims):
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis], d=grid.spacing[axis])
-        shape = [1] * grid.dims
-        shape[axis] = grid.points[axis]
-        k2_over_m = k2_over_m + (k**2 / masses[axis]).reshape(shape)
-    kinetic = 0.5 * h.hbar**2 * np.sum(k2_over_m * np.abs(psik) ** 2) / psik.size
-    kinetic = float(kinetic) * grid.cell_volume
-    rho = np.abs(psi.values) ** 2
-    potential = 0.0 if h.potential is None else float(np.sum(h.potential * rho)) * grid.cell_volume
-    return (kinetic + potential) / psi.norm_sq()
 
 
 def make_double_gaussian(grid: Grid, p: DoubleGaussianParams) -> WaveField:

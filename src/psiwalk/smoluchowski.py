@@ -25,9 +25,6 @@ A periodic axis also keeps its Sherman-Morrison vector.  Every implicit step
 is then one ``dgttrs`` solve per axis, plus a vectorized rank-one correction
 on periodic axes.  The operator keeps only the factors of the last dt it was
 stepped with.
-
-A "central" scheme (gm = 1 - w/2, gp = 1 + w/2) is included for comparison;
-it is second order but loses positivity and exact equilibrium for |w| > 2.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ class FPOperator:
 
     grid: Grid
     lam: float
-    scheme: str
     face_w: list[np.ndarray]
     # (cp, cm) per axis: the weights of (p_hi, p_lo) in the face flux.
     _coeffs: list = field(init=False, repr=False)
@@ -94,17 +90,11 @@ class FPOperator:
     def __post_init__(self):
         self._coeffs = []
         for w in self.face_w:
-            if self.scheme == "chang_cooper":
-                cm = _gm(w)
-                self._coeffs.append((cm + w, cm))
-            else:
-                self._coeffs.append((1.0 + 0.5 * w, 1.0 - 0.5 * w))
+            cm = _gm(w)
+            self._coeffs.append((cm + w, cm))
 
     @classmethod
-    def from_log_density(cls, grid: Grid, log_rho: np.ndarray, lam: float,
-                         scheme: str = "chang_cooper") -> "FPOperator":
-        if scheme not in ("chang_cooper", "central"):
-            raise ValueError(f"unknown scheme {scheme!r}")
+    def from_log_density(cls, grid: Grid, log_rho: np.ndarray, lam: float) -> "FPOperator":
         if lam <= 0:
             raise ValueError("lam must be positive")
         face_w = []
@@ -114,14 +104,13 @@ class FPOperator:
             else:
                 lo, hi = _lo_hi(grid.dims, axis)
                 face_w.append(log_rho[lo] - log_rho[hi])
-        return cls(grid=grid, lam=lam, scheme=scheme, face_w=face_w)
+        return cls(grid=grid, lam=lam, face_w=face_w)
 
     @classmethod
-    def from_wavefield(cls, psi: WaveField, params: GuidanceParams,
-                       scheme: str = "chang_cooper") -> "FPOperator":
+    def from_wavefield(cls, psi: WaveField, params: GuidanceParams) -> "FPOperator":
         rho = np.abs(psi.values) ** 2
         eps = params.effective_epsilon(float(rho.max()))
-        return cls.from_log_density(psi.grid, np.log(rho + eps), params.lam, scheme)
+        return cls.from_log_density(psi.grid, np.log(rho + eps), params.lam)
 
     def _face_flux(self, axis: int, p: np.ndarray) -> np.ndarray:
         """(lam/dx) * (cp p_hi - cm p_lo) through every face of ``axis``."""
@@ -286,7 +275,6 @@ def fp_evolve(
     params: GuidanceParams,
     dt: float,
     t_final: float,
-    scheme: str = "chang_cooper",
     method: str = "auto",
     snapshot_stride: int = 1,
 ) -> list[DensityField]:
@@ -316,7 +304,7 @@ def fp_evolve(
         i = int(np.searchsorted(snap_times, t0 + s * dt + 1e-12, side="right") - 1)
         i = min(max(i, 0), len(psi_snapshots) - 1)
         if i != current:
-            current, op = i, FPOperator.from_wavefield(psi_snapshots[i], params, scheme)
+            current, op = i, FPOperator.from_wavefield(psi_snapshots[i], params)
         if method == "explicit":
             p = fp_step(p, op, dt)
         elif method == "implicit":

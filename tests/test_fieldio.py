@@ -3,7 +3,6 @@ import json
 import numpy as np
 
 from psiwalk import DensityField, Grid, WaveField, read_field, write_field
-from psiwalk.guidance import GuidanceParams, drift_field
 
 
 def test_density_roundtrip_bit_exact(tmp_path):
@@ -26,16 +25,6 @@ def test_wave_roundtrip_bit_exact(tmp_path):
     back = read_field(tmp_path / "wave")
     assert isinstance(back, WaveField)
     assert np.array_equal(back.values, f.values)
-
-
-def test_drift_roundtrip(tmp_path):
-    g = Grid.make(64, (-6.0, 6.0), "periodic")
-    psi = WaveField(g, np.exp(-g.coords(0) ** 2 / 2))
-    d = drift_field(psi, GuidanceParams(lam=2.0))
-    write_field(d, tmp_path / "drift")
-    back = read_field(tmp_path / "drift")
-    assert np.array_equal(back.vectors, d.vectors)
-    assert back.grid == g
 
 
 def test_sidecar_contents(tmp_path):

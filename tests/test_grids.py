@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from psiwalk import (
     DensityField,
     Grid,
-    ScalarField,
     gradient_log,
-    integrate,
     interpolate,
 )
 
@@ -45,7 +43,7 @@ def test_coords_placement():
 def test_integrate_constant_exact():
     g = Grid.make(100, (0.0, 1.0), "reflecting")
     f = DensityField(g, np.ones(100))
-    assert integrate(f) == pytest.approx(1.0, abs=1e-12)
+    assert f.total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_gaussian_density():
@@ -53,12 +51,12 @@ def test_integrate_gaussian_density():
     g = Grid.make(512, (-10.0, 10.0), "periodic")
     x = g.coords(0)
     f = DensityField(g, np.exp(-(x**2)))
-    assert integrate(f) == pytest.approx(np.sqrt(np.pi), abs=1e-6)
+    assert f.total() == pytest.approx(np.sqrt(np.pi), abs=1e-6)
 
 
 def test_integrate_zero_field():
     g = Grid.make(64, (0.0, 2.0), "periodic")
-    assert integrate(DensityField(g, np.zeros(64))) == 0.0
+    assert DensityField(g, np.zeros(64)).total() == 0.0
 
 
 def test_density_rejects_negative_and_nonfinite():
@@ -68,7 +66,7 @@ def test_density_rejects_negative_and_nonfinite():
     bad = np.ones(16)
     bad[3] = np.nan
     with pytest.raises(ValueError):
-        ScalarField(g, bad)
+        DensityField(g, bad)
 
 
 def test_normalize_on_demand():

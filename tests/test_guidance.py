@@ -2,27 +2,17 @@ import numpy as np
 import pytest
 
 from psiwalk import (
-    DiffusionSpec,
     Grid,
     GuidanceParams,
     WaveField,
     drift_field,
-    potential_field,
+    regularized_density,
 )
 
 
-@pytest.mark.parametrize(
-    "l,tau,expected", [(1.0, 1.0, 1.0), (2.0, 0.5, 8.0), (1.0, 1e-6, 1e6)]
-)
-def test_diffusion_constant(l, tau, expected):
-    assert DiffusionSpec(l, tau).lam == pytest.approx(expected)
-
-
-def test_diffusion_spec_validation():
-    with pytest.raises(ValueError):
-        DiffusionSpec(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        DiffusionSpec(1.0, 0.0)
+def potential(psi, params):
+    """The walker's potential V = -ln(|Psi|^2 + eps)."""
+    return -np.log(regularized_density(psi, params).values)
 
 
 def test_guidance_params_validation():
@@ -44,13 +34,13 @@ def gaussian_field(n=192, half=6.0):
 def test_potential_values():
     g, x, psi = gaussian_field()
     params = GuidanceParams(lam=1.0, epsilon=1e-12)
-    v = potential_field(psi, params)
+    v = potential(psi, params)
     i0 = np.flatnonzero(x == 0.0)[0]
     # at the maximum |Psi|^2 = 1: V = -ln(1 + eps) ~ 0
-    assert v.values[i0] == pytest.approx(0.0, abs=1e-9)
+    assert v[i0] == pytest.approx(0.0, abs=1e-9)
     # V(x) ~ x^2 + const away from the regularized floor
     ihalf = np.flatnonzero(x == 1.5)[0]
-    assert v.values[ihalf] - v.values[i0] == pytest.approx(1.5**2, rel=1e-9)
+    assert v[ihalf] - v[i0] == pytest.approx(1.5**2, rel=1e-9)
 
 
 def test_potential_at_node_is_regularized_barrier():
@@ -58,8 +48,8 @@ def test_potential_at_node_is_regularized_barrier():
     values = np.ones(64)
     values[10] = 0.0  # a node
     psi = WaveField(g, values)
-    v = potential_field(psi, GuidanceParams(lam=1.0, epsilon=1e-12))
-    assert v.values[10] == pytest.approx(-np.log(1e-12), rel=1e-9)  # ~27.631
+    v = potential(psi, GuidanceParams(lam=1.0, epsilon=1e-12))
+    assert v[10] == pytest.approx(-np.log(1e-12), rel=1e-9)  # ~27.631
 
 
 def test_drift_matches_analytic():

@@ -13,11 +13,9 @@ from psiwalk import (
     HamiltonianSpec,
     IntegratorFailure,
     NodeBasinMap,
-    NoiseSpec,
     PlaneCrossing,
     PointSampler,
     RegionEntry,
-    TrajectoryState,
     WaveField,
     drift_field,
     evolve,
@@ -26,7 +24,6 @@ from psiwalk import (
     mfpt_estimate,
     run_ensemble,
     run_first_passage_ensemble,
-    simulate_trajectory,
     substream,
     total_variation,
 )
@@ -82,11 +79,9 @@ def test_substreams_are_reproducible_and_distinct():
 def test_same_noise_spec_bit_identical_paths():
     g, psi = gaussian_setup()
     params = GuidanceParams(lam=1.0)
-    runs = []
-    for _ in range(2):
-        st = TrajectoryState(x=[0.2], t=0.0, noise=NoiseSpec(77, 3))
-        runs.append(simulate_trajectory(st, psi, params, 1e-2, 2.0, record_stride=1))
-    assert np.array_equal(runs[0][2], runs[1][2])
+    runs = [run_ensemble(1, PointSampler([0.2]), psi, params, 1e-2, 2.0, master_seed=77,
+                         record_stride=1) for _ in range(2)]
+    assert np.array_equal(runs[0].paths, runs[1].paths)
 
 
 def test_single_trajectory_matches_reference_stepper():
@@ -94,20 +89,17 @@ def test_single_trajectory_matches_reference_stepper():
     params = GuidanceParams(lam=1.0, drift_cap=0.5)
     df = drift_field(psi, params)
     path = em_reference([0.0], substream(7, 0), lambda s: df, params, 5e-3, 100)
-    engine = simulate_trajectory(
-        TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(7, 0)), psi, params, 5e-3, 0.5
-    )
-    assert np.array_equal(path[-1], engine.x)
+    res = run_ensemble(1, PointSampler([0.0]), psi, params, 5e-3, 0.5, master_seed=7)
+    assert np.array_equal(path[-1], res.final_positions[0])
 
 
 def test_ensemble_of_one_equals_single_trajectory():
+    # stream 0 takes the same path whatever the ensemble size
     g, psi = gaussian_setup()
     params = GuidanceParams(lam=1.0)
-    res = run_ensemble(1, PointSampler([0.0]), psi, params, 5e-3, 1.0, master_seed=11)
-    single = simulate_trajectory(
-        TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(11, 0)), psi, params, 5e-3, 1.0
-    )
-    assert np.array_equal(res.final_positions[0], single.x)
+    one = run_ensemble(1, PointSampler([0.0]), psi, params, 5e-3, 1.0, master_seed=11)
+    three = run_ensemble(3, PointSampler([0.0]), psi, params, 5e-3, 1.0, master_seed=11)
+    assert np.array_equal(one.final_positions[0], three.final_positions[0])
 
 
 def colliding_packets(dims):
@@ -259,18 +251,7 @@ def test_kernel_reference_sees_crossings_and_node_cells():
         assert (basins.basins_at(res.paths.reshape(-1, dims)) < 0).any()
 
 
-class FixedBasins(SnapshotDrift):
-    """A drift source with given node-basin maps, one per snapshot."""
-
-    def __init__(self, snapshots, params, maps):
-        super().__init__(snapshots, params)
-        self.maps = maps
-
-    def basins(self, i):
-        return self.maps[i]
-
-
-def test_crossings_compare_carried_labels_of_any_size():
+def test_crossings_compare_carried_labels_of_any_size(monkeypatch):
     # 400 one-cell basins, then a map of mostly node cells with labels below
     # 60, then 400 basins again: walkers on the second map's node cells carry
     # labels up to 399 into it, and they must be compared as they are.
@@ -279,17 +260,20 @@ def test_crossings_compare_carried_labels_of_any_size():
     params = GuidanceParams(lam=450.0)   # flat field: no drift, 3 cells of noise per step
     cells = np.arange(400)
     few = np.where(cells % 3 == 0, cells % 60, -1)
-    source = FixedBasins(snaps, params, [NodeBasinMap(g, m) for m in (cells, few, cells)])
+    maps = [NodeBasinMap(g, m) for m in (cells, few, cells)]
+    # every drift source, the ensemble's included, reads these basin maps
+    monkeypatch.setattr(SnapshotDrift, "basins", lambda self, i: maps[i])
+    source = SnapshotDrift(snaps, params)
     dt = 0.01
-    res = run_ensemble(40, DensitySampler(regularized_density(snaps[0], params)), source,
+    res = run_ensemble(40, DensitySampler(regularized_density(snaps[0], params)), snaps,
                        params, dt, 0.3, master_seed=4, record_stride=1)
     for sid, path in enumerate(res.paths):
         assert res.crossings[sid] == reference_crossings(
             path, source, lambda s: source.segment_index(s * dt))
     # some walker sits on a node cell at the switch, carrying a label above 127
     at_switch = res.paths[:, 10]
-    on_node = source.maps[1].basins_at(at_switch) < 0
-    assert (on_node & (source.maps[0].basins_at(at_switch) > 127)).any()
+    on_node = maps[1].basins_at(at_switch) < 0
+    assert (on_node & (maps[0].basins_at(at_switch) > 127)).any()
 
 
 def test_start_point_off_a_reflecting_wall_starts_from_its_mirror_image():
@@ -328,10 +312,10 @@ def test_coordinate_sum_overflow_is_not_a_failure():
 def test_zero_drift_zero_lambda_keeps_position():
     g, psi = flat_setup()
     params = GuidanceParams(lam=0.0)
-    st = TrajectoryState(x=[0.37], t=0.0, noise=NoiseSpec(1, 0))
-    st = simulate_trajectory(st, psi, params, 1e-2, 1e-2)
-    assert st.x[0] == 0.37
-    assert st.t == pytest.approx(1e-2)
+    res = run_ensemble(1, PointSampler([0.37]), psi, params, 1e-2, 1e-2, master_seed=1,
+                       record_stride=1)
+    assert res.final_positions[0, 0] == 0.37
+    assert res.path_times[-1] == pytest.approx(1e-2)
 
 
 def test_constant_drift_deterministic_limit():
@@ -349,12 +333,9 @@ def test_entry_points_reject_nonpositive_dt():
     params = GuidanceParams(lam=1.0)
     for dt in (0.0, -1e-2):
         with pytest.raises(ValueError):
-            run_ensemble(2, PointSampler([0.0]), psi, params, dt, 1.0)
+            run_ensemble(1, PointSampler([0.0]), psi, params, dt, 1.0)
         with pytest.raises(ValueError):
-            run_first_passage_ensemble(2, [0.0], psi, params, dt, PlaneCrossing(at=1.0), 1.0)
-        with pytest.raises(ValueError):
-            simulate_trajectory(TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(1, 0)),
-                                psi, params, dt, 1.0)
+            run_first_passage_ensemble(1, [0.0], psi, params, dt, PlaneCrossing(at=1.0), 1.0)
 
 
 def test_negative_record_stride_rejected_without_hanging():
@@ -417,8 +398,8 @@ def test_noise_moments_match_discretization():
     g, psi = flat_setup(dims=2, n=16)
     lam, dt = 1.5, 4e-3
     params = GuidanceParams(lam=lam)
-    st = TrajectoryState(x=[0.0, 0.0], t=0.0, noise=NoiseSpec(99, 0))
-    _, _, path = simulate_trajectory(st, psi, params, dt, 100_000 * dt, record_stride=1)
+    path = run_ensemble(1, PointSampler([0.0, 0.0]), psi, params, dt, 100_000 * dt,
+                        master_seed=99, record_stride=1).paths[0]
     # unwrap periodic jumps before differencing
     span = 16.0
     inc = np.diff(path, axis=0)
@@ -444,17 +425,18 @@ def test_long_run_variance_matches_equilibrium():
     params = GuidanceParams(lam=lam)
     dt = 0.01 / lam
     t_final = 1e4 / lam
-    st = TrajectoryState(x=[0.0], t=0.0, noise=NoiseSpec(2024, 0))
-    _, _, path = simulate_trajectory(st, psi, params, dt, t_final, record_stride=10)
+    path = run_ensemble(1, PointSampler([0.0]), psi, params, dt, t_final, master_seed=2024,
+                        record_stride=10).paths[0]
     var = np.var(path[:, 0])
     assert abs(var - 0.5) / 0.5 < 0.05
 
 
 def test_trivial_horizon_returns_initial():
     g, psi = gaussian_setup()
-    st = TrajectoryState(x=[0.4], t=0.0, noise=NoiseSpec(3, 0))
-    out = simulate_trajectory(st, psi, GuidanceParams(lam=1.0), 1e-2, 0.0)
-    assert out is st
+    res = run_ensemble(1, PointSampler([0.4]), psi, GuidanceParams(lam=1.0), 1e-2, 0.0,
+                       master_seed=3, record_stride=1)
+    assert res.final_positions.tolist() == [[0.4]]
+    assert res.paths.tolist() == [[[0.4]]] and res.metadata["steps"] == 0
 
 
 def test_ensemble_equilibrium_double_gaussian_low_barrier():

@@ -97,6 +97,37 @@ def test_mistyped_values_are_listed_not_raised(override, error):
     assert errors == [error]
 
 
+@pytest.mark.parametrize("guidance, errors", [
+    ({"diffusion": {"length_scale": 2, "time_scale": 1}},
+     ["guidance.diffusion is not a guidance key; valid keys: lam, epsilon, drift_cap"]),
+    ({"lam": None}, ["guidance.lam must be a number, got None"]),
+    ({"lam": "4"}, ["guidance.lam must be a number, got '4'"]),
+    ({"lam": None, "diffusion": {"length_scale": -2, "time_scale": 1}},
+     ["guidance.diffusion is not a guidance key; valid keys: lam, epsilon, drift_cap",
+      "guidance.lam must be a number, got None"]),
+], ids=["unknown_key", "lam_null", "lam_string", "both"])
+def test_guidance_takes_only_a_numeric_lam_epsilon_and_drift_cap(guidance, errors):
+    # an unknown guidance key used to be ignored, leaving the default lam in force
+    assert validate_config({"scenario": "harmonic_ground", "guidance": guidance}) == (None, errors)
+
+
+@pytest.mark.parametrize("scenario, override, error", [
+    ("double_well", {"params": {"a": 0.0}}, "params.a must be a positive number, got 0.0"),
+    ("double_well", {"params": {"b": -1}}, "params.b must be a positive number, got -1"),
+    ("double_well", {"params": {"b": "1"}}, "params.b must be a positive number, got '1'"),
+    ("product_separation", {"params": {"a": -1.0}}, "params.a must be a positive number, got -1.0"),
+    ("product_separation", {"params": {"gauss_width": 0}},
+     "params.gauss_width must be a positive number, got 0"),
+    ("double_well", {"params": {"b": 3.5}},
+     "grid extent [-9.0, 9.0] does not cover the double well's [-(b + 6a), b + 6a] = [-9.5, 9.5]"),
+    ("double_well", {"grid": {"extent": [[-9.0, 6.5]]}},
+     "grid extent [-9.0, 6.5] does not cover the double well's [-(b + 6a), b + 6a] = [-7.0, 7.0]"),
+], ids=["dw_a", "dw_b", "dw_b_string", "product_a", "product_width", "dw_extent", "dw_extent_hi"])
+def test_two_gaussian_states_the_runner_cannot_build_are_listed(scenario, override, error):
+    # listed before compute: the runner used to raise on these after setup
+    assert validate_config({"scenario": scenario, **override}) == (None, [error])
+
+
 def test_oracle_fp_dt_must_divide_every_checkpoint():
     # caught before the ensemble runs, not by the density solver afterwards
     def oracle_errors(oracle):

@@ -157,15 +157,6 @@ def test_fp_evolve_matches_langevin_histogram():
     assert tv < 0.05
 
 
-def test_central_scheme_available():
-    g, psi, params, op, eq = double_well_setup()
-    op_c = FPOperator.from_wavefield(psi, params, scheme="central")
-    p = fp_step(eq, op_c, 0.5 * op_c.stable_dt())
-    # second-order but not equilibrium-exact: small but nonzero residual
-    assert np.max(np.abs(p.values - eq.values)) > 0
-    assert abs(p.total() - eq.total()) < 1e-12
-
-
 def test_operator_grid_mismatch_rejected():
     g, psi, params, op, eq = double_well_setup()
     other = Grid.make(64, (0.0, 1.0), "reflecting")
@@ -339,7 +330,7 @@ def test_operator_reused_across_dt_matches_fresh_operators():
     for boundary in [(P,), (R, P), (P, R, R)]:
         op, p, dt = _random_case(7, boundary)
         for step_dt in (dt, 3.0 * dt, dt):
-            fresh = FPOperator(op.grid, op.lam, op.scheme, op.face_w)
+            fresh = FPOperator(op.grid, op.lam, op.face_w)
             assert np.array_equal(fp_step_implicit(p, op, step_dt).values,
                                   fp_step_implicit(p, fresh, step_dt).values)
 
