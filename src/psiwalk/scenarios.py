@@ -13,8 +13,9 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import time as _time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -25,20 +26,6 @@ from .fieldio import write_field
 from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField
 from .guidance import GuidanceParams, regularized_density
 from .version import __version__
-
-SCENARIO_NAMES = (
-    "double_well",
-    "interference",
-    "harmonic_ground",
-    "adiabatic_tracking",
-    "product_separation",
-    "free_packet",
-)
-# Scenarios that compare histograms coarsened by ``histogram_refine``.
-_HISTOGRAM_SCENARIOS = ("harmonic_ground", "double_well", "interference")
-# Default path stride of the double-well localization block.
-_LOCALIZATION_STRIDE = 20
-_GUIDANCE_KEYS = ("lam", "epsilon", "drift_cap")
 
 
 # --------------------------------------------------------------------------
@@ -59,33 +46,21 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "grid": copy.deepcopy(self.grid),
-            "hbar": self.hbar,
-            "mass": self.mass,
-            "guidance": copy.deepcopy(self.guidance),
-            "time": copy.deepcopy(self.time),
-            "ensemble": copy.deepcopy(self.ensemble),
-            "params": copy.deepcopy(self.params),
-            "master_seed": self.master_seed,
-            "histogram_refine": self.histogram_refine,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     def build_grid(self) -> Grid:
         return _grid(self.grid)
 
     def guidance_params(self) -> GuidanceParams:
         lam = float(self.guidance["lam"])
-        cap = self.guidance.get("drift_cap")
+        cap = self.guidance["drift_cap"]
         if cap == "auto":
             # Displacement cap of two noise standard deviations per step: large
             # enough to never bind in smooth regions, finite at density nodes.
             cap = 2.0 * np.sqrt(2.0 * lam / float(self.time["dt_langevin"]))
         return GuidanceParams(
             lam=lam,
-            epsilon=float(self.guidance.get("epsilon", 1e-12)),
+            epsilon=float(self.guidance["epsilon"]),
             drift_cap=None if cap is None else float(cap),
         )
 
@@ -98,92 +73,150 @@ def _grid(g: dict) -> Grid:
     )
 
 
-def _defaults(scenario: str) -> dict:
-    base = {
-        "scenario": scenario,
-        "hbar": 1.0,
-        "mass": 1.0,
-        "guidance": {"lam": 1.0, "epsilon": 1e-12, "drift_cap": None},
-        "time": {"dt_psi": 1e-3, "dt_langevin": 1e-3, "t_final": 10.0, "snapshot_stride": 10},
-        "ensemble": {"n_trajectories": 1000, "sampler": {"type": "density"}},
-        "master_seed": 20260808,
-        "histogram_refine": 4,
-        "out_dir": None,
-    }
-    per = {
-        "harmonic_ground": {
-            "grid": {"points": [256], "extent": [[-8.0, 8.0]], "boundary": [PERIODIC]},
-            "guidance": {"lam": 10.0, "epsilon": 1e-12, "drift_cap": None},
-            "time": {"dt_psi": 1e-3, "dt_langevin": 1e-3, "t_final": 20.0, "snapshot_stride": 10},
-            "ensemble": {"n_trajectories": 1000, "sampler": {"type": "point", "at": [0.0]}},
-            "params": {
-                "omega": 1.0,
-                "tv_limit": 0.08,
-                "norm_drift_limit": 1e-9,
-                "norm_drift_steps": None,
-                "oracle": None,
-            },
-        },
-        "double_well": {
-            "grid": {"points": [512], "extent": [[-9.0, 9.0]], "boundary": [REFLECTING]},
-            "guidance": {"lam": 1.0, "epsilon": 1e-12, "drift_cap": None},
-            "time": {"dt_psi": 5e-3, "dt_langevin": 5e-3, "t_final": 200.0, "snapshot_stride": 10},
-            "ensemble": {"n_trajectories": 10000, "sampler": {"type": "point", "at": [-1.0]}},
-            "params": {
-                "a": 1.0,
-                "b": 1.0,
-                "equilibrium": {"enabled": True, "tv_limit": 0.05},
-                "oracle": None,
-                "mfpt": None,
-                "localization": None,
-            },
-        },
-        "adiabatic_tracking": {
-            "grid": {"points": [384], "extent": [[-12.0, 12.0]], "boundary": [PERIODIC]},
-            "time": {"dt_psi": 1e-3, "dt_langevin": 1e-3, "t_final": 6.283, "snapshot_stride": 10},
-            "ensemble": {"n_trajectories": 0, "sampler": {"type": "density"}},
-            "params": {
-                "omega": 1.0,
-                "displacement": 1.0,
-                "lam_values": [1.0, 10.0, 100.0],
-                "tv_limit_last": 0.1,
-            },
-        },
-        "interference": {
-            "grid": {"points": [2048], "extent": [[-16.0, 16.0]], "boundary": [PERIODIC]},
-            "guidance": {"lam": 25.0, "epsilon": 1e-12, "drift_cap": "auto"},
-            "time": {"dt_psi": 2e-3, "dt_langevin": 1e-4, "t_final": None, "snapshot_stride": 10},
-            "ensemble": {"n_trajectories": 8192, "sampler": {"type": "density"}},
-            "histogram_refine": 8,
-            "params": {
-                "packet_width": 1.0,
-                "separation": 5.0,
-                "momentum": 2.0,
-                "node_threshold": 1e-8,
-                "tv_limit": 0.15,
-                "zero_crossing_fraction": 0.99,
-            },
-        },
-        "product_separation": {
-            "grid": {
-                "points": [128, 128],
-                "extent": [[-8.0, 8.0], [-8.0, 8.0]],
-                "boundary": [REFLECTING, REFLECTING],
-            },
-            "time": {"dt_psi": 5e-3, "dt_langevin": 5e-3, "t_final": 100.0, "snapshot_stride": 10},
-            "ensemble": {"n_trajectories": 64, "sampler": {"type": "density"}},
-            "params": {"a": 1.0, "b": 1.0, "gauss_width": 1.0, "record_stride": 1,
-                       "write_paths": 0},
-        },
-        "free_packet": {
-            "grid": {"points": [1024], "extent": [[-40.0, 40.0]], "boundary": [PERIODIC]},
-            "time": {"dt_psi": 1e-3, "dt_langevin": 1e-3, "t_final": 2.0, "snapshot_stride": 100},
-            "ensemble": {"n_trajectories": 0, "sampler": {"type": "density"}},
-            "params": {"sigma0": 1.0, "rel_error_limit": 0.01},
-        },
-    }
-    merged = copy.deepcopy(base)
-    for key, value in per[scenario].items():
+def _is_number(value, kind=Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+def _is_list(value, item=_is_number) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(item, value))
+
+
+# The config schema.  Every key maps to (default, rule).  A rule is either
+# (test, phrase), the phrase completing "<path> must be ...", or a dict: the
+# keys of a nested object.  A None default is resolved where the value is
+# used (from another value, or as "off"), and None then passes any rule.
+_REQUIRED = object()   # the default of a key the config must give
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_NUMBER = (_is_number, "a number")
+_FRACTION = (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]")
+_COUNT = (lambda v: _is_number(v, Integral) and v >= 0, "an integer >= 0")
+_STRIDE = (lambda v: _is_number(v, Integral) and v >= 1, "an integer >= 1")
+_LIST = (lambda v: _is_list(v, lambda _: True), "a list")
+_CAP = (lambda v: v is None or v == "auto" or _POSITIVE[0](v), "a positive number, null or 'auto'")
+_SAMPLER = (lambda v: v in ("point", "density"), "'point' or 'density'")
+_TARGET = (lambda v: v in ("far_well", "ridge") or _is_number(v), "'far_well', 'ridge' or a number")
+
+_SHARED = {
+    "scenario": (_REQUIRED, (lambda v: v in SCENARIO_NAMES, "a scenario name")),
+    "grid": ({}, {"points": (_REQUIRED, (lambda v: _is_list(v, _STRIDE[0]),
+                                         "a list of positive integers")),
+                  "extent": (_REQUIRED, _LIST), "boundary": (_REQUIRED, _LIST)}),
+    "hbar": (1.0, _POSITIVE),
+    "mass": (1.0, _POSITIVE),
+    "guidance": ({}, {"lam": (1.0, _POSITIVE), "epsilon": (1e-12, _POSITIVE),
+                      "drift_cap": (None, _CAP)}),   # "auto": two noise deviations per step
+    "time": ({}, {"dt_psi": (1e-3, _POSITIVE), "dt_langevin": (1e-3, _POSITIVE),
+                  "t_final": (_REQUIRED, (lambda v: _is_number(v) and v >= 0,
+                                          "a nonnegative number")),
+                  "snapshot_stride": (10, _STRIDE)}),
+    "ensemble": ({}, {"n_trajectories": (1000, _COUNT), "sampler": ({}, {
+        "type": ("density", _SAMPLER),
+        "at": (None, (lambda v: _is_number(v) or _is_list(v), "a number or a list of numbers"))})}),
+    "master_seed": (20260808, (lambda v: _is_number(v, Integral), "an integer")),
+    "histogram_refine": (4, _STRIDE),
+    "out_dir": (None, (lambda v: isinstance(v, str), "a string")),
+}
+_TWO_GAUSSIANS = {"a": (1.0, _POSITIVE), "b": (1.0, _POSITIVE)}
+# None: fp_dt is time.dt_langevin.
+_ORACLE = {"checkpoints": ([], (_is_list, "a list of numbers")), "fp_dt": (None, _POSITIVE),
+           "tv_limit": (0.05, _POSITIVE)}
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    dims: int          # grid axes the runner builds its state on
+    periodic: bool     # propagated by the split-step method, which needs periodic axes
+    histograms: bool   # compares histograms coarsened by ``histogram_refine``
+    defaults: dict     # dotted path -> default, replacing the one in _SHARED
+    params: dict       # the scenario's ``params`` keys
+
+
+_SCENARIOS = {
+    "double_well": _Scenario(dims=1, periodic=False, histograms=True, defaults={
+        "grid.points": [512], "grid.extent": [[-9.0, 9.0]], "grid.boundary": [REFLECTING],
+        "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 200.0,
+        "ensemble.n_trajectories": 10000,
+        "ensemble.sampler.type": "point", "ensemble.sampler.at": [-1.0],
+    }, params={
+        **_TWO_GAUSSIANS,
+        "equilibrium": ({}, {"enabled": (True, (lambda v: isinstance(v, bool), "true or false")),
+                             "tv_limit": (0.05, _POSITIVE)}),
+        "oracle": (None, _ORACLE),
+        # None: dt is time.dt_langevin, start is -b, within_factor sets no check.
+        "mfpt": (None, {"n": (_REQUIRED, _STRIDE), "dt": (None, _POSITIVE),
+                        "target": ("far_well", _TARGET), "t_max_factor": (4.0, _POSITIVE),
+                        "start": (None, _NUMBER), "within_factor": (None, _POSITIVE)}),
+        # None: dt is time.dt_langevin, well_gap is b / 2.
+        "localization": (None, {"n": (_REQUIRED, _STRIDE), "dt": (None, _POSITIVE),
+                                "horizon_fraction": (0.1, _POSITIVE), "well_gap": (None, _POSITIVE),
+                                "record_stride": (20, _STRIDE), "stay_fraction": (0.95, _FRACTION),
+                                "write_paths": (0, _COUNT)}),
+    }),
+    "interference": _Scenario(dims=1, periodic=True, histograms=True, defaults={
+        "grid.points": [2048], "grid.extent": [[-16.0, 16.0]], "grid.boundary": [PERIODIC],
+        "guidance.lam": 25.0, "guidance.drift_cap": "auto",
+        "time.dt_psi": 2e-3, "time.dt_langevin": 1e-4,
+        "time.t_final": None,   # None: when the two packets meet
+        "ensemble.n_trajectories": 8192, "histogram_refine": 8,
+    }, params={
+        "packet_width": (1.0, _POSITIVE), "separation": (5.0, _POSITIVE),
+        "momentum": (2.0, _POSITIVE), "node_threshold": (1e-8, _POSITIVE),
+        "tv_limit": (0.15, _POSITIVE), "zero_crossing_fraction": (0.99, _FRACTION),
+    }),
+    "harmonic_ground": _Scenario(dims=1, periodic=True, histograms=True, defaults={
+        "grid.points": [256], "grid.extent": [[-8.0, 8.0]], "grid.boundary": [PERIODIC],
+        "guidance.lam": 10.0, "time.t_final": 20.0,
+        "ensemble.sampler.type": "point", "ensemble.sampler.at": [0.0],
+    }, params={
+        "omega": (1.0, _POSITIVE), "tv_limit": (0.08, _POSITIVE),
+        "norm_drift_limit": (1e-9, _POSITIVE),
+        "norm_drift_steps": (None, _STRIDE),   # None: t_final / dt_psi
+        "oracle": (None, _ORACLE),
+    }),
+    "adiabatic_tracking": _Scenario(dims=1, periodic=True, histograms=False, defaults={
+        "grid.points": [384], "grid.extent": [[-12.0, 12.0]], "grid.boundary": [PERIODIC],
+        "time.t_final": 6.283, "ensemble.n_trajectories": 0,
+    }, params={
+        "omega": (1.0, _POSITIVE), "displacement": (1.0, _NUMBER),
+        "lam_values": ([1.0, 10.0, 100.0], (lambda v: _is_list(v, _POSITIVE[0]) and len(v) > 0,
+                                            "a non-empty list of positive numbers")),
+        "tv_limit_last": (0.1, _POSITIVE),
+    }),
+    "product_separation": _Scenario(dims=2, periodic=False, histograms=False, defaults={
+        "grid.points": [128, 128], "grid.extent": [[-8.0, 8.0], [-8.0, 8.0]],
+        "grid.boundary": [REFLECTING, REFLECTING],
+        "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 100.0,
+        "ensemble.n_trajectories": 64,
+    }, params={**_TWO_GAUSSIANS, "gauss_width": (1.0, _POSITIVE), "record_stride": (1, _STRIDE),
+               "write_paths": (0, _COUNT)}),
+    "free_packet": _Scenario(dims=1, periodic=True, histograms=False, defaults={
+        "grid.points": [1024], "grid.extent": [[-40.0, 40.0]], "grid.boundary": [PERIODIC],
+        "time.t_final": 2.0, "time.snapshot_stride": 100, "ensemble.n_trajectories": 0,
+    }, params={"sigma0": (1.0, _POSITIVE), "rel_error_limit": (0.01, _POSITIVE)}),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
+def _walk(spec: dict, given: dict, path: str, defaults: dict, errors: list) -> dict:
+    """``given`` merged over the defaults of one level of the schema, a
+    scenario's ``defaults`` (dotted path -> default) before the table's.
+    Appends every unknown key and every value that breaks its rule to
+    ``errors``."""
+    where = path[:-1] or "config"
+    errors += [f"{path}{key} is not {'an' if where[0] in 'aeiou' else 'a'} {where} key; "
+               f"valid keys: {', '.join(spec)}" for key in given if key not in spec]
+    merged = {}
+    for key, (default, rule) in spec.items():
+        name = path + key
+        default = defaults.get(name, default)
+        value = given.get(key, default)
+        if isinstance(rule, dict) and isinstance(value, dict):
+            merged[key] = _walk(rule, value, name + ".", defaults, errors)
+            continue
+        test, phrase = (lambda v: False, "a JSON object") if isinstance(rule, dict) else rule
+        if not (value is None and default is None or test(value)):
+            shown = "nothing" if value is _REQUIRED else repr(value)
+            errors.append(f"{name} must be {phrase}, got {shown}")
         merged[key] = copy.deepcopy(value)
     return merged
 
@@ -197,45 +230,85 @@ def _deep_merge(dst: dict, src: dict) -> dict:
     return dst
 
 
-def _is_number(value, kind=Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _divides(dt: float, horizon: float) -> bool:
+    try:
+        smoluchowski.horizon_steps(0.0, horizon, dt)
+    except (ValueError, OverflowError):   # OverflowError: more steps than a float holds
+        return False
+    return True
 
 
-def _oracle_errors(oracle, tm) -> list[str]:
-    """Violations of ``params.oracle``: the density solver and the walkers
-    must reach every checkpoint in whole ``fp_dt`` and ``dt_langevin`` steps."""
-    if not oracle:
-        return []
-    if not isinstance(oracle, dict):
-        return ["params.oracle must be an object or null"]
-    fp_dt = oracle.get("fp_dt", tm.get("dt_langevin"))
-    if not _is_number(fp_dt) or fp_dt <= 0:
-        return [f"params.oracle.fp_dt must be a positive number, got {fp_dt!r}"]
-    checkpoints = oracle.get("checkpoints", [])
-    t_final = tm.get("t_final")
-    if (not isinstance(checkpoints, (list, tuple))
-            or not all(_is_number(tc) and 0 <= tc <= (t_final or 0) for tc in checkpoints)):
+def _fringe_time(tm: dict, p: dict, mass: float, hbar: float) -> float:
+    """The interference horizon: time.t_final, or by default the time the two
+    packets take to meet, in whole dt_psi steps."""
+    t = tm["t_final"] or float(p["separation"]) / float(p["momentum"]) * mass / hbar
+    return round(t / tm["dt_psi"]) * tm["dt_psi"]
+
+
+def _horizon_errors(scenario: str, m: dict) -> list[str]:
+    """Steps that do not divide the horizon the runner takes them to."""
+    tm, p = m["time"], m["params"]
+    walkers = m["ensemble"]["n_trajectories"] > 0
+    spans = []   # (step key, horizon named with its value, horizon)
+    if scenario in ("adiabatic_tracking", "free_packet"):
+        spans.append(("dt_psi", f"time.t_final={tm['t_final']}", tm["t_final"]))
+    if walkers and (scenario in ("harmonic_ground", "product_separation")
+                    or scenario == "double_well" and p["equilibrium"]["enabled"]):
+        spans.append(("dt_langevin", f"time.t_final={tm['t_final']}", tm["t_final"]))
+    if walkers and scenario == "interference":
+        # the walkers step through every snapshot interval up to the fringe time
+        interval = tm["dt_psi"] * tm["snapshot_stride"]
+        try:
+            fringe = _fringe_time(tm, p, m["mass"], m["hbar"])
+        except OverflowError:
+            fringe = math.inf
+        spans += [("dt_langevin", f"the snapshot interval dt_psi * snapshot_stride={interval}",
+                   interval), ("dt_langevin", f"the fringe time {fringe}", fringe)]
+    return [f"time.{key}={tm[key]} does not divide {what}"
+            for key, what, horizon in spans if not _divides(tm[key], horizon)]
+
+
+def _oracle_errors(oracle: dict, tm: dict) -> list[str]:
+    """The density solver and the walkers must reach every checkpoint of
+    ``params.oracle`` in whole fp_dt and dt_langevin steps."""
+    t_final = tm["t_final"]
+    if not all(0 <= tc <= (t_final or 0) for tc in oracle["checkpoints"]):
         return [f"params.oracle.checkpoints must be a list of times in [0, time.t_final={t_final}]"]
+    steps = (("params.oracle.fp_dt", oracle["fp_dt"] or tm["dt_langevin"]),
+             ("time.dt_langevin", tm["dt_langevin"]))
+    return [f"{name}={dt} does not divide the checkpoint time {tc}"
+            for name, dt in steps for tc in oracle["checkpoints"] if not _divides(dt, tc)]
+
+
+def _relation_errors(scenario: str, m: dict) -> list[str]:
+    """Violations that involve more than one key; checked once every key
+    obeys its own rule."""
+    tm, p, en = m["time"], m["params"], m["ensemble"]
     errors = []
-    for name, dt in (("params.oracle.fp_dt", fp_dt), ("time.dt_langevin", tm.get("dt_langevin"))):
-        for tc in checkpoints:
-            try:
-                smoluchowski.horizon_steps(0.0, tc, dt)
-            except ValueError:
-                errors.append(f"{name}={dt} does not divide the checkpoint time {tc}")
-    return errors
-
-
-def _well_errors(scenario, params, grid) -> list[str]:
-    """Violations of the two-Gaussian parameters that the runner would raise
-    on: a, b (and the product state's gauss_width) must be positive, and the
-    double well's grid must cover [-(b + 6a), b + 6a]."""
-    names = {"double_well": ("a", "b"), "product_separation": ("a", "b", "gauss_width")}
-    errors = [f"params.{name} must be a positive number, got {params.get(name)!r}"
-              for name in names.get(scenario, ())
-              if not (_is_number(params.get(name)) and params[name] > 0)]
-    if scenario == "double_well" and not errors and grid:
-        reach = params["b"] + 6 * params["a"]
+    if tm["dt_langevin"] > tm["dt_psi"] * (1 + 1e-12):
+        errors.append("time.dt_langevin must not exceed time.dt_psi")
+    errors += _horizon_errors(scenario, m)
+    if p.get("oracle"):
+        errors += _oracle_errors(p["oracle"], tm)
+    try:
+        grid = _grid(m["grid"])
+    except (TypeError, ValueError) as exc:
+        return errors + [f"grid: {exc}"]
+    need = _SCENARIOS[scenario]
+    if grid.dims != need.dims:
+        errors.append(f"grid must be {need.dims}-d for {scenario}, got {grid.dims}-d")
+    if need.periodic and REFLECTING in grid.boundary:
+        errors.append(f"grid.boundary must be periodic on every axis for {scenario}, "
+                      f"got {list(grid.boundary)!r}")
+    at = en["sampler"]["at"]
+    if en["sampler"]["type"] == "point" and en["n_trajectories"] > 0 and (
+            at is None or np.atleast_1d(at).shape != (grid.dims,)):
+        errors.append(f"ensemble.sampler.at must have {grid.dims} coordinate(s), one per grid axis")
+    refine = m["histogram_refine"]
+    if need.histograms and any(n % refine for n in grid.points):
+        errors.append(f"histogram_refine={refine} must divide every grid axis {grid.points}")
+    if scenario == "double_well":
+        reach = p["b"] + 6 * p["a"]
         lo, hi = grid.extent[0]
         if lo > -reach or hi < reach:
             errors.append(f"grid extent [{lo}, {hi}] does not cover the double well's "
@@ -246,7 +319,6 @@ def _well_errors(scenario, params, grid) -> list[str]:
 def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
     """Parse and validate a config (JSON text, path-free).  Returns the config
     with defaults applied, or None plus the full list of violations."""
-    errors: list[str] = []
     if isinstance(source, (str, bytes)):
         try:
             source = json.loads(source)
@@ -259,106 +331,18 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         return None, [
             f"unknown scenario {scenario!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         ]
-    merged = _deep_merge(_defaults(scenario), source)
-    for section in ("grid", "guidance", "time", "ensemble", "params"):
-        if not isinstance(merged.get(section), dict):
-            errors.append(f"{section} must be a JSON object")
+    # ``workers`` is accepted and dropped, the one such key: the fringes
+    # benchmark config still sets it.
+    source = {key: value for key, value in source.items() if key != "workers"}
+    errors: list[str] = []
+    need = _SCENARIOS[scenario]
+    merged = _walk({**_SHARED, "params": ({}, need.params)}, source, "", need.defaults, errors)
+    errors = errors or _relation_errors(scenario, merged)
     if errors:
         return None, errors
-
-    tm = merged["time"]
-    g = merged["guidance"]
-    en = merged["ensemble"]
-    errors += [f"guidance.{key} is not a guidance key; valid keys: {', '.join(_GUIDANCE_KEYS)}"
-               for key in sorted(set(g) - set(_GUIDANCE_KEYS))]
-    # Type checks first, so that the range checks below compare numbers only.
-    for name, value, kind, optional in (
-        ("hbar", merged["hbar"], Real, False),
-        ("mass", merged["mass"], Real, False),
-        ("master_seed", merged["master_seed"], Integral, False),
-        ("time.dt_psi", tm.get("dt_psi"), Real, True),
-        ("time.dt_langevin", tm.get("dt_langevin"), Real, True),
-        ("time.t_final", tm.get("t_final"), Real, True),
-        ("time.snapshot_stride", tm.get("snapshot_stride", 1), Integral, False),
-        ("guidance.lam", g.get("lam"), Real, False),
-        ("guidance.epsilon", g.get("epsilon", 1e-12), Real, False),
-        ("ensemble.n_trajectories", en.get("n_trajectories", 0), Integral, False),
-    ):
-        if not (_is_number(value, kind) or (optional and value is None)):
-            what = "an integer" if kind is Integral else "a number"
-            errors.append(f"{name} must be {what}, got {value!r}")
-    if errors:
-        return None, errors
-
-    for key in ("dt_psi", "dt_langevin"):
-        if tm.get(key) is not None and tm[key] <= 0:
-            errors.append(f"time.{key} must be positive")
-    if (
-        tm.get("dt_psi")
-        and tm.get("dt_langevin")
-        and tm["dt_langevin"] > tm["dt_psi"] * (1 + 1e-12)
-    ):
-        errors.append("time.dt_langevin must not exceed time.dt_psi")
-    if tm.get("t_final") is not None and tm["t_final"] < 0:
-        errors.append("time.t_final must be nonnegative")
-    if tm.get("snapshot_stride", 1) < 1:
-        errors.append("time.snapshot_stride must be >= 1")
-
-    if g["lam"] <= 0:
-        errors.append("guidance.lam must be positive")
-    if g.get("epsilon", 1e-12) <= 0:
-        errors.append("guidance.epsilon must be positive")
-    cap = g.get("drift_cap")
-    if cap is not None and cap != "auto" and (not _is_number(cap) or cap <= 0):
-        errors.append("guidance.drift_cap must be positive, null, or 'auto'")
-
-    grid = None
-    try:
-        grid = _grid(merged["grid"])
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"grid: {exc}")
-
-    if en.get("n_trajectories", 0) < 0:
-        errors.append("ensemble.n_trajectories must be >= 0")
-    sampler = en.get("sampler", {})
-    if not isinstance(sampler, dict) or sampler.get("type") not in ("point", "density"):
-        errors.append("ensemble.sampler.type must be 'point' or 'density'")
-    elif sampler["type"] == "point" and grid and en.get("n_trajectories", 0) > 0:
-        if np.atleast_1d(sampler.get("at", [])).shape != (grid.dims,):
-            errors.append(f"ensemble.sampler.at must have {grid.dims} coordinate(s), one per grid axis")
-    refine = merged.get("histogram_refine")
-    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
-        errors.append(f"histogram_refine must be an integer >= 1, got {refine!r}")
-    elif scenario in _HISTOGRAM_SCENARIOS and grid and any(n % refine for n in grid.points):
-        errors.append(f"histogram_refine={refine} must divide every grid axis {grid.points}")
-
-    errors += _oracle_errors(merged["params"].get("oracle"), tm)
-    errors += _well_errors(scenario, merged["params"], grid)
-    strides, loc = {}, merged["params"].get("localization")
-    if scenario == "product_separation":
-        strides["params.record_stride"] = merged["params"].get("record_stride")
-    if scenario == "double_well" and isinstance(loc, dict):
-        strides["params.localization.record_stride"] = loc.get("record_stride", _LOCALIZATION_STRIDE)
-    for name, stride in strides.items():
-        if not _is_number(stride, Integral) or stride < 1:
-            errors.append(f"{name} must be an integer >= 1, got {stride!r}")
-
-    if errors:
-        return None, errors
-    cfg = ScenarioConfig(
-        scenario=scenario,
-        grid=merged["grid"],
-        hbar=float(merged["hbar"]),
-        mass=float(merged["mass"]),
-        guidance=merged["guidance"],
-        time=merged["time"],
-        ensemble=merged["ensemble"],
-        params=merged["params"],
-        master_seed=int(merged["master_seed"]),
-        histogram_refine=int(merged["histogram_refine"]),
-        out_dir=merged.get("out_dir"),
-    )
-    return cfg, []
+    return ScenarioConfig(**{**merged, "hbar": float(merged["hbar"]), "mass": float(merged["mass"]),
+                             "master_seed": int(merged["master_seed"]),
+                             "histogram_refine": int(merged["histogram_refine"])}), []
 
 
 # --------------------------------------------------------------------------
@@ -419,16 +403,7 @@ class RunManifest:
     timing: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "version": self.version,
-            "metrics": self.metrics,
-            "checks": [vars(c) if isinstance(c, Check) else c for c in self.checks],
-            "passed": self.passed,
-            "files": self.files,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def save(self, path: Path):
         path.write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
@@ -502,7 +477,7 @@ def _run_harmonic_ground(cfg: ScenarioConfig, engines):
     out.fields.append(("psi_initial", psi0))
 
     # propagator hygiene: the ground state is stationary; norm must hold
-    steps = p.get("norm_drift_steps") or int(round(cfg.time["t_final"] / cfg.time["dt_psi"]))
+    steps = p["norm_drift_steps"] or int(round(cfg.time["t_final"] / cfg.time["dt_psi"]))
     norm0 = psi0.norm_sq()
     psi_final = schrodinger.evolve(
         psi0, h, steps * cfg.time["dt_psi"], cfg.time["dt_psi"], snapshot_stride=steps
@@ -537,7 +512,7 @@ def _equilibrium_check(cfg, out, engines, psi, params, equilibrium, limit):
     its final histogram from ``equilibrium`` against ``limit``, and cross-check
     the density solver at ``params.oracle``'s checkpoints when it is set and
     the "fp" engine runs.  Returns the TV distance."""
-    oracle = cfg.params.get("oracle") or {}
+    oracle = cfg.params["oracle"]
     result = langevin.run_ensemble(
         cfg.ensemble["n_trajectories"],
         _sampler_from_config(cfg, psi, params),
@@ -546,7 +521,7 @@ def _equilibrium_check(cfg, out, engines, psi, params, equilibrium, limit):
         cfg.time["dt_langevin"],
         cfg.time["t_final"],
         master_seed=cfg.master_seed,
-        checkpoint_times=tuple(oracle.get("checkpoints", ())),
+        checkpoint_times=tuple(oracle["checkpoints"]) if oracle else (),
     )
     tv = analysis.total_variation(
         _coarse(result.histogram, cfg.histogram_refine),
@@ -571,7 +546,7 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
     else:
         p0_values = regularized_density(psi, params).normalized().values
     p0 = DensityField(grid, p0_values, 0.0)
-    dt = float(oracle.get("fp_dt", cfg.time["dt_langevin"]))
+    dt = float(oracle["fp_dt"] or cfg.time["dt_langevin"])
     # One evolution through the sorted checkpoints, each leg starting where the
     # last one ended.
     densities = {}
@@ -590,7 +565,7 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
         worst = max(worst, tv)
     out.metrics["oracle_tv_max"] = worst
     out.metrics["oracle_checkpoints"] = [float(t) for t, _ in result.checkpoints]
-    limit = oracle.get("tv_limit", 0.05)
+    limit = oracle["tv_limit"]
     out.checks.append(Check("oracle_tv_max", worst, f"< {limit}", worst < limit))
     out.tables["oracle_tv"] = (["t", "tv", "maxnorm"], rows)
 
@@ -617,23 +592,22 @@ def _run_double_well(cfg: ScenarioConfig, engines):
     out.fields.append(("psi_initial", psi))
     out.fields.append(("equilibrium", equilibrium))
 
-    eq_block = p.get("equilibrium") or {}
-    if "ensemble" in engines and eq_block.get("enabled") and cfg.ensemble["n_trajectories"] > 0:
-        _equilibrium_check(cfg, out, engines, psi, params, equilibrium,
-                           eq_block.get("tv_limit", 0.05))
+    eq = p["equilibrium"]
+    if "ensemble" in engines and eq["enabled"] and cfg.ensemble["n_trajectories"] > 0:
+        _equilibrium_check(cfg, out, engines, psi, params, equilibrium, eq["tv_limit"])
 
-    mfpt = p.get("mfpt")
+    mfpt = p["mfpt"]
     if mfpt and "ensemble" in engines:
         _mfpt_block(cfg, out, psi, dg, params, mfpt)
 
-    loc = p.get("localization")
+    loc = p["localization"]
     if loc and "ensemble" in engines:
         _localization_block(cfg, out, psi, dg, params, loc)
     return out
 
 
 def _mfpt_block(cfg, out, psi, dg, params, mfpt):
-    target = mfpt.get("target", "far_well")
+    target = mfpt["target"]
     if target == "far_well":
         stop = langevin.PlaneCrossing(at=dg.b)
     elif target == "ridge":
@@ -641,10 +615,10 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     else:
         stop = langevin.PlaneCrossing(at=float(target))
     prediction = analysis.kramers_prediction(dg, params.lam)
-    t_max = mfpt.get("t_max_factor", 4.0) * prediction
-    dt = float(mfpt.get("dt", cfg.time["dt_langevin"]))
+    t_max = mfpt["t_max_factor"] * prediction
+    dt = float(mfpt["dt"] or cfg.time["dt_langevin"])
     n = int(mfpt["n"])
-    start = float(mfpt.get("start", -dg.b))
+    start = -dg.b if mfpt["start"] is None else float(mfpt["start"])
     results = langevin.run_first_passage_ensemble(
         n, [start], psi, params, dt, stop, t_max,
         master_seed=cfg.master_seed,
@@ -656,7 +630,7 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     out.metrics["mfpt_prediction"] = prediction
     out.metrics["mfpt_ratio"] = est.ratio
     out.metrics["mfpt_escapes"] = int(round(est.n * (1 - est.censored_fraction)))
-    factor = mfpt.get("within_factor")
+    factor = mfpt["within_factor"]
     if factor:
         ok = est.defined and (1.0 / factor) <= est.ratio <= factor
         out.checks.append(
@@ -672,11 +646,11 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
 
 def _localization_block(cfg, out, psi, dg, params, loc):
     prediction = analysis.kramers_prediction(dg, params.lam)
-    horizon = loc.get("horizon_fraction", 0.1) * prediction
-    dt = float(loc.get("dt", cfg.time["dt_langevin"]))
+    horizon = loc["horizon_fraction"] * prediction
+    dt = float(loc["dt"] or cfg.time["dt_langevin"])
     horizon = round(horizon / dt) * dt
     n = int(loc["n"])
-    gap = loc.get("well_gap", dg.b / 2.0)
+    gap = loc["well_gap"] or dg.b / 2.0
     lo_edge, hi_edge = cfg.build_grid().extent[0]
     wells = [(lo_edge, -gap), (gap, hi_edge)]
     result = langevin.run_ensemble(
@@ -687,7 +661,7 @@ def _localization_block(cfg, out, psi, dg, params, loc):
         dt,
         horizon,
         master_seed=cfg.master_seed,
-        record_stride=int(loc.get("record_stride", _LOCALIZATION_STRIDE)),
+        record_stride=int(loc["record_stride"]),
     )
     jumps = np.zeros(n, dtype=np.int64)
     for i in range(n):
@@ -699,7 +673,7 @@ def _localization_block(cfg, out, psi, dg, params, loc):
     out.metrics["no_jump_fraction"] = stay
     out.metrics["mean_jumps"] = float(jumps.mean())
     out.metrics["final_mass_start_well"] = mass_start_well
-    frac = loc.get("stay_fraction", 0.95)
+    frac = loc["stay_fraction"]
     out.checks.append(
         Check("no_jump_fraction", stay, f">= {frac}", stay >= frac)
     )
@@ -707,7 +681,7 @@ def _localization_block(cfg, out, psi, dg, params, loc):
         ["horizon", "no_jump_fraction", "mean_jumps", "final_mass_start_well", "n"],
         [[horizon, stay, float(jumps.mean()), mass_start_well, n]],
     )
-    write_paths = int(loc.get("write_paths", 0))
+    write_paths = int(loc["write_paths"])
     if write_paths:
         out.tables["paths"] = _path_table(result, write_paths)
 
@@ -736,7 +710,7 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
     tv_by_lam = []
     snap_times = np.array([s.time for s in snaps])
     for lam in p["lam_values"]:
-        params = GuidanceParams(lam=float(lam), epsilon=float(cfg.guidance.get("epsilon", 1e-12)))
+        params = GuidanceParams(lam=float(lam), epsilon=float(cfg.guidance["epsilon"]))
         p0 = regularized_density(psi0, params).normalized()
         densities = smoluchowski.fp_evolve(
             p0, snaps, params, cfg.time["dt_psi"], cfg.time["t_final"],
@@ -763,7 +737,7 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
         Check("tracking_tv_decreasing", float(tv_by_lam[-1] - tv_by_lam[0]),
               "strictly decreasing in lam", decreasing)
     )
-    limit = p.get("tv_limit_last", 0.1)
+    limit = p["tv_limit_last"]
     out.checks.append(
         Check("tracking_tv_last", tv_by_lam[-1], f"< {limit}", tv_by_lam[-1] < limit)
     )
@@ -779,8 +753,7 @@ def _run_interference(cfg: ScenarioConfig, engines):
     w = float(p["packet_width"])
     c = float(p["separation"])
     k = float(p["momentum"])
-    fringe_time = cfg.time.get("t_final") or c / k * cfg.mass / cfg.hbar
-    fringe_time = round(fringe_time / cfg.time["dt_psi"]) * cfg.time["dt_psi"]
+    fringe_time = _fringe_time(cfg.time, p, cfg.mass, cfg.hbar)
     h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass)
     x = grid.coords(0)
     values = np.exp(-((x + c) ** 2) / (2 * w * w) + 1j * k * x) + np.exp(
@@ -817,8 +790,8 @@ def _run_interference(cfg: ScenarioConfig, engines):
         out.metrics["tv_fringe"] = tv
         out.metrics["zero_crossing_fraction"] = zero_fraction
         out.metrics["mean_crossings"] = float(result.crossings.mean())
-        limit = p.get("tv_limit", 0.15)
-        frac = p.get("zero_crossing_fraction", 0.99)
+        limit = p["tv_limit"]
+        frac = p["zero_crossing_fraction"]
         out.checks.append(Check("tv_fringe", tv, f"< {limit}", tv < limit))
         out.checks.append(
             Check("zero_crossing_fraction", zero_fraction, f">= {frac}", zero_fraction >= frac)
@@ -857,7 +830,7 @@ def _run_product_separation(cfg: ScenarioConfig, engines):
             cfg.time["dt_langevin"],
             cfg.time["t_final"],
             master_seed=cfg.master_seed,
-            record_stride=int(p.get("record_stride", 1)),
+            record_stride=int(p["record_stride"]),
         )
         stats = analysis.independence_test(result.paths)
         bound = 3.0 / np.sqrt(stats.n_increments)
@@ -874,7 +847,7 @@ def _run_product_separation(cfg: ScenarioConfig, engines):
             [[stats.rho_increments, stats.z_increments, stats.rho_occupancy,
               stats.z_occupancy, stats.n_increments]],
         )
-        write_paths = int(p.get("write_paths", 0))
+        write_paths = int(p["write_paths"])
         if write_paths:
             out.tables["paths"] = _path_table(result, write_paths)
     return out
@@ -907,7 +880,7 @@ def _run_free_packet(cfg: ScenarioConfig, engines):
     out.metrics["sigma_final"] = float(sigma_final)
     out.metrics["sigma_expected"] = float(sigma_expected)
     out.metrics["rel_error"] = float(rel_error)
-    limit = p.get("rel_error_limit", 0.01)
+    limit = p["rel_error_limit"]
     out.checks.append(Check("dispersion_rel_error", rel_error, f"< {limit}", rel_error < limit))
     out.tables["dispersion"] = (["t", "sigma_measured", "sigma_expected"], rows)
     out.fields.append(("psi_initial", psi0))

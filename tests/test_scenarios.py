@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiwalk.cli import main
-from psiwalk.scenarios import RunManifest, run_scenario, validate_config
+from psiwalk.scenarios import (
+    _REQUIRED, _SCENARIOS, _SHARED, SCENARIO_NAMES, RunManifest, run_scenario, validate_config,
+)
 
 
 def small_harmonic(seed=101, workers=1):
@@ -85,11 +89,13 @@ def test_histogram_refine_must_be_integer(value):
 
 
 @pytest.mark.parametrize("override, error", [
-    ({"time": {"dt_psi": "0.001"}}, "time.dt_psi must be a number, got '0.001'"),
-    ({"ensemble": {"n_trajectories": "10"}}, "ensemble.n_trajectories must be an integer, got '10'"),
+    ({"time": {"dt_psi": "0.001"}}, "time.dt_psi must be a positive number, got '0.001'"),
+    ({"ensemble": {"n_trajectories": "10"}},
+     "ensemble.n_trajectories must be an integer >= 0, got '10'"),
     ({"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
-    ({"guidance": {"drift_cap": "x"}}, "guidance.drift_cap must be positive, null, or 'auto'"),
-    ({"time": 5}, "time must be a JSON object"),
+    ({"guidance": {"drift_cap": "x"}},
+     "guidance.drift_cap must be a positive number, null or 'auto', got 'x'"),
+    ({"time": 5}, "time must be a JSON object, got 5"),
 ], ids=["dt_psi", "n_trajectories", "master_seed", "drift_cap", "time"])
 def test_mistyped_values_are_listed_not_raised(override, error):
     cfg, errors = validate_config({"scenario": "free_packet", **override})
@@ -100,11 +106,11 @@ def test_mistyped_values_are_listed_not_raised(override, error):
 @pytest.mark.parametrize("guidance, errors", [
     ({"diffusion": {"length_scale": 2, "time_scale": 1}},
      ["guidance.diffusion is not a guidance key; valid keys: lam, epsilon, drift_cap"]),
-    ({"lam": None}, ["guidance.lam must be a number, got None"]),
-    ({"lam": "4"}, ["guidance.lam must be a number, got '4'"]),
+    ({"lam": None}, ["guidance.lam must be a positive number, got None"]),
+    ({"lam": "4"}, ["guidance.lam must be a positive number, got '4'"]),
     ({"lam": None, "diffusion": {"length_scale": -2, "time_scale": 1}},
      ["guidance.diffusion is not a guidance key; valid keys: lam, epsilon, drift_cap",
-      "guidance.lam must be a number, got None"]),
+      "guidance.lam must be a positive number, got None"]),
 ], ids=["unknown_key", "lam_null", "lam_string", "both"])
 def test_guidance_takes_only_a_numeric_lam_epsilon_and_drift_cap(guidance, errors):
     # an unknown guidance key used to be ignored, leaving the default lam in force
@@ -160,12 +166,103 @@ def test_record_stride_must_be_positive_integer(stride):
                             "params": {"localization": {"n": 10}}})[1] == []
 
 
+PROPAGATED = ("harmonic_ground", "adiabatic_tracking", "interference", "free_packet")
+
+
+@pytest.mark.parametrize("scenario, override, errors", [
+    ("double_well", {"grid": {"points": [64, 64], "extent": [[-9.0, 9.0]] * 2,
+                              "boundary": ["reflecting"] * 2}},
+     ["grid must be 1-d for double_well, got 2-d",
+      "ensemble.sampler.at must have 2 coordinate(s), one per grid axis"]),
+    ("product_separation", {"grid": {"points": [128], "extent": [[-8.0, 8.0]],
+                                     "boundary": ["reflecting"]}},
+     ["grid must be 2-d for product_separation, got 1-d"]),
+    *[(name, {"grid": {"boundary": ["reflecting"]}},
+       [f"grid.boundary must be periodic on every axis for {name}, got ['reflecting']"])
+      for name in PROPAGATED],
+    ("free_packet", {"grid": {"points": [256.5]}},
+     ["grid.points must be a list of positive integers, got [256.5]"]),
+], ids=["double_well_2d", "product_1d", *[f"{name}_reflecting" for name in PROPAGATED],
+        "fractional_points"])
+def test_grids_the_runner_cannot_use_are_listed(scenario, override, errors):
+    # listed before compute: the runner used to raise on these after setup,
+    # or to run on the points truncated to an integer
+    assert validate_config({"scenario": scenario, **override}) == (None, errors)
+
+
+@pytest.mark.parametrize("scenario, time, error", [
+    ("harmonic_ground", {"t_final": 0.0105},
+     "time.dt_langevin=0.001 does not divide time.t_final=0.0105"),
+    ("double_well", {"t_final": 0.0123},
+     "time.dt_langevin=0.005 does not divide time.t_final=0.0123"),
+    ("product_separation", {"t_final": 0.0123},
+     "time.dt_langevin=0.005 does not divide time.t_final=0.0123"),
+    ("adiabatic_tracking", {"t_final": 0.0105},
+     "time.dt_psi=0.001 does not divide time.t_final=0.0105"),
+    ("free_packet", {"t_final": 0.0105}, "time.dt_psi=0.001 does not divide time.t_final=0.0105"),
+    ("interference", {"dt_langevin": 3e-4, "t_final": 0.6},
+     "time.dt_langevin=0.0003 does not divide the snapshot interval dt_psi * snapshot_stride=0.02"),
+    ("interference", {"dt_langevin": 1.5e-3, "snapshot_stride": 3, "t_final": 0.01},
+     "time.dt_langevin=0.0015 does not divide the fringe time 0.01"),
+], ids=["harmonic", "double_well", "product", "adiabatic", "free_packet", "fringe_interval",
+        "fringe_time"])
+def test_a_step_that_does_not_divide_its_horizon_is_listed(scenario, time, error):
+    # the runners used to raise this after the propagator or the ensemble had started
+    assert validate_config({"scenario": scenario, "time": time}) == (None, [error])
+    # without walkers, only the propagated scenarios step to t_final
+    no_walkers = {"scenario": scenario, "time": time, "ensemble": {"n_trajectories": 0}}
+    expected = [error] if scenario in ("adiabatic_tracking", "free_packet") else []
+    assert validate_config(no_walkers)[1] == expected
+
+
+@pytest.mark.parametrize("scenario, override, error", [
+    ("double_well", {"params": {"mfpt": {"dt": 0.01}}},
+     "params.mfpt.n must be an integer >= 1, got nothing"),
+    ("double_well", {"params": {"mfpt": {"n": 10, "target": "farwell"}}},
+     "params.mfpt.target must be 'far_well', 'ridge' or a number, got 'farwell'"),
+    ("adiabatic_tracking", {"params": {"lam_values": []}},
+     "params.lam_values must be a non-empty list of positive numbers, got []"),
+    ("double_well", {"params": {"equilibrium": {"tv_limit": "0.05"}}},
+     "params.equilibrium.tv_limit must be a positive number, got '0.05'"),
+    ("double_well", {"params": {"oracle": 5}}, "params.oracle must be a JSON object, got 5"),
+    ("free_packet", {"ensembel": {"n_trajectories": 10}},
+     "ensembel is not a config key; valid keys: scenario, grid, hbar, mass, guidance, time, "
+     "ensemble, master_seed, histogram_refine, out_dir, params"),
+    ("free_packet", {"ensemble": {"n_trajectory": 10}},
+     "ensemble.n_trajectory is not an ensemble key; valid keys: n_trajectories, sampler"),
+    ("free_packet", {"params": {"sigma_0": 2.0}},
+     "params.sigma_0 is not a params key; valid keys: sigma0, rel_error_limit"),
+    ("double_well", {"params": {"localization": {"n": 10, "horizon": 1.0}}},
+     "params.localization.horizon is not a params.localization key; valid keys: n, dt, "
+     "horizon_fraction, well_gap, record_stride, stay_fraction, write_paths"),
+], ids=["mfpt_n", "mfpt_target", "lam_values", "equilibrium_tv_limit", "oracle_not_object",
+        "top_level_key", "section_key", "params_key", "block_key"])
+def test_optional_blocks_and_unknown_keys_are_listed(scenario, override, error):
+    # an unknown key used to be ignored, leaving the default in force, and the
+    # optional blocks failed only once their part of the run had started
+    assert validate_config({"scenario": scenario, **override}) == (None, [error])
+
+
+def test_workers_is_the_one_ignored_key():
+    assert validate_config({"scenario": "free_packet", "workers": 2})[1] == []
+    assert validate_config({"scenario": "free_packet", "time": {"workers": 2}})[1] == [
+        "time.workers is not a time key; valid keys: dt_psi, dt_langevin, t_final, snapshot_stride"]
+
+
+def test_validate_prints_the_defaults_of_nested_blocks(tmp_path, capsys):
+    p = write_config(tmp_path, {"scenario": "harmonic_ground", "params": {"oracle": {}}})
+    assert main(["validate", "--config", str(p)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["params"]["oracle"] == {"checkpoints": [], "fp_dt": None, "tv_limit": 0.05}
+    assert printed["ensemble"]["sampler"] == {"type": "point", "at": [0.0]}
+
+
 def test_cli_lists_mistyped_config_without_traceback(tmp_path, capsys):
     p = write_config(tmp_path, {"scenario": "harmonic_ground", "time": {"dt_psi": "0.001"},
                                 "params": {"oracle": {"checkpoints": [0.25], "fp_dt": 0.02}}})
     assert main(["run", "--config", str(p)]) == 1
     err = capsys.readouterr().err
-    assert err == "config error: time.dt_psi must be a number, got '0.001'\n"
+    assert err == "config error: time.dt_psi must be a positive number, got '0.001'\n"
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("config error: cannot read ")
 
@@ -176,11 +273,65 @@ def test_invalid_json_reported():
 
 
 def test_config_round_trips_through_serialization():
-    cfg, _ = validate_config(small_harmonic())
-    text = json.dumps(cfg.to_dict())
-    cfg2, errors = validate_config(text)
-    assert errors == []
-    assert cfg2.to_dict() == cfg.to_dict()
+    sources = [small_harmonic()] + [{"scenario": name} for name in SCENARIO_NAMES]
+    for source in sources:
+        cfg, _ = validate_config(source)
+        text = json.dumps(cfg.to_dict())
+        cfg2, errors = validate_config(text)
+        assert errors == []
+        assert cfg2.to_dict() == cfg.to_dict()
+
+
+# Values a config may hold where the table expects something else.
+ODD_VALUES = st.sampled_from([
+    "x", "", -1, 0, 0.5, 2.5, 1e308, float("nan"), float("inf"), True, None,
+    [], [0.5], [[0.0, 1.0]], ["reflecting"], {}, {"k": 1},
+])
+
+
+@st.composite
+def drawn_configs(draw):
+    """A config drawn from the schema table: a random subset of each level's
+    keys, one in three given an odd value and the others their default (a
+    nested object is drawn again), and now and then an unknown key at any
+    depth."""
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    scenario = _SCENARIOS[name]
+    unknown = []
+
+    def level(spec, path):
+        out = {}
+        for key, (default, rule) in spec.items():
+            if key == "scenario" or not draw(st.booleans()):
+                continue
+            default = scenario.defaults.get(path + key, default)
+            odd = draw(st.integers(0, 2)) == 0
+            if isinstance(rule, dict) and not odd:
+                out[key] = level(rule, f"{path}{key}.")
+            elif default is not _REQUIRED and not odd:
+                out[key] = default
+            else:
+                out[key] = draw(ODD_VALUES)
+        if draw(st.integers(0, 4)) == 0:
+            out["unknown_key"] = draw(ODD_VALUES)
+            unknown.append(f"{path}unknown_key")
+        return out
+
+    return {**level({**_SHARED, "params": ({}, scenario.params)}, ""), "scenario": name}, unknown
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_configs())
+def test_validation_of_drawn_configs_lists_errors_and_never_raises(drawn):
+    source, unknown = drawn
+    cfg, errors = validate_config(source)
+    if cfg is None:
+        assert errors and all(isinstance(e, str) for e in errors)
+    else:
+        assert errors == []
+        assert validate_config(cfg.to_dict()) == (cfg, [])
+    for path in unknown:
+        assert any(e.startswith(f"{path} is not a") for e in errors)
 
 
 # -- running ---------------------------------------------------------------------
