@@ -15,7 +15,6 @@ from .grids import (
     Grid,
     WaveField,
     gradient_log,
-    interpolate,
 )
 from .fieldio import read_field, write_field
 from .schrodinger import (
@@ -29,7 +28,6 @@ from .schrodinger import (
     make_superposition,
 )
 from .guidance import (
-    DriftField,
     GuidanceParams,
     drift_field,
     regularized_density,

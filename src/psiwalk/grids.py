@@ -209,6 +209,43 @@ class WaveField:
         return float(np.sum(np.abs(self.values) ** 2)) * self.grid.cell_volume
 
 
+def step_count(t0: float, t1: float, dt: float) -> int:
+    """Number of ``dt`` steps from ``t0`` to ``t1``: the one step rule of every engine.
+
+    The steps must span ``t1 - t0`` to within ``1e-9 * max(1, |t1 - t0|)``, and
+    a positive span takes at least one step; anything else raises ValueError.
+    """
+    span = t1 - t0
+    steps = int(round(span / dt))
+    if steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)) or (span > 0 and not steps):
+        raise ValueError(f"dt={dt} does not divide the interval [{t0}, {t1}]")
+    return steps
+
+
+def step_plan(snapshots, t0: float, t1: float, dt: float) -> list:
+    """``[(snapshot, steps)]`` stepping ``dt`` from ``t0`` to ``t1`` through
+    piecewise-constant snapshots (anything with a ``time``, or one WaveField).
+
+    Each step uses the latest snapshot at or before its start (1e-12 slack),
+    or else the first.  Every stretch between ``t0``, the snapshot times
+    inside (t0, t1) and ``t1`` takes the :func:`step_count` of its steps.
+    """
+    snapshots = sorted([snapshots] if isinstance(snapshots, WaveField) else snapshots,
+                       key=lambda s: s.time)
+    if not snapshots:
+        raise ValueError("need at least one wave-field snapshot")
+    plan, start, current = [], t0, snapshots[0]
+    for snap in snapshots[1:]:
+        if snap.time >= t1 - 1e-12:
+            break
+        if snap.time > t0 + 1e-12:
+            plan.append((current, step_count(start, snap.time, dt)))
+            start = snap.time
+        current = snap
+    plan.append((current, step_count(start, t1, dt)))
+    return [(snap, steps) for snap, steps in plan if steps]
+
+
 def gradient_log(field, epsilon: float) -> np.ndarray:
     """Gradient of ``ln(values + epsilon)``, shape ``(*points, dims)``.
 
@@ -247,32 +284,17 @@ def gradient_log(field, epsilon: float) -> np.ndarray:
     return out
 
 
-def interpolate(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of grid data at arbitrary points.
-
-    ``values`` has shape ``(*points,)`` or ``(*points, v)`` for vector data;
-    ``x`` is a single point ``(dims,)`` or a batch ``(m, dims)``.  Queries are
-    folded into the box first; on reflecting axes the outer half-cells use the
-    edge value (zero-gradient ghost), never extrapolation.  Exact for fields
-    linear in each coordinate, and returns the stored value bit-for-bit when
-    the query sits on a grid point.
-    """
-    values = np.asarray(values)
-    out = _Interpolant(grid, values)(grid.fold(x))
-    if values.ndim == grid.dims:
-        out = out[:, 0]
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
 class _Interpolant:
-    """:func:`interpolate` of fixed grid data, called with in-box points.
+    """Multilinear interpolation of grid data, ``(*points,)`` or ``(*points, v)``,
+    at ``(m, dims)`` in-box points, returning ``(m, v)``.  Reflecting axes use
+    the edge value in their outer half-cells, never extrapolation; a query on
+    a grid point returns the stored value bit-for-bit.
 
     The data is stored as one contiguous C-order table per component, and
     periodic axes carry copies of their first two slices at the end, so an
     in-box query's lower node is in [0, n] without a modulo (n, node 0's copy,
     takes weight 1 when a query rounds onto hi) and the upper neighbour along
-    every axis is the lower flat index plus that axis's stride.  Calling with
-    ``(m, dims)`` points returns ``(m, v)``.
+    every axis is the lower flat index plus that axis's stride.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityField, Grid, WaveField, gradient_log, interpolate
+from .grids import DensityField, WaveField, gradient_log
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,6 @@ class GuidanceParams:
         return self.epsilon * scale
 
 
-@dataclass(frozen=True, eq=False)
-class DriftField:
-    """Drift vectors on a grid at a fixed time, shape ``(*points, dims)``."""
-
-    grid: Grid
-    vectors: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        if self.vectors.shape != self.grid.points + (self.grid.dims,):
-            raise ValueError("drift vectors must have shape (*points, dims)")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("drift vectors must be finite")
-
-    def at(self, x) -> np.ndarray:
-        """Multilinear spatial interpolation at one point or a batch."""
-        return interpolate(self.grid, self.vectors, x)
-
-
 def regularized_density(psi: WaveField, params: GuidanceParams) -> DensityField:
     """|Psi|^2 + eps, the walker's exact stationary density for static Psi."""
     rho = np.abs(psi.values) ** 2
@@ -71,12 +52,15 @@ def regularized_density(psi: WaveField, params: GuidanceParams) -> DensityField:
     return DensityField(psi.grid, rho + eps, psi.time)
 
 
-def drift_field(psi: WaveField, params: GuidanceParams) -> DriftField:
-    """``lam * grad ln(|Psi|^2 + eps)``, clipped to ``drift_cap`` when set."""
+def drift_field(psi: WaveField, params: GuidanceParams) -> np.ndarray:
+    """``lam * grad ln(|Psi|^2 + eps)`` on psi's grid, shape ``(*points, dims)``,
+    clipped to ``drift_cap`` when set."""
     rho = DensityField(psi.grid, np.abs(psi.values) ** 2, psi.time)
     eps = params.effective_epsilon(float(rho.values.max()))
     vectors = _cap_vectors(params.lam * gradient_log(rho, eps), params.drift_cap)
-    return DriftField(grid=psi.grid, vectors=vectors, time=psi.time)
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("drift vectors must be finite")
+    return vectors
 
 
 def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:

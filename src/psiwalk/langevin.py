@@ -18,6 +18,11 @@ row (``run_ensemble``), or the first step at which a walker meets the stop
 predicate (``run_first_passage_ensemble``, which then retires the walkers
 that hit from the batch).  A single trajectory is an ensemble of one.
 
+Time steps follow ``grids.step_plan``, one segment per governing snapshot,
+as in the density solver; checkpoints must lie a ``grids.step_count`` of
+steps from the start.  Each segment's drift interpolant and basin map are
+built once and shared by every chunk.
+
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
 and master seed, independent of chunking and of how the noise is blocked.
@@ -44,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import DensityField, Grid, WaveField, _Interpolant
-from .guidance import DriftField, GuidanceParams, _cap_vectors, drift_field
+from .grids import DensityField, Grid, WaveField, _Interpolant, step_count, step_plan
+from .guidance import GuidanceParams, _cap_vectors, drift_field
 
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
@@ -185,54 +190,6 @@ class NodeBasinMap:
 
 
 # --------------------------------------------------------------------------
-# drift source built from wave-field snapshots
-
-class SnapshotDrift:
-    """Piecewise-constant-in-time drift from an ordered list of snapshots.
-
-    Drift fields (and basin maps, when a node threshold is given) are built
-    lazily per snapshot and cached, so every chunk of an ensemble reuses them.
-    """
-
-    def __init__(self, snapshots, params: GuidanceParams, node_threshold: float | None = None):
-        if isinstance(snapshots, WaveField):
-            snapshots = [snapshots]
-        snapshots = sorted(snapshots, key=lambda s: s.time)
-        if not snapshots:
-            raise ValueError("need at least one wave-field snapshot")
-        self.snapshots = snapshots
-        self.params = params
-        self.node_threshold = node_threshold
-        self.grid = snapshots[0].grid
-        self._drift_cache: dict[int, DriftField] = {}
-        self._basin_cache: dict[int, NodeBasinMap] = {}
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
-    def segment_index(self, t: float) -> int:
-        """Index of the snapshot governing time t (latest snapshot time <= t)."""
-        times = self.times
-        i = int(np.searchsorted(times, t + 1e-12, side="right") - 1)
-        return min(max(i, 0), len(self.snapshots) - 1)
-
-    def drift(self, i: int) -> DriftField:
-        if i not in self._drift_cache:
-            self._drift_cache[i] = drift_field(self.snapshots[i], self.params)
-        return self._drift_cache[i]
-
-    def basins(self, i: int) -> NodeBasinMap | None:
-        if self.node_threshold is None:
-            return None
-        if i not in self._basin_cache:
-            self._basin_cache[i] = NodeBasinMap.from_wavefield(
-                self.snapshots[i], self.node_threshold
-            )
-        return self._basin_cache[i]
-
-
-# --------------------------------------------------------------------------
 # stop predicates for first-passage runs
 
 @dataclass(frozen=True)
@@ -334,40 +291,18 @@ class EnsembleResult:
     """Per-trajectory outcomes plus the normalized final-position histogram."""
 
     final_positions: np.ndarray
-    histogram: DensityField | None
+    histogram: DensityField
     crossings: np.ndarray
-    first_passage: list[FirstPassage] | None
     checkpoints: list[tuple[float, np.ndarray]]
     paths: np.ndarray | None
     path_times: np.ndarray | None
     metadata: dict
 
 
-def _plan_segments(source: SnapshotDrift, t0: float, t_final: float, dt: float):
-    """Split [t0, t_final] at snapshot times; each part uses one drift field."""
-    bounds = [t0]
-    for ts in source.times:
-        if t0 + 1e-12 < ts < t_final - 1e-12:
-            bounds.append(float(ts))
-    bounds.append(t_final)
-    segments = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        steps = int(round((b - a) / dt))
-        if abs(steps * dt - (b - a)) > 1e-9 * max(1.0, abs(b - a)) or (b > a and steps == 0):
-            raise ValueError(
-                f"dt_L={dt} does not divide the interval [{a}, {b}] between snapshots"
-            )
-        if steps:
-            segments.append((a, steps, source.segment_index(a)))
-    return segments
-
-
-def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: float,
-               t0: float, t_final: float, checkpoint_times, record_stride):
-    params = source.params
-    grid = source.grid
-    if record_stride is not None and record_stride < 0:
-        raise ValueError(f"record_stride must be >= 0, got {record_stride}")
+def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidanceParams, dt: float,
+               t0: float, segments, checkpoint_steps, record_stride):
+    """Advance one chunk through ``segments`` of (steps, drift, basin map or
+    None); returns positions, crossings, {checkpoint step: positions}, paths."""
     rngs = [substream(master_seed, sid) for sid in stream_ids]
     positions = grid.fold(sampler.sample(rngs))   # the kernel takes in-box points
     m = len(stream_ids)
@@ -375,30 +310,25 @@ def _run_chunk(stream_ids, master_seed, sampler, source: SnapshotDrift, dt: floa
     crossings = np.zeros(m, dtype=np.int64)
     basin_prev = np.full(m, -1, dtype=np.int64)
 
-    checkpoint_steps = {int(round((tc - t0) / dt)): tc for tc in checkpoint_times}
     captured = {}
     path_rows = []
 
     def observe(step, positions):
         if step in checkpoint_steps:
-            captured[checkpoint_steps[step]] = positions.copy()
+            captured[step] = positions.copy()
         if record_stride and step % record_stride == 0:
             path_rows.append(positions.copy())
 
-    segments = _plan_segments(source, t0, t_final, dt)
-    total = sum(steps for _, steps, _ in segments)
+    total = sum(steps for steps, _, _ in segments)
     buf = _noise_buffer(m, grid.dims, total)
     used = filled = 0
     t = t0
     step = 0
     observe(step, positions)
-    for _, steps, snap_i in segments:
-        dfield = source.drift(snap_i)
-        bmap = source.basins(snap_i)
+    for steps, drift, bmap in segments:
         if bmap is not None:
             b = bmap.lookup(positions, np.empty(m, np.int64))
             np.copyto(basin_prev, b, where=b >= 0)
-        drift = _Interpolant(grid, dfield.vectors)
         seg_end = step + steps
         while step < seg_end:
             if used == filled:
@@ -439,37 +369,43 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories with stream ids 0..n-1.
 
-    The final-position histogram is normalized on the field grid.
-    ``checkpoint_times`` capture full position
-    snapshots at step-aligned times; ``record_stride`` keeps every k-th step
-    of every trajectory (memory permitting).
+    The walkers start at the earliest snapshot's time.  The final-position
+    histogram is normalized on the field grid.  ``checkpoint_times`` capture
+    full position snapshots at step-aligned times; ``record_stride`` keeps
+    every k-th step of every trajectory (memory permitting).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if dt_L <= 0:
         raise ValueError("dt_L must be positive")
-    source = SnapshotDrift(psi_snapshots, params, node_threshold)
-    t0 = float(source.times[0])
+    if record_stride is not None and record_stride < 0:
+        raise ValueError(f"record_stride must be >= 0, got {record_stride}")
+    snaps = [psi_snapshots] if isinstance(psi_snapshots, WaveField) else list(psi_snapshots)
+    t0 = min(s.time for s in snaps)   # ValueError without snapshots
+    grid = snaps[0].grid
     if t_final < t0:
         raise ValueError(f"t_final={t_final} precedes the first snapshot time {t0}")
+    checkpoint_steps = []
     for tc in checkpoint_times:
         if not t0 <= tc <= t_final:
             raise ValueError(f"checkpoint time {tc} outside [{t0}, {t_final}]")
-        steps_to = (tc - t0) / dt_L
-        if abs(steps_to - round(steps_to)) > 1e-6:
-            raise ValueError(f"checkpoint time {tc} is not aligned to dt_L={dt_L}")
+        checkpoint_steps.append(step_count(t0, tc, dt_L))
+    # Each segment's drift interpolant and basin map serve every chunk.
+    segments = [(steps, _Interpolant(grid, drift_field(psi, params)),
+                 None if node_threshold is None else NodeBasinMap.from_wavefield(psi, node_threshold))
+                for psi, steps in step_plan(snaps, t0, t_final, dt_L)]
 
     results = [
-        _run_chunk(list(range(a, min(a + _CHUNK, n))), master_seed, sampler, source, dt_L,
-                   t0, t_final, checkpoint_times, record_stride)
+        _run_chunk(list(range(a, min(a + _CHUNK, n))), master_seed, sampler, grid, params, dt_L,
+                   t0, segments, set(checkpoint_steps), record_stride)
         for a in range(0, n, _CHUNK)
     ]
 
     final_positions = np.concatenate([r[0] for r in results])
     crossings = np.concatenate([r[1] for r in results])
     checkpoints = [
-        (tc, np.concatenate([r[2][tc] for r in results]))
-        for tc in checkpoint_times
+        (tc, np.concatenate([r[2][k] for r in results]))
+        for tc, k in zip(checkpoint_times, checkpoint_steps)
     ]
     paths = None
     path_times = None
@@ -479,21 +415,20 @@ def run_ensemble(
 
     from .analysis import histogram as _histogram
 
-    hist = _histogram(final_positions, source.grid)
+    hist = _histogram(final_positions, grid)
     metadata = {
         "n": n,
         "lam": params.lam,
         "epsilon": params.epsilon,
         "dt_L": dt_L,
         "t_final": t_final,
-        "steps": int(round((t_final - t0) / dt_L)),
+        "steps": sum(steps for steps, _, _ in segments),
         "master_seed": master_seed,
     }
     return EnsembleResult(
         final_positions=final_positions,
         histogram=hist,
         crossings=crossings,
-        first_passage=None,
         checkpoints=checkpoints,
         paths=paths,
         path_times=path_times,
@@ -524,9 +459,8 @@ def run_first_passage_ensemble(
         raise ValueError("n must be >= 1")
     if dt_L <= 0:
         raise ValueError("dt_L must be positive")
-    dfield = drift_field(psi, params)
-    grid = dfield.grid
-    drift = _Interpolant(grid, dfield.vectors)
+    grid = psi.grid
+    drift = _Interpolant(grid, drift_field(psi, params))
     sigma = np.sqrt(2.0 * params.lam * dt_L)
     x0 = grid.fold(x0)[0]
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))

@@ -18,12 +18,13 @@ import time as _time
 from dataclasses import asdict, dataclass, field as dc_field
 from numbers import Integral, Real
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import analysis, langevin, schrodinger, smoluchowski
 from .fieldio import write_field
-from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField
+from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, step_count, step_plan
 from .guidance import GuidanceParams, regularized_density
 from .version import __version__
 
@@ -230,9 +231,15 @@ def _deep_merge(dst: dict, src: dict) -> dict:
     return dst
 
 
-def _divides(dt: float, horizon: float) -> bool:
+def _steppable(t0: float, t1: float, dt: float, dt_psi: float | None = None,
+               stride: int = 1) -> bool:
+    """Whether ``step_plan`` steps ``dt`` from ``t0`` to ``t1`` through the
+    snapshots ``schrodinger.evolve`` returns every ``stride`` steps of
+    ``dt_psi`` from time 0, or over one static field when ``dt_psi`` is None."""
     try:
-        smoluchowski.horizon_steps(0.0, horizon, dt)
+        n = step_count(0.0, t1, dt_psi) if dt_psi else 0
+        times = [s * dt_psi for s in (*range(0, n, stride), n)] if dt_psi else [0.0]
+        step_plan([SimpleNamespace(time=t) for t in times], t0, t1, dt)
     except (ValueError, OverflowError):   # OverflowError: more steps than a float holds
         return False
     return True
@@ -246,38 +253,49 @@ def _fringe_time(tm: dict, p: dict, mass: float, hbar: float) -> float:
 
 
 def _horizon_errors(scenario: str, m: dict) -> list[str]:
-    """Steps that do not divide the horizon the runner takes them to."""
+    """Steps the runner could not take through the intervals it steps."""
     tm, p = m["time"], m["params"]
     walkers = m["ensemble"]["n_trajectories"] > 0
-    spans = []   # (step key, horizon named with its value, horizon)
+    plans = []   # (step key, horizon named with its value, horizon, snapshot dt_psi)
     if scenario in ("adiabatic_tracking", "free_packet"):
-        spans.append(("dt_psi", f"time.t_final={tm['t_final']}", tm["t_final"]))
+        # the propagator, and the density solver through its snapshots
+        plans.append(("dt_psi", f"time.t_final={tm['t_final']}", tm["t_final"], tm["dt_psi"]))
     if walkers and (scenario in ("harmonic_ground", "product_separation")
                     or scenario == "double_well" and p["equilibrium"]["enabled"]):
-        spans.append(("dt_langevin", f"time.t_final={tm['t_final']}", tm["t_final"]))
+        plans.append(("dt_langevin", f"time.t_final={tm['t_final']}", tm["t_final"], None))
     if walkers and scenario == "interference":
-        # the walkers step through every snapshot interval up to the fringe time
-        interval = tm["dt_psi"] * tm["snapshot_stride"]
         try:
             fringe = _fringe_time(tm, p, m["mass"], m["hbar"])
         except OverflowError:
             fringe = math.inf
-        spans += [("dt_langevin", f"the snapshot interval dt_psi * snapshot_stride={interval}",
-                   interval), ("dt_langevin", f"the fringe time {fringe}", fringe)]
-    return [f"time.{key}={tm[key]} does not divide {what}"
-            for key, what, horizon in spans if not _divides(tm[key], horizon)]
+        plans.append(("dt_langevin", f"the snapshot intervals up to the fringe time {fringe}",
+                      fringe, tm["dt_psi"]))
+    return [f"time.{key}={tm[key]} does not divide {what}" for key, what, horizon, dt_psi in plans
+            if not _steppable(0.0, horizon, tm[key], dt_psi, tm["snapshot_stride"])]
 
 
-def _oracle_errors(oracle: dict, tm: dict) -> list[str]:
-    """The density solver and the walkers must reach every checkpoint of
-    ``params.oracle`` in whole fp_dt and dt_langevin steps."""
+def _oracle_errors(oracle: dict, m: dict) -> list[str]:
+    """``params.oracle`` needs the walkers' equilibrium run to happen; they
+    reach each checkpoint in whole dt_langevin steps, and the density solver
+    each leg between sorted checkpoints in fp_dt steps, up to the first it cannot."""
+    tm, checkpoints = m["time"], oracle["checkpoints"]
     t_final = tm["t_final"]
-    if not all(0 <= tc <= (t_final or 0) for tc in oracle["checkpoints"]):
+    if not all(0 <= tc <= (t_final or 0) for tc in checkpoints):
         return [f"params.oracle.checkpoints must be a list of times in [0, time.t_final={t_final}]"]
-    steps = (("params.oracle.fp_dt", oracle["fp_dt"] or tm["dt_langevin"]),
-             ("time.dt_langevin", tm["dt_langevin"]))
-    return [f"{name}={dt} does not divide the checkpoint time {tc}"
-            for name, dt in steps for tc in oracle["checkpoints"] if not _divides(dt, tc)]
+    errors = []
+    if m["ensemble"]["n_trajectories"] == 0:
+        errors.append("params.oracle never runs: it needs ensemble.n_trajectories > 0")
+    if "equilibrium" in m["params"] and not m["params"]["equilibrium"]["enabled"]:
+        errors.append("params.oracle never runs: it needs params.equilibrium.enabled true")
+    fp_dt, dt = oracle["fp_dt"] or tm["dt_langevin"], tm["dt_langevin"]
+    legs = sorted(set(checkpoints))
+    for a, b in zip([0.0] + legs, legs):
+        if not _steppable(a, b, fp_dt):
+            where = f"the checkpoint time {b}" if a == 0 else f"the interval [{a}, {b}] between checkpoints"
+            errors.append(f"params.oracle.fp_dt={fp_dt} does not divide {where}")
+            break
+    return errors + [f"time.dt_langevin={dt} does not divide the checkpoint time {tc}"
+                     for tc in checkpoints if not _steppable(0.0, tc, dt)]
 
 
 def _relation_errors(scenario: str, m: dict) -> list[str]:
@@ -289,7 +307,7 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
         errors.append("time.dt_langevin must not exceed time.dt_psi")
     errors += _horizon_errors(scenario, m)
     if p.get("oracle"):
-        errors += _oracle_errors(p["oracle"], tm)
+        errors += _oracle_errors(p["oracle"], m)
     try:
         grid = _grid(m["grid"])
     except (TypeError, ValueError) as exc:
@@ -548,11 +566,12 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
     p0 = DensityField(grid, p0_values, 0.0)
     dt = float(oracle["fp_dt"] or cfg.time["dt_langevin"])
     # One evolution through the sorted checkpoints, each leg starting where the
-    # last one ended.
+    # last one ended, at the checkpoint time the validator planned it from.
     densities = {}
     dens = p0
     for tc in sorted({tc for tc, _ in result.checkpoints}):
         dens = densities[tc] = smoluchowski.fp_evolve(dens, psi, params, dt, tc, method="auto")[-1]
+        dens = DensityField(grid, dens.values, tc)
     rows = []
     worst = 0.0
     for tc, positions in result.checkpoints:
@@ -708,7 +727,6 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
     summary_rows = []
     series_rows = []
     tv_by_lam = []
-    snap_times = np.array([s.time for s in snaps])
     for lam in p["lam_values"]:
         params = GuidanceParams(lam=float(lam), epsilon=float(cfg.guidance["epsilon"]))
         p0 = regularized_density(psi0, params).normalized()
@@ -717,9 +735,9 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
             method="implicit", snapshot_stride=cfg.time["snapshot_stride"],
         )
         tvs = []
-        for dens in densities:
-            i = int(np.searchsorted(snap_times, dens.time + 1e-12, side="right") - 1)
-            ref = regularized_density(snaps[max(i, 0)], params).normalized()
+        # densities and snapshots both fall every snapshot_stride steps and at the end
+        for dens, snap in zip(densities, snaps):
+            ref = regularized_density(snap, params).normalized()
             dn = dens.normalized()
             tv = analysis.total_variation(dn, ref)
             tvs.append(tv)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PERIODIC, Grid, WaveField
+from .grids import PERIODIC, Grid, WaveField, step_count
 
 
 class UnsupportedPropagatorError(ValueError):
@@ -114,8 +114,8 @@ def evolve(
     """Propagate to ``t_final`` returning snapshots every ``snapshot_stride`` steps.
 
     The snapshot list always includes the initial state and the final state,
-    so it has ``ceil(steps / stride) + 1`` entries.  ``dt`` must divide the
-    horizon to within 1e-9.
+    so it has ``ceil(steps / stride) + 1`` entries.  The step count over the
+    horizon ``t_final`` follows ``grids.step_count``.
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
@@ -123,9 +123,7 @@ def evolve(
         raise ValueError("snapshot_stride must be >= 1")
     if t_final == 0:
         return [psi]
-    steps = int(round(t_final / dt))
-    if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"dt={dt} does not divide t_final={t_final}")
+    steps = step_count(0.0, t_final, dt)
     _require_periodic(psi.grid)
     exp_half_pot, exp_kin = _phase_tables(psi.grid, h, dt)
 

@@ -17,6 +17,9 @@ rounding regardless of time step.  The explicit step is positivity-preserving
 under its stability bound; backward Euler with per-axis operator splitting
 (an M-matrix solve) handles stiff large-lambda runs at any dt.
 
+Time steps.  ``fp_evolve`` follows ``grids.step_plan``, as the walkers do, so
+a dt that does not divide a snapshot interval is rejected.
+
 Cost.  An ``FPOperator`` computes its face weights when it is built and its
 explicit stability bound on first use.  The first implicit step at a given dt
 factors each axis once: all pencils of the axis are laid end to end as one
@@ -35,7 +38,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grids import PERIODIC, DensityField, Grid, WaveField
+from .grids import PERIODIC, DensityField, Grid, WaveField, step_plan
 from .guidance import GuidanceParams
 
 
@@ -260,15 +263,6 @@ def fp_step_implicit(p: DensityField, op: FPOperator, dt: float) -> DensityField
     return DensityField(op.grid, values, p.time + dt)
 
 
-def horizon_steps(t0: float, t_final: float, dt: float) -> int:
-    """Number of ``dt`` steps from ``t0`` to ``t_final``; rejects a dt that
-    does not divide the horizon."""
-    steps = int(round((t_final - t0) / dt))
-    if steps < 0 or abs(steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"dt={dt} does not divide the horizon [{t0}, {t_final}]")
-    return steps
-
-
 def fp_evolve(
     p0: DensityField,
     psi_snapshots,
@@ -280,42 +274,25 @@ def fp_evolve(
 ) -> list[DensityField]:
     """Evolve the density against a sequence of wave-field snapshots.
 
-    The operator is rebuilt from the snapshot governing each time segment
-    (piecewise-constant drift, matching the Langevin engine); only the current
-    segment's operator and its factors are held.  ``method`` is
-    "explicit", "implicit", or "auto" (explicit when dt is within the
-    stability bound).  Returns density snapshots every ``snapshot_stride``
-    steps, always including the initial and final states.
+    Steps follow ``grids.step_plan`` from ``p0.time`` to ``t_final``; each
+    segment's operator is built from its governing snapshot, and only the
+    current one and its factors are held.  ``method`` is "explicit",
+    "implicit", or "auto" (explicit when dt is within the stability bound).
+    Returns density snapshots every ``snapshot_stride`` steps, always
+    including the initial and final states.
     """
-    if isinstance(psi_snapshots, WaveField):
-        psi_snapshots = [psi_snapshots]
-    psi_snapshots = sorted(psi_snapshots, key=lambda s: s.time)
-    t0 = p0.time
-    steps = horizon_steps(t0, t_final, dt)
-    if steps == 0:
-        return [p0]
-
-    snap_times = np.array([s.time for s in psi_snapshots])
-    current, op = None, None
-
-    out = [p0]
-    p = p0
-    for s in range(steps):
-        i = int(np.searchsorted(snap_times, t0 + s * dt + 1e-12, side="right") - 1)
-        i = min(max(i, 0), len(psi_snapshots) - 1)
-        if i != current:
-            current, op = i, FPOperator.from_wavefield(psi_snapshots[i], params)
-        if method == "explicit":
-            p = fp_step(p, op, dt)
-        elif method == "implicit":
-            p = fp_step_implicit(p, op, dt)
-        elif method == "auto":
-            if dt <= op.stable_dt():
-                p = fp_step(p, op, dt)
-            else:
-                p = fp_step_implicit(p, op, dt)
-        else:
-            raise ValueError(f"unknown stepping method {method!r}")
-        if (s + 1) % snapshot_stride == 0 or s + 1 == steps:
-            out.append(p)
+    if method not in ("explicit", "implicit", "auto"):
+        raise ValueError(f"unknown stepping method {method!r}")
+    plan = step_plan(psi_snapshots, p0.time, t_final, dt)
+    total = sum(steps for _, steps in plan)
+    out, p, done = [p0], p0, 0   # done: steps taken
+    for psi, steps in plan:
+        op = FPOperator.from_wavefield(psi, params)
+        explicit = method == "explicit" or method == "auto" and dt <= op.stable_dt()
+        step = fp_step if explicit else fp_step_implicit
+        for _ in range(steps):
+            p = step(p, op, dt)
+            done += 1
+            if done % snapshot_stride == 0 or done == total:
+                out.append(p)
     return out

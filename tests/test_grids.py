@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from psiwalk import (
     DensityField,
     Grid,
     gradient_log,
-    interpolate,
 )
+from psiwalk.grids import step_count, step_plan
+
+from _interpolate import interpolate
 
 
 def test_grid_spacing_and_volume():
@@ -305,3 +309,36 @@ def test_top_edge_queries_on_periodic_axes(extent, n):
         assert np.array_equal(out, labels[tuple(idx.T)])
         vals = values[..., 0] if g.dims == 2 else values[:, 0, 0]
         assert np.array_equal(interpolate(g, vals, pts), parent_interpolate(g, vals, pts))
+
+
+def test_step_count_rule():
+    assert step_count(0.0, 0.0105, 1.5e-3) == 7
+    assert step_count(0.25, 0.25, 0.1) == 0
+    # within 1e-9 of step 500, and within 1e-9 * span of 2e6 steps
+    assert step_count(0.0, 0.0050000005, 1e-5) == 500
+    assert step_count(1.0, 21.0 + 1e-8, 1e-5) == 2_000_000
+    for t0, t1, dt in [(0.0, 0.0105, 1e-3), (0.0, 1e-12, 1e-3), (0.5, 0.2, 0.1),
+                       (1.0, 21.0 + 3e-8, 1e-5)]:
+        with pytest.raises(ValueError, match="does not divide the interval"):
+            step_count(t0, t1, dt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.sampled_from([0.3, 0.25, 0.1, 0.01, 1e-3]),
+       ks=st.lists(st.integers(0, 60), min_size=1, max_size=8),
+       start=st.integers(0, 60), steps=st.integers(0, 60))
+def test_step_plan_matches_the_per_step_rule(dt, ks, start, steps):
+    # Snapshots on the dt lattice, some before t0, some after t1, some sharing
+    # a time: each step's snapshot is the latest one at or before the step's
+    # start (the later of equal times), or the first; looked up step by step.
+    snaps = [SimpleNamespace(time=k * dt) for k in ks]
+    t0, t1 = start * dt, (start + steps) * dt
+    plan = step_plan(snaps, t0, t1, dt)
+    assert all(n > 0 for _, n in plan)
+    per_step = [snap for snap, n in plan for _ in range(n)]
+    assert len(per_step) == step_count(t0, t1, dt)
+    ordered = sorted(snaps, key=lambda s: s.time)
+    times = np.array([s.time for s in ordered])
+    for s, snap in enumerate(per_step):
+        i = int(np.searchsorted(times, t0 + s * dt + 1e-12, side="right") - 1)
+        assert snap is ordered[max(i, 0)]

@@ -30,8 +30,8 @@ from psiwalk import (
 from psiwalk import langevin
 from psiwalk.analysis import coarsen
 from psiwalk.guidance import regularized_density
-from psiwalk.langevin import SnapshotDrift
 
+from _interpolate import interpolate
 from _oracles import MFPT_FULL_CROSSING
 
 
@@ -47,23 +47,45 @@ def flat_setup(dims=1, n=64, half=8.0):
     return g, WaveField(g, np.ones((n,) * dims))
 
 
-def em_reference(x, rng, drift_of_step, params, dt, steps):
+def em_reference(x, rng, grid, drift_of_step, params, dt, steps):
     """Path of one walker under the Euler-Maruyama update, one draw per step,
     from its start point folded into the box.
 
-    ``drift_of_step(s)`` is the DriftField governing step s.
+    ``drift_of_step(s)`` is the drift array on ``grid`` governing step s.
     """
     sigma = np.sqrt(2.0 * params.lam * dt)
-    path = [drift_of_step(0).grid.fold(x)[0]]
+    path = [grid.fold(x)[0]]
     for s in range(steps):
-        field = drift_of_step(s)
-        v = field.at(path[-1])
+        v = interpolate(grid, drift_of_step(s), path[-1])
         if params.drift_cap is not None:
             mag = np.sqrt(np.sum(v**2))
             v = v * (params.drift_cap / mag if mag > params.drift_cap else 1.0)
-        step = v * dt + sigma * rng.standard_normal(field.grid.dims)
-        path.append(field.grid.fold(path[-1] + step)[0])
+        step = v * dt + sigma * rng.standard_normal(grid.dims)
+        path.append(grid.fold(path[-1] + step)[0])
     return path
+
+
+class SnapshotReference:
+    """Drift array and basin map of each snapshot, and the snapshot governing
+    a time looked up on its own: the latest snapshot at or before it (1e-12
+    slack), or the first."""
+
+    def __init__(self, snapshots, params, node_threshold=None):
+        self.snapshots = sorted(snapshots, key=lambda s: s.time)
+        self.grid = self.snapshots[0].grid
+        self.times = np.array([s.time for s in self.snapshots])
+        self.drifts = [drift_field(s, params) for s in self.snapshots]
+        self.node_threshold = node_threshold
+        self._basins = {}
+
+    def segment_index(self, t):
+        i = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
+        return min(max(i, 0), len(self.snapshots) - 1)
+
+    def basins(self, i):
+        if i not in self._basins:
+            self._basins[i] = NodeBasinMap.from_wavefield(self.snapshots[i], self.node_threshold)
+        return self._basins[i]
 
 
 # -- streams and determinism -------------------------------------------------
@@ -88,7 +110,7 @@ def test_single_trajectory_matches_reference_stepper():
     g, psi = gaussian_setup()
     params = GuidanceParams(lam=1.0, drift_cap=0.5)
     df = drift_field(psi, params)
-    path = em_reference([0.0], substream(7, 0), lambda s: df, params, 5e-3, 100)
+    path = em_reference([0.0], substream(7, 0), g, lambda s: df, params, 5e-3, 100)
     res = run_ensemble(1, PointSampler([0.0]), psi, params, 5e-3, 0.5, master_seed=7)
     assert np.array_equal(path[-1], res.final_positions[0])
 
@@ -130,11 +152,11 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
     monkeypatch.setattr(langevin, "_NOISE_VALUES", 15 * dims)
     res = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
 
-    source = SnapshotDrift(snaps, params)
+    source = SnapshotReference(snaps, params)
     for sid in range(n):
         rng = substream(seed, sid)
-        path = em_reference(sampler.sample([rng])[0], rng,
-                            lambda s: source.drift(source.segment_index(s * dt)), params, dt, 20)
+        path = em_reference(sampler.sample([rng])[0], rng, source.grid,
+                            lambda s: source.drifts[source.segment_index(s * dt)], params, dt, 20)
         assert np.array_equal(res.checkpoints[0][1][sid], path[5])
         assert np.array_equal(res.checkpoints[1][1][sid], path[11])
         assert np.array_equal(res.paths[sid], np.stack(path[::4]))
@@ -160,7 +182,7 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
                                          master_seed=seed)
     df = drift_field(psi, params)
     for sid, fp in enumerate(results):
-        path = em_reference([-1.0], substream(seed, sid), lambda s: df, params, dt, 100)
+        path = em_reference([-1.0], substream(seed, sid), g, lambda s: df, params, dt, 100)
         side = stop.initial_side(path[0])
         hits = [k for k in range(1, 101) if stop.hit(path[k], side)[0]]
         expected = 0.0 + hits[0] * dt if hits else None
@@ -217,21 +239,22 @@ def test_kernel_matches_reference_for_any_chunk_and_noise_budget(
         passages = run_first_passage_ensemble(n, x0, snaps[0], params, dt, stop, 0.3,
                                               master_seed=seed)
 
-    source = SnapshotDrift(snaps, params, node_threshold=0.1)
+    source = SnapshotReference(snaps, params, node_threshold=0.1)
 
     def segment(s):
         return source.segment_index(s * dt)
 
     for sid in range(n):
         rng = substream(seed, sid)
-        path = em_reference(sampler.sample([rng])[0], rng,
-                            lambda s: source.drift(segment(s)), params, dt, 9)
+        path = em_reference(sampler.sample([rng])[0], rng, source.grid,
+                            lambda s: source.drifts[segment(s)], params, dt, 9)
         assert np.array_equal(res.paths[sid], np.stack(path[::3]))
         assert np.array_equal(res.checkpoints[0][1][sid], path[4])
         assert np.array_equal(res.final_positions[sid], path[-1])
         assert res.crossings[sid] == reference_crossings(path, source, segment)
 
-        path = em_reference(x0, substream(seed, sid), lambda s: source.drift(0), params, dt, 30)
+        path = em_reference(x0, substream(seed, sid), source.grid, lambda s: source.drifts[0],
+                            params, dt, 30)
         side = stop.initial_side(path[0])
         hits = [k for k in range(1, 31) if stop.hit(path[k], side)[0]]
         assert passages[sid].censored == (not hits)
@@ -246,7 +269,7 @@ def test_kernel_reference_sees_crossings_and_node_cells():
         res = run_ensemble(20, DensitySampler(regularized_density(snaps[0], params)), snaps,
                            params, 0.01, 0.09, master_seed=3, node_threshold=0.1,
                            record_stride=1)
-        basins = SnapshotDrift(snaps, params, node_threshold=0.1).basins(0)
+        basins = SnapshotReference(snaps, params, node_threshold=0.1).basins(0)
         assert res.crossings.sum() > 0
         assert (basins.basins_at(res.paths.reshape(-1, dims)) < 0).any()
 
@@ -261,12 +284,13 @@ def test_crossings_compare_carried_labels_of_any_size(monkeypatch):
     cells = np.arange(400)
     few = np.where(cells % 3 == 0, cells % 60, -1)
     maps = [NodeBasinMap(g, m) for m in (cells, few, cells)]
-    # every drift source, the ensemble's included, reads these basin maps
-    monkeypatch.setattr(SnapshotDrift, "basins", lambda self, i: maps[i])
-    source = SnapshotDrift(snaps, params)
+    # every basin map, the ensemble's and the reference's, is the one of its snapshot here
+    monkeypatch.setattr(NodeBasinMap, "from_wavefield",
+                        classmethod(lambda cls, psi, threshold: maps[round(psi.time / 0.1)]))
+    source = SnapshotReference(snaps, params, node_threshold=0.5)
     dt = 0.01
     res = run_ensemble(40, DensitySampler(regularized_density(snaps[0], params)), snaps,
-                       params, dt, 0.3, master_seed=4, record_stride=1)
+                       params, dt, 0.3, master_seed=4, node_threshold=0.5, record_stride=1)
     for sid, path in enumerate(res.paths):
         assert res.crossings[sid] == reference_crossings(
             path, source, lambda s: source.segment_index(s * dt))

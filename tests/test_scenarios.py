@@ -151,6 +151,41 @@ def test_oracle_fp_dt_must_divide_every_checkpoint():
     assert oracle_errors({"checkpoints": [0.25, 0.5]}) == []
 
 
+def test_checkpoint_within_the_step_rule_validates_and_runs(tmp_path):
+    # 0.0050000005 lies within the step rule's tolerance of step 500 of 1e-5:
+    # it validated, then the ensemble's own, tighter alignment rule raised
+    # after the propagator had run
+    cfg, errors = validate_config({
+        "scenario": "harmonic_ground", "time": {"dt_langevin": 1e-5, "t_final": 0.01},
+        "ensemble": {"n_trajectories": 50}, "params": {"oracle": {"checkpoints": [0.0050000005]}}})
+    assert errors == []
+    manifest = run_scenario(cfg, out_dir=tmp_path)
+    assert manifest.metrics["oracle_checkpoints"] == [0.0050000005]
+    assert [c.name for c in manifest.checks] == ["psi_norm_drift", "tv_equilibrium",
+                                                 "oracle_tv_max"]
+
+
+def test_oracle_legs_are_checked_as_the_density_solver_steps_them():
+    # each leg starts at the previous checkpoint; the solver stops at the first it cannot step
+    oracle = {"checkpoints": [0.3, 0.45, 0.2], "fp_dt": 0.1}
+    assert validate_config({"scenario": "harmonic_ground", "params": {"oracle": oracle}})[1] == [
+        "params.oracle.fp_dt=0.1 does not divide the interval [0.3, 0.45] between checkpoints"]
+
+
+@pytest.mark.parametrize("scenario, override, error", [
+    ("double_well", {"params": {"equilibrium": {"enabled": False}}},
+     "params.oracle never runs: it needs params.equilibrium.enabled true"),
+    ("double_well", {"ensemble": {"n_trajectories": 0}},
+     "params.oracle never runs: it needs ensemble.n_trajectories > 0"),
+    ("harmonic_ground", {"ensemble": {"n_trajectories": 0}},
+     "params.oracle never runs: it needs ensemble.n_trajectories > 0"),
+], ids=["double_well_no_equilibrium", "double_well_no_walkers", "harmonic_no_walkers"])
+def test_an_oracle_block_that_never_runs_is_listed(scenario, override, error):
+    # these validated, ran no density solve and reported passed
+    params = {"oracle": {"checkpoints": [0.5]}, **override.pop("params", {})}
+    assert validate_config({"scenario": scenario, "params": params, **override}) == (None, [error])
+
+
 @pytest.mark.parametrize("stride", [0, -2, 2.5, "4", True])
 def test_record_stride_must_be_positive_integer(stride):
     # listed before compute: the ensemble used to hang on a negative stride,
@@ -201,9 +236,9 @@ def test_grids_the_runner_cannot_use_are_listed(scenario, override, errors):
      "time.dt_psi=0.001 does not divide time.t_final=0.0105"),
     ("free_packet", {"t_final": 0.0105}, "time.dt_psi=0.001 does not divide time.t_final=0.0105"),
     ("interference", {"dt_langevin": 3e-4, "t_final": 0.6},
-     "time.dt_langevin=0.0003 does not divide the snapshot interval dt_psi * snapshot_stride=0.02"),
+     "time.dt_langevin=0.0003 does not divide the snapshot intervals up to the fringe time 0.6"),
     ("interference", {"dt_langevin": 1.5e-3, "snapshot_stride": 3, "t_final": 0.01},
-     "time.dt_langevin=0.0015 does not divide the fringe time 0.01"),
+     "time.dt_langevin=0.0015 does not divide the snapshot intervals up to the fringe time 0.01"),
 ], ids=["harmonic", "double_well", "product", "adiabatic", "free_packet", "fringe_interval",
         "fringe_time"])
 def test_a_step_that_does_not_divide_its_horizon_is_listed(scenario, time, error):

@@ -345,3 +345,17 @@ def test_fp_evolve_raises_on_nonfinite_state_before_next_snapshot():
     # the returned snapshots carry the per-step accumulated time
     out = fp_evolve(eq, psi, params, 1e-3, 4e-3, method="explicit", snapshot_stride=3)
     assert [p.time for p in out] == [0.0, 0.001 + 0.001 + 0.001, 0.001 + 0.001 + 0.001 + 0.001]
+
+
+def test_fp_evolve_rejects_a_dt_that_does_not_divide_a_snapshot_interval():
+    # the walkers' step rule: a snapshot at 0.015 falls between steps of 0.01,
+    # where the density solver used to switch operators at the next step
+    g, psi, params, op, eq = double_well_setup(n=64)
+    off = [psi, WaveField(g, psi.values, time=0.015)]
+    for evolve_off in (lambda: fp_evolve(eq, off, params, 0.01, 0.04),
+                       lambda: run_ensemble(4, PointSampler([0.0]), off, params, 0.01, 0.04)):
+        with pytest.raises(ValueError, match="does not divide the interval"):
+            evolve_off()
+    on = [psi, WaveField(g, psi.values, time=0.02)]
+    assert [p.time for p in fp_evolve(eq, on, params, 0.01, 0.04, snapshot_stride=2)] == [
+        0.0, 0.01 + 0.01, 0.01 + 0.01 + 0.01 + 0.01]
