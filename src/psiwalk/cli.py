@@ -40,12 +40,12 @@ def _print_manifest_summary(manifest: RunManifest):
     print(f"overall: {'PASS' if manifest.passed else 'FAIL'}")
 
 
-def _cmd_run(args, engines=("ensemble", "fp")) -> int:
+def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     if cfg is None:
         return 1
     try:
-        manifest = run_scenario(cfg, out_dir=args.out, engines=engines)
+        manifest = run_scenario(cfg, out_dir=args.out)
     except Exception as exc:  # execution failure, not a threshold failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -85,17 +85,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_like(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="scenario config JSON file")
-        sp.add_argument("--seed", type=int, default=None, help="override master_seed")
-        sp.add_argument("--workers", type=int, default=None, help="accepted and ignored; chunks run serially")
-        sp.add_argument("--out", default=None, help="output directory")
-        return sp
-
-    add_run_like("run", "run a scenario end to end")
-    add_run_like("fp-only", "run only the density-solver side of a scenario")
-    add_run_like("ensemble-only", "run only the stochastic-ensemble side of a scenario")
+    sp_run = sub.add_parser("run", help="run a scenario end to end")
+    sp_run.add_argument("--config", required=True, help="scenario config JSON file")
+    sp_run.add_argument("--seed", type=int, default=None, help="override master_seed")
+    sp_run.add_argument("--workers", type=int, default=None,
+                        help="accepted and ignored; chunks run serially")
+    sp_run.add_argument("--out", default=None, help="output directory")
 
     sp_val = sub.add_parser("validate", help="validate a config and print it with defaults")
     sp_val.add_argument("--config", required=True)
@@ -106,10 +101,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "fp-only":
-        return _cmd_run(args, engines=("fp",))
-    if args.command == "ensemble-only":
-        return _cmd_run(args, engines=("ensemble",))
     if args.command == "validate":
         return _cmd_validate(args)
     if args.command == "report":

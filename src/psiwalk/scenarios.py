@@ -15,16 +15,17 @@ import hashlib
 import json
 import math
 import time as _time
+import warnings
 from dataclasses import asdict, dataclass, field as dc_field
 from numbers import Integral, Real
 from pathlib import Path
-from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, langevin, schrodinger, smoluchowski
 from .fieldio import write_field
-from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, step_count, step_plan
+from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, step_count
 from .guidance import GuidanceParams, regularized_density
 from .version import __version__
 
@@ -107,9 +108,7 @@ _SHARED = {
     "guidance": ({}, {"lam": (1.0, _POSITIVE), "epsilon": (1e-12, _POSITIVE),
                       "drift_cap": (None, _CAP)}),   # "auto": two noise deviations per step
     "time": ({}, {"dt_psi": (1e-3, _POSITIVE), "dt_langevin": (1e-3, _POSITIVE),
-                  "t_final": (_REQUIRED, (lambda v: _is_number(v) and v >= 0,
-                                          "a nonnegative number")),
-                  "snapshot_stride": (10, _STRIDE)}),
+                  "t_final": (_REQUIRED, _POSITIVE), "snapshot_stride": (10, _STRIDE)}),
     "ensemble": ({}, {"n_trajectories": (1000, _COUNT), "sampler": ({}, {
         "type": ("density", _SAMPLER),
         "at": (None, (lambda v: _is_number(v) or _is_list(v), "a number or a list of numbers"))})}),
@@ -123,6 +122,91 @@ _ORACLE = {"checkpoints": ([], (_is_list, "a list of numbers")), "fp_dt": (None,
            "tv_limit": (0.05, _POSITIVE)}
 
 
+class _Stage(NamedTuple):
+    """One interval a runner steps: ``dt`` from ``t0`` to ``t1`` on a static
+    field, or through the snapshots ``schrodinger.evolve`` returns every
+    ``stride`` steps of ``dt_psi`` from t = 0 when ``lattice`` is
+    ``(dt_psi, stride)``.  ``key`` names dt and ``horizon`` names t1 in the
+    validator's messages.  A ``rounded`` t1 is a horizon the runner takes to
+    whole steps, and it must keep at least one."""
+    key: str
+    horizon: str
+    t0: float
+    t1: float
+    dt: float
+    lattice: tuple | None = None
+    rounded: bool = False
+
+
+def _whole(t: float, dt: float) -> float:
+    """``t`` rounded to whole ``dt`` steps (inf stays inf)."""
+    return float(np.rint(t / dt)) * dt
+
+
+def _to_t_final(m: dict, key: str, lattice=None) -> _Stage:
+    """Steps of ``time.<key>`` from 0 to time.t_final."""
+    tm = m["time"]
+    return _Stage(f"time.{key}", f"time.t_final={tm['t_final']}", 0.0, tm["t_final"], tm[key], lattice)
+
+
+def _equilibrium_stages(m: dict) -> list:
+    """The walkers up to time.t_final, if there are any; with ``params.oracle``
+    then the density solver's legs between the sorted checkpoints, and the
+    walkers' checkpoints from t = 0."""
+    if not m["ensemble"]["n_trajectories"]:
+        return []
+    stages, oracle = [_to_t_final(m, "dt_langevin")], m["params"]["oracle"]
+    if oracle:
+        dt = m["time"]["dt_langevin"]
+        legs = sorted(set(oracle["checkpoints"]))
+        stages += [_Stage("params.oracle.fp_dt", f"the checkpoint time {b}" if a == 0 else
+                          f"the interval [{a}, {b}] between checkpoints", a, b, oracle["fp_dt"] or dt)
+                   for a, b in zip([0.0] + legs, legs)]
+        stages += [_Stage("time.dt_langevin", f"the checkpoint time {tc}", 0.0, tc, dt)
+                   for tc in oracle["checkpoints"]]
+    return stages
+
+
+def _harmonic_stages(m: dict) -> list:
+    """The propagator's norm-drift run, params.norm_drift_steps of dt_psi or
+    time.t_final in whole dt_psi steps, then the equilibrium stages."""
+    tm, steps = m["time"], m["params"]["norm_drift_steps"]
+    t1 = steps * tm["dt_psi"] if steps else _whole(tm["t_final"], tm["dt_psi"])
+    return [_to_t_final(m, "dt_psi")._replace(t1=t1, rounded=True), *_equilibrium_stages(m)]
+
+
+def _double_well_stages(m: dict) -> list:
+    """The equilibrium stages if enabled, then the localization walkers up to
+    params.localization.horizon_fraction of the escape-time formula in whole
+    steps of their dt.  The first-passage budget is a censoring time, not a
+    horizon the steps must divide."""
+    p = m["params"]
+    stages = _equilibrium_stages(m) if p["equilibrium"]["enabled"] else []
+    loc = p["localization"]
+    if loc:
+        dg = schrodinger.DoubleGaussianParams(a=float(p["a"]), b=float(p["b"]))
+        horizon = loc["horizon_fraction"] * analysis.kramers_prediction(dg, float(m["guidance"]["lam"]))
+        key, dt = (("params.localization.dt", loc["dt"]) if loc["dt"]
+                   else ("time.dt_langevin", m["time"]["dt_langevin"]))
+        stages.append(_Stage(key, f"the localization horizon {horizon}", 0.0, _whole(horizon, dt), dt,
+                             rounded=True))
+    return stages
+
+
+def _interference_stages(m: dict) -> list:
+    """The propagator up to the fringe time, time.t_final or by default the
+    time the two packets take to meet, in whole dt_psi steps; then the walkers
+    through its snapshots, if there are any."""
+    tm, p = m["time"], m["params"]
+    meet = tm["t_final"] or float(p["separation"]) / float(p["momentum"]) * m["mass"] / m["hbar"]
+    fringe = _whole(meet, tm["dt_psi"])
+    stages = [_Stage("time.dt_psi", f"the fringe time {meet}", 0.0, fringe, tm["dt_psi"], rounded=True)]
+    if m["ensemble"]["n_trajectories"]:
+        stages.append(_Stage("time.dt_langevin", f"the snapshot intervals up to the fringe time {fringe}",
+                             0.0, fringe, tm["dt_langevin"], (tm["dt_psi"], tm["snapshot_stride"])))
+    return stages
+
+
 @dataclass(frozen=True)
 class _Scenario:
     dims: int          # grid axes the runner builds its state on
@@ -130,6 +214,7 @@ class _Scenario:
     histograms: bool   # compares histograms coarsened by ``histogram_refine``
     defaults: dict     # dotted path -> default, replacing the one in _SHARED
     params: dict       # the scenario's ``params`` keys
+    stages: Callable   # merged config -> the _Stages its runner steps, in O(1)
 
 
 _SCENARIOS = {
@@ -138,7 +223,7 @@ _SCENARIOS = {
         "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 200.0,
         "ensemble.n_trajectories": 10000,
         "ensemble.sampler.type": "point", "ensemble.sampler.at": [-1.0],
-    }, params={
+    }, stages=_double_well_stages, params={
         **_TWO_GAUSSIANS,
         "equilibrium": ({}, {"enabled": (True, (lambda v: isinstance(v, bool), "true or false")),
                              "tv_limit": (0.05, _POSITIVE)}),
@@ -159,7 +244,7 @@ _SCENARIOS = {
         "time.dt_psi": 2e-3, "time.dt_langevin": 1e-4,
         "time.t_final": None,   # None: when the two packets meet
         "ensemble.n_trajectories": 8192, "histogram_refine": 8,
-    }, params={
+    }, stages=_interference_stages, params={
         "packet_width": (1.0, _POSITIVE), "separation": (5.0, _POSITIVE),
         "momentum": (2.0, _POSITIVE), "node_threshold": (1e-8, _POSITIVE),
         "tv_limit": (0.15, _POSITIVE), "zero_crossing_fraction": (0.99, _FRACTION),
@@ -168,7 +253,7 @@ _SCENARIOS = {
         "grid.points": [256], "grid.extent": [[-8.0, 8.0]], "grid.boundary": [PERIODIC],
         "guidance.lam": 10.0, "time.t_final": 20.0,
         "ensemble.sampler.type": "point", "ensemble.sampler.at": [0.0],
-    }, params={
+    }, stages=_harmonic_stages, params={
         "omega": (1.0, _POSITIVE), "tv_limit": (0.08, _POSITIVE),
         "norm_drift_limit": (1e-9, _POSITIVE),
         "norm_drift_steps": (None, _STRIDE),   # None: t_final / dt_psi
@@ -177,7 +262,8 @@ _SCENARIOS = {
     "adiabatic_tracking": _Scenario(dims=1, periodic=True, histograms=False, defaults={
         "grid.points": [384], "grid.extent": [[-12.0, 12.0]], "grid.boundary": [PERIODIC],
         "time.t_final": 6.283, "ensemble.n_trajectories": 0,
-    }, params={
+    }, stages=lambda m: [_to_t_final(m, "dt_psi", (m["time"]["dt_psi"], m["time"]["snapshot_stride"]))],
+    params={
         "omega": (1.0, _POSITIVE), "displacement": (1.0, _NUMBER),
         "lam_values": ([1.0, 10.0, 100.0], (lambda v: _is_list(v, _POSITIVE[0]) and len(v) > 0,
                                             "a non-empty list of positive numbers")),
@@ -188,12 +274,14 @@ _SCENARIOS = {
         "grid.boundary": [REFLECTING, REFLECTING],
         "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 100.0,
         "ensemble.n_trajectories": 64,
-    }, params={**_TWO_GAUSSIANS, "gauss_width": (1.0, _POSITIVE), "record_stride": (1, _STRIDE),
+    }, stages=lambda m: [_to_t_final(m, "dt_langevin")] if m["ensemble"]["n_trajectories"] else [],
+    params={**_TWO_GAUSSIANS, "gauss_width": (1.0, _POSITIVE), "record_stride": (1, _STRIDE),
                "write_paths": (0, _COUNT)}),
     "free_packet": _Scenario(dims=1, periodic=True, histograms=False, defaults={
         "grid.points": [1024], "grid.extent": [[-40.0, 40.0]], "grid.boundary": [PERIODIC],
         "time.t_final": 2.0, "time.snapshot_stride": 100, "ensemble.n_trajectories": 0,
-    }, params={"sigma0": (1.0, _POSITIVE), "rel_error_limit": (0.01, _POSITIVE)}),
+    }, stages=lambda m: [_to_t_final(m, "dt_psi")],
+    params={"sigma0": (1.0, _POSITIVE), "rel_error_limit": (0.01, _POSITIVE)}),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
@@ -231,71 +319,44 @@ def _deep_merge(dst: dict, src: dict) -> dict:
     return dst
 
 
-def _steppable(t0: float, t1: float, dt: float, dt_psi: float | None = None,
-               stride: int = 1) -> bool:
-    """Whether ``step_plan`` steps ``dt`` from ``t0`` to ``t1`` through the
-    snapshots ``schrodinger.evolve`` returns every ``stride`` steps of
-    ``dt_psi`` from time 0, or over one static field when ``dt_psi`` is None."""
+def _snapshot_steps(st: _Stage):
+    """Raise as ``step_plan`` would on ``st``'s snapshot segments.  The full
+    segments are alike, so one of them and the last (or last two) suffice."""
+    dt_psi, stride = st.lattice
+    n = step_count(0.0, st.t1, dt_psi)
+    last = max(n - 1, 0) // stride * stride   # the last snapshot step below n
+    if last >= stride:
+        step_count(0.0, stride * dt_psi, st.dt)
+    # the final snapshot starts a segment of its own if it falls before t1 - 1e-12
+    ends = [last * dt_psi, *([n * dt_psi] if n * dt_psi < st.t1 - 1e-12 else []), st.t1]
+    for a, b in zip(ends, ends[1:]):
+        step_count(a, b, st.dt)
+
+
+def _stage_error(st: _Stage) -> str | None:
+    """Why the runner could not step ``st``, or None."""
     try:
-        n = step_count(0.0, t1, dt_psi) if dt_psi else 0
-        times = [s * dt_psi for s in (*range(0, n, stride), n)] if dt_psi else [0.0]
-        step_plan([SimpleNamespace(time=t) for t in times], t0, t1, dt)
+        if st.lattice:
+            _snapshot_steps(st)
+        elif not step_count(st.t0, st.t1, st.dt) and st.rounded:
+            return f"{st.key}={st.dt} rounds {st.horizon} to zero steps"
     except (ValueError, OverflowError):   # OverflowError: more steps than a float holds
-        return False
-    return True
-
-
-def _fringe_time(tm: dict, p: dict, mass: float, hbar: float) -> float:
-    """The interference horizon: time.t_final, or by default the time the two
-    packets take to meet, in whole dt_psi steps."""
-    t = tm["t_final"] or float(p["separation"]) / float(p["momentum"]) * mass / hbar
-    return round(t / tm["dt_psi"]) * tm["dt_psi"]
-
-
-def _horizon_errors(scenario: str, m: dict) -> list[str]:
-    """Steps the runner could not take through the intervals it steps."""
-    tm, p = m["time"], m["params"]
-    walkers = m["ensemble"]["n_trajectories"] > 0
-    plans = []   # (step key, horizon named with its value, horizon, snapshot dt_psi)
-    if scenario in ("adiabatic_tracking", "free_packet"):
-        # the propagator, and the density solver through its snapshots
-        plans.append(("dt_psi", f"time.t_final={tm['t_final']}", tm["t_final"], tm["dt_psi"]))
-    if walkers and (scenario in ("harmonic_ground", "product_separation")
-                    or scenario == "double_well" and p["equilibrium"]["enabled"]):
-        plans.append(("dt_langevin", f"time.t_final={tm['t_final']}", tm["t_final"], None))
-    if walkers and scenario == "interference":
-        try:
-            fringe = _fringe_time(tm, p, m["mass"], m["hbar"])
-        except OverflowError:
-            fringe = math.inf
-        plans.append(("dt_langevin", f"the snapshot intervals up to the fringe time {fringe}",
-                      fringe, tm["dt_psi"]))
-    return [f"time.{key}={tm[key]} does not divide {what}" for key, what, horizon, dt_psi in plans
-            if not _steppable(0.0, horizon, tm[key], dt_psi, tm["snapshot_stride"])]
+        return f"{st.key}={st.dt} does not divide {st.horizon}"
+    return None
 
 
 def _oracle_errors(oracle: dict, m: dict) -> list[str]:
-    """``params.oracle`` needs the walkers' equilibrium run to happen; they
-    reach each checkpoint in whole dt_langevin steps, and the density solver
-    each leg between sorted checkpoints in fp_dt steps, up to the first it cannot."""
-    tm, checkpoints = m["time"], oracle["checkpoints"]
-    t_final = tm["t_final"]
-    if not all(0 <= tc <= (t_final or 0) for tc in checkpoints):
+    """``params.oracle`` needs its checkpoints in [0, time.t_final] and the
+    walkers' equilibrium run to happen."""
+    t_final = m["time"]["t_final"]
+    if not all(0 <= tc <= t_final for tc in oracle["checkpoints"]):
         return [f"params.oracle.checkpoints must be a list of times in [0, time.t_final={t_final}]"]
     errors = []
     if m["ensemble"]["n_trajectories"] == 0:
         errors.append("params.oracle never runs: it needs ensemble.n_trajectories > 0")
     if "equilibrium" in m["params"] and not m["params"]["equilibrium"]["enabled"]:
         errors.append("params.oracle never runs: it needs params.equilibrium.enabled true")
-    fp_dt, dt = oracle["fp_dt"] or tm["dt_langevin"], tm["dt_langevin"]
-    legs = sorted(set(checkpoints))
-    for a, b in zip([0.0] + legs, legs):
-        if not _steppable(a, b, fp_dt):
-            where = f"the checkpoint time {b}" if a == 0 else f"the interval [{a}, {b}] between checkpoints"
-            errors.append(f"params.oracle.fp_dt={fp_dt} does not divide {where}")
-            break
-    return errors + [f"time.dt_langevin={dt} does not divide the checkpoint time {tc}"
-                     for tc in checkpoints if not _steppable(0.0, tc, dt)]
+    return errors
 
 
 def _relation_errors(scenario: str, m: dict) -> list[str]:
@@ -305,14 +366,24 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
     errors = []
     if tm["dt_langevin"] > tm["dt_psi"] * (1 + 1e-12):
         errors.append("time.dt_langevin must not exceed time.dt_psi")
-    errors += _horizon_errors(scenario, m)
+    need = _SCENARIOS[scenario]
+    with warnings.catch_warnings():   # the escape-time formula's range warning is the run's to give
+        warnings.simplefilter("ignore")
+        stages = need.stages(m)
+    # A stage from t0 > 0 (an oracle leg) resumes where the last stage of its
+    # dt stopped, and is never reached once that one fails.
+    stopped = set()
+    for st in stages:
+        error = None if st.t0 > 0 and st.key in stopped else _stage_error(st)
+        if error:
+            errors.append(error)
+            stopped.add(st.key)
     if p.get("oracle"):
         errors += _oracle_errors(p["oracle"], m)
     try:
         grid = _grid(m["grid"])
     except (TypeError, ValueError) as exc:
         return errors + [f"grid: {exc}"]
-    need = _SCENARIOS[scenario]
     if grid.dims != need.dims:
         errors.append(f"grid must be {need.dims}-d for {scenario}, got {grid.dims}-d")
     if need.periodic and REFLECTING in grid.boundary:
@@ -478,7 +549,7 @@ def _harmonic_potential(grid: Grid, omega: float, mass: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 # scenarios
 
-def _run_harmonic_ground(cfg: ScenarioConfig, engines):
+def _run_harmonic_ground(cfg: ScenarioConfig, stages):
     out = Outcome()
     grid = cfg.build_grid()
     p = cfg.params
@@ -486,75 +557,57 @@ def _run_harmonic_ground(cfg: ScenarioConfig, engines):
     potential = _harmonic_potential(grid, omega, cfg.mass)
     h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass, potential=potential)
     x = grid.coords(0)
-    psi0 = WaveField(
-        grid,
-        (cfg.mass * omega / np.pi / cfg.hbar) ** 0.25
-        * np.exp(-cfg.mass * omega * x**2 / (2 * cfg.hbar)),
-    )
+    psi0 = WaveField(grid, (cfg.mass * omega / np.pi / cfg.hbar) ** 0.25
+                     * np.exp(-cfg.mass * omega * x**2 / (2 * cfg.hbar)))
     params = cfg.guidance_params()
     out.fields.append(("psi_initial", psi0))
 
     # propagator hygiene: the ground state is stationary; norm must hold
-    steps = p["norm_drift_steps"] or int(round(cfg.time["t_final"] / cfg.time["dt_psi"]))
+    norm_run, *equilibrium_stages = stages
+    steps = step_count(norm_run.t0, norm_run.t1, norm_run.dt)
     norm0 = psi0.norm_sq()
-    psi_final = schrodinger.evolve(
-        psi0, h, steps * cfg.time["dt_psi"], cfg.time["dt_psi"], snapshot_stride=steps
-    )[-1]
+    psi_final = schrodinger.evolve(psi0, h, norm_run.t1, norm_run.dt, snapshot_stride=steps)[-1]
     norm_drift = abs(psi_final.norm_sq() - norm0) / norm0
     out.metrics["norm_drift"] = norm_drift
     out.metrics["propagator_steps"] = steps
-    out.checks.append(
-        Check(
-            "psi_norm_drift",
-            norm_drift,
-            f"< {p['norm_drift_limit']}",
-            norm_drift < p["norm_drift_limit"],
-        )
-    )
+    limit = p["norm_drift_limit"]
+    out.checks.append(Check("psi_norm_drift", norm_drift, f"< {limit}", norm_drift < limit))
     out.fields.append(("psi_final", psi_final))
 
     equilibrium = regularized_density(psi0, params)
     out.fields.append(("equilibrium", equilibrium))
 
-    if "ensemble" in engines and cfg.ensemble["n_trajectories"] > 0:
-        tv = _equilibrium_check(cfg, out, engines, psi0, params, equilibrium, p["tv_limit"])
-        out.tables["equilibrium"] = (
-            ["metric", "value"],
-            [["tv_equilibrium", tv], ["norm_drift", norm_drift]],
-        )
+    if equilibrium_stages:
+        tv = _equilibrium_check(cfg, out, equilibrium_stages, psi0, params, equilibrium, p["tv_limit"])
+        out.tables["equilibrium"] = (["metric", "value"],
+                                     [["tv_equilibrium", tv], ["norm_drift", norm_drift]])
     return out
 
 
-def _equilibrium_check(cfg, out, engines, psi, params, equilibrium, limit):
-    """Run the ensemble on the static field ``psi``, check the TV distance of
-    its final histogram from ``equilibrium`` against ``limit``, and cross-check
-    the density solver at ``params.oracle``'s checkpoints when it is set and
-    the "fp" engine runs.  Returns the TV distance."""
-    oracle = cfg.params["oracle"]
+def _equilibrium_check(cfg, out, stages, psi, params, equilibrium, limit):
+    """Run the ensemble on the static field ``psi`` through ``stages`` (see
+    ``_equilibrium_stages``), check the TV distance of its final histogram from
+    ``equilibrium`` against ``limit``, and cross-check the density solver at
+    ``params.oracle``'s checkpoints when it is set.  Returns the TV distance."""
+    walkers, *oracle_stages = stages
     result = langevin.run_ensemble(
-        cfg.ensemble["n_trajectories"],
-        _sampler_from_config(cfg, psi, params),
-        psi,
-        params,
-        cfg.time["dt_langevin"],
-        cfg.time["t_final"],
-        master_seed=cfg.master_seed,
-        checkpoint_times=tuple(oracle["checkpoints"]) if oracle else (),
-    )
-    tv = analysis.total_variation(
-        _coarse(result.histogram, cfg.histogram_refine),
-        _coarse(equilibrium, cfg.histogram_refine).normalized(),
-    )
+        cfg.ensemble["n_trajectories"], _sampler_from_config(cfg, psi, params), psi, params,
+        walkers.dt, walkers.t1, master_seed=cfg.master_seed,
+        checkpoint_times=tuple(st.t1 for st in oracle_stages if st.key == walkers.key))
+    tv = analysis.total_variation(_coarse(result.histogram, cfg.histogram_refine),
+                                  _coarse(equilibrium, cfg.histogram_refine).normalized())
     out.metrics["tv_equilibrium"] = tv
     out.checks.append(Check("tv_equilibrium", tv, f"< {limit}", tv < limit))
     out.fields.append(("final_histogram", result.histogram))
-    if oracle and "fp" in engines:
-        _oracle_cross_check(cfg, out, psi, params, result, oracle)
+    if cfg.params["oracle"]:
+        legs = [st for st in oracle_stages if st.key != walkers.key]
+        _oracle_cross_check(cfg, out, psi, params, result, legs)
     return tv
 
 
-def _oracle_cross_check(cfg, out, psi, params, result, oracle):
-    """TV between the Langevin checkpoint histograms and the density solver."""
+def _oracle_cross_check(cfg, out, psi, params, result, legs):
+    """TV between the Langevin checkpoint histograms and the density solver,
+    which steps ``legs`` one after another."""
     start = cfg.ensemble["sampler"]
     grid = psi.grid
     if start["type"] == "point":
@@ -563,15 +616,14 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
         p0_values[tuple(idx)] = 1.0 / grid.cell_volume
     else:
         p0_values = regularized_density(psi, params).normalized().values
-    p0 = DensityField(grid, p0_values, 0.0)
-    dt = float(oracle["fp_dt"] or cfg.time["dt_langevin"])
     # One evolution through the sorted checkpoints, each leg starting where the
     # last one ended, at the checkpoint time the validator planned it from.
     densities = {}
-    dens = p0
-    for tc in sorted({tc for tc, _ in result.checkpoints}):
-        dens = densities[tc] = smoluchowski.fp_evolve(dens, psi, params, dt, tc, method="auto")[-1]
-        dens = DensityField(grid, dens.values, tc)
+    dens = DensityField(grid, p0_values, 0.0)
+    for leg in legs:
+        dens = densities[leg.t1] = smoluchowski.fp_evolve(dens, psi, params, float(leg.dt), leg.t1,
+                                                          method="auto")[-1]
+        dens = DensityField(grid, dens.values, leg.t1)
     rows = []
     worst = 0.0
     for tc, positions in result.checkpoints:
@@ -584,7 +636,7 @@ def _oracle_cross_check(cfg, out, psi, params, result, oracle):
         worst = max(worst, tv)
     out.metrics["oracle_tv_max"] = worst
     out.metrics["oracle_checkpoints"] = [float(t) for t, _ in result.checkpoints]
-    limit = oracle["tv_limit"]
+    limit = cfg.params["oracle"]["tv_limit"]
     out.checks.append(Check("oracle_tv_max", worst, f"< {limit}", worst < limit))
     out.tables["oracle_tv"] = (["t", "tv", "maxnorm"], rows)
 
@@ -600,7 +652,7 @@ def _path_table(result, limit: int):
     return header, rows
 
 
-def _run_double_well(cfg: ScenarioConfig, engines):
+def _run_double_well(cfg: ScenarioConfig, stages):
     out = Outcome()
     grid = cfg.build_grid()
     p = cfg.params
@@ -611,17 +663,17 @@ def _run_double_well(cfg: ScenarioConfig, engines):
     out.fields.append(("psi_initial", psi))
     out.fields.append(("equilibrium", equilibrium))
 
-    eq = p["equilibrium"]
-    if "ensemble" in engines and eq["enabled"] and cfg.ensemble["n_trajectories"] > 0:
-        _equilibrium_check(cfg, out, engines, psi, params, equilibrium, eq["tv_limit"])
-
-    mfpt = p["mfpt"]
-    if mfpt and "ensemble" in engines:
-        _mfpt_block(cfg, out, psi, dg, params, mfpt)
-
     loc = p["localization"]
-    if loc and "ensemble" in engines:
-        _localization_block(cfg, out, psi, dg, params, loc)
+    if loc:
+        *stages, loc_stage = stages
+    if stages:
+        _equilibrium_check(cfg, out, stages, psi, params, equilibrium, p["equilibrium"]["tv_limit"])
+
+    if p["mfpt"]:
+        _mfpt_block(cfg, out, psi, dg, params, p["mfpt"])
+
+    if loc:
+        _localization_block(cfg, out, psi, dg, params, loc, loc_stage)
     return out
 
 
@@ -638,10 +690,8 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     dt = float(mfpt["dt"] or cfg.time["dt_langevin"])
     n = int(mfpt["n"])
     start = -dg.b if mfpt["start"] is None else float(mfpt["start"])
-    results = langevin.run_first_passage_ensemble(
-        n, [start], psi, params, dt, stop, t_max,
-        master_seed=cfg.master_seed,
-    )
+    results = langevin.run_first_passage_ensemble(n, [start], psi, params, dt, stop, t_max,
+                                                  master_seed=cfg.master_seed)
     est = analysis.mfpt_estimate(results, params=dg, lam=params.lam)
     out.metrics["mfpt_mean"] = est.mean
     out.metrics["mfpt_se"] = est.standard_error
@@ -652,10 +702,8 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     factor = mfpt["within_factor"]
     if factor:
         ok = est.defined and (1.0 / factor) <= est.ratio <= factor
-        out.checks.append(
-            Check("mfpt_within_factor", est.ratio if est.defined else np.nan,
-                  f"within factor {factor} of the escape-time formula", bool(ok))
-        )
+        out.checks.append(Check("mfpt_within_factor", est.ratio if est.defined else np.nan,
+                                f"within factor {factor} of the escape-time formula", bool(ok)))
     out.tables["mfpt"] = (
         ["a", "b", "lam", "predicted", "measured_mean", "se", "ratio", "censored_fraction", "n"],
         [[dg.a, dg.b, params.lam, prediction, est.mean, est.standard_error,
@@ -663,25 +711,14 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     )
 
 
-def _localization_block(cfg, out, psi, dg, params, loc):
-    prediction = analysis.kramers_prediction(dg, params.lam)
-    horizon = loc["horizon_fraction"] * prediction
-    dt = float(loc["dt"] or cfg.time["dt_langevin"])
-    horizon = round(horizon / dt) * dt
+def _localization_block(cfg, out, psi, dg, params, loc, stage):
+    dt, horizon = float(stage.dt), stage.t1
     n = int(loc["n"])
     gap = loc["well_gap"] or dg.b / 2.0
     lo_edge, hi_edge = cfg.build_grid().extent[0]
     wells = [(lo_edge, -gap), (gap, hi_edge)]
-    result = langevin.run_ensemble(
-        n,
-        langevin.PointSampler([-dg.b]),
-        psi,
-        params,
-        dt,
-        horizon,
-        master_seed=cfg.master_seed,
-        record_stride=int(loc["record_stride"]),
-    )
+    result = langevin.run_ensemble(n, langevin.PointSampler([-dg.b]), psi, params, dt, horizon,
+                                   master_seed=cfg.master_seed, record_stride=int(loc["record_stride"]))
     jumps = np.zeros(n, dtype=np.int64)
     for i in range(n):
         occ = analysis.well_occupancy(result.paths[i], wells, dt=dt)
@@ -693,9 +730,7 @@ def _localization_block(cfg, out, psi, dg, params, loc):
     out.metrics["mean_jumps"] = float(jumps.mean())
     out.metrics["final_mass_start_well"] = mass_start_well
     frac = loc["stay_fraction"]
-    out.checks.append(
-        Check("no_jump_fraction", stay, f">= {frac}", stay >= frac)
-    )
+    out.checks.append(Check("no_jump_fraction", stay, f">= {frac}", stay >= frac))
     out.tables["localization"] = (
         ["horizon", "no_jump_fraction", "mean_jumps", "final_mass_start_well", "n"],
         [[horizon, stay, float(jumps.mean()), mass_start_well, n]],
@@ -705,24 +740,18 @@ def _localization_block(cfg, out, psi, dg, params, loc):
         out.tables["paths"] = _path_table(result, write_paths)
 
 
-def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
+def _run_adiabatic_tracking(cfg: ScenarioConfig, stages):
     out = Outcome()
     grid = cfg.build_grid()
     p = cfg.params
     omega = float(p["omega"])
     potential = _harmonic_potential(grid, omega, cfg.mass)
     h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass, potential=potential)
-    psi0 = schrodinger.make_packet(
-        grid, [float(p["displacement"])], np.sqrt(cfg.hbar / (cfg.mass * omega))
-    )
-    snaps = schrodinger.evolve(
-        psi0, h, cfg.time["t_final"], cfg.time["dt_psi"], cfg.time["snapshot_stride"]
-    )
+    psi0 = schrodinger.make_packet(grid, [float(p["displacement"])], np.sqrt(cfg.hbar / (cfg.mass * omega)))
+    (run,) = stages   # the propagator, and the density solver through its snapshots
+    snaps = schrodinger.evolve(psi0, h, run.t1, run.dt, cfg.time["snapshot_stride"])
     out.fields.append(("psi_initial", psi0))
     out.fields.append(("psi_final", snaps[-1]))
-
-    if "fp" not in engines:
-        return out
 
     summary_rows = []
     series_rows = []
@@ -730,10 +759,8 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
     for lam in p["lam_values"]:
         params = GuidanceParams(lam=float(lam), epsilon=float(cfg.guidance["epsilon"]))
         p0 = regularized_density(psi0, params).normalized()
-        densities = smoluchowski.fp_evolve(
-            p0, snaps, params, cfg.time["dt_psi"], cfg.time["t_final"],
-            method="implicit", snapshot_stride=cfg.time["snapshot_stride"],
-        )
+        densities = smoluchowski.fp_evolve(p0, snaps, params, run.dt, run.t1, method="implicit",
+                                           snapshot_stride=cfg.time["snapshot_stride"])
         tvs = []
         # densities and snapshots both fall every snapshot_stride steps and at the end
         for dens, snap in zip(densities, snaps):
@@ -741,9 +768,7 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
             dn = dens.normalized()
             tv = analysis.total_variation(dn, ref)
             tvs.append(tv)
-            series_rows.append(
-                [lam, dens.time, tv, float(np.max(np.abs(dn.values - ref.values)))]
-            )
+            series_rows.append([lam, dens.time, tv, float(np.max(np.abs(dn.values - ref.values)))])
         mean_tv = float(np.mean(tvs))
         max_tv = float(np.max(tvs))
         tv_by_lam.append(mean_tv)
@@ -751,59 +776,44 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, engines):
     out.metrics["lam_values"] = [float(v) for v in p["lam_values"]]
     out.metrics["tracking_tv_mean"] = tv_by_lam
     decreasing = all(a > b for a, b in zip(tv_by_lam[:-1], tv_by_lam[1:]))
-    out.checks.append(
-        Check("tracking_tv_decreasing", float(tv_by_lam[-1] - tv_by_lam[0]),
-              "strictly decreasing in lam", decreasing)
-    )
+    out.checks.append(Check("tracking_tv_decreasing", float(tv_by_lam[-1] - tv_by_lam[0]),
+                            "strictly decreasing in lam", decreasing))
     limit = p["tv_limit_last"]
-    out.checks.append(
-        Check("tracking_tv_last", tv_by_lam[-1], f"< {limit}", tv_by_lam[-1] < limit)
-    )
+    out.checks.append(Check("tracking_tv_last", tv_by_lam[-1], f"< {limit}", tv_by_lam[-1] < limit))
     out.tables["tracking"] = (["lam", "tv_mean", "tv_max"], summary_rows)
     out.tables["tracking_series"] = (["lam", "t", "tv", "maxnorm"], series_rows)
     return out
 
 
-def _run_interference(cfg: ScenarioConfig, engines):
+def _run_interference(cfg: ScenarioConfig, stages):
     out = Outcome()
     grid = cfg.build_grid()
     p = cfg.params
     w = float(p["packet_width"])
     c = float(p["separation"])
     k = float(p["momentum"])
-    fringe_time = _fringe_time(cfg.time, p, cfg.mass, cfg.hbar)
+    propagator, *walkers = stages
+    fringe_time = propagator.t1
     h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass)
     x = grid.coords(0)
-    values = np.exp(-((x + c) ** 2) / (2 * w * w) + 1j * k * x) + np.exp(
-        -((x - c) ** 2) / (2 * w * w) - 1j * k * x
-    )
+    values = (np.exp(-((x + c) ** 2) / (2 * w * w) + 1j * k * x)
+              + np.exp(-((x - c) ** 2) / (2 * w * w) - 1j * k * x))
     values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_volume)
     psi0 = WaveField(grid, values, 0.0)
-    snaps = schrodinger.evolve(
-        psi0, h, fringe_time, cfg.time["dt_psi"], cfg.time["snapshot_stride"]
-    )
+    snaps = schrodinger.evolve(psi0, h, fringe_time, propagator.dt, cfg.time["snapshot_stride"])
     out.fields.append(("psi_initial", psi0))
     out.fields.append(("psi_final", snaps[-1]))
     out.metrics["fringe_time"] = fringe_time
 
-    if "ensemble" in engines and cfg.ensemble["n_trajectories"] > 0:
+    if walkers:
         params = cfg.guidance_params()
         sampler = _sampler_from_config(cfg, psi0, params)
         result = langevin.run_ensemble(
-            cfg.ensemble["n_trajectories"],
-            sampler,
-            snaps,
-            params,
-            cfg.time["dt_langevin"],
-            fringe_time,
-            master_seed=cfg.master_seed,
-            node_threshold=float(p["node_threshold"]),
-        )
+            cfg.ensemble["n_trajectories"], sampler, snaps, params, walkers[0].dt, walkers[0].t1,
+            master_seed=cfg.master_seed, node_threshold=float(p["node_threshold"]))
         reference = regularized_density(snaps[-1], params)
-        tv = analysis.total_variation(
-            _coarse(result.histogram, cfg.histogram_refine),
-            _coarse(reference, cfg.histogram_refine).normalized(),
-        )
+        tv = analysis.total_variation(_coarse(result.histogram, cfg.histogram_refine),
+                                      _coarse(reference, cfg.histogram_refine).normalized())
         zero_fraction = float(np.mean(result.crossings == 0))
         out.metrics["tv_fringe"] = tv
         out.metrics["zero_crossing_fraction"] = zero_fraction
@@ -811,9 +821,8 @@ def _run_interference(cfg: ScenarioConfig, engines):
         limit = p["tv_limit"]
         frac = p["zero_crossing_fraction"]
         out.checks.append(Check("tv_fringe", tv, f"< {limit}", tv < limit))
-        out.checks.append(
-            Check("zero_crossing_fraction", zero_fraction, f">= {frac}", zero_fraction >= frac)
-        )
+        out.checks.append(Check("zero_crossing_fraction", zero_fraction, f">= {frac}",
+                                zero_fraction >= frac))
         out.fields.append(("final_histogram", result.histogram))
         out.tables["interference"] = (
             ["fringe_time", "tv", "zero_crossing_fraction", "mean_crossings", "n"],
@@ -823,43 +832,32 @@ def _run_interference(cfg: ScenarioConfig, engines):
     return out
 
 
-def _run_product_separation(cfg: ScenarioConfig, engines):
+def _run_product_separation(cfg: ScenarioConfig, stages):
     out = Outcome()
     grid = cfg.build_grid()
     p = cfg.params
     dgp = schrodinger.DoubleGaussianParams(a=float(p["a"]), b=float(p["b"]))
     x = grid.coords(0)
     y = grid.coords(1)
-    fx = np.exp(-((x - dgp.b) ** 2) / (2 * dgp.a**2)) + np.exp(
-        -((x + dgp.b) ** 2) / (2 * dgp.a**2)
-    )
+    fx = np.exp(-((x - dgp.b) ** 2) / (2 * dgp.a**2)) + np.exp(-((x + dgp.b) ** 2) / (2 * dgp.a**2))
     fy = np.exp(-(y**2) / (2 * float(p["gauss_width"]) ** 2))
     psi = WaveField(grid, np.outer(fx, fy), 0.0)
     out.fields.append(("psi_initial", psi))
     params = cfg.guidance_params()
 
-    if "ensemble" in engines and cfg.ensemble["n_trajectories"] > 0:
+    if stages:   # the walkers
         sampler = _sampler_from_config(cfg, psi, params)
         result = langevin.run_ensemble(
-            cfg.ensemble["n_trajectories"],
-            sampler,
-            psi,
-            params,
-            cfg.time["dt_langevin"],
-            cfg.time["t_final"],
-            master_seed=cfg.master_seed,
-            record_stride=int(p["record_stride"]),
-        )
+            cfg.ensemble["n_trajectories"], sampler, psi, params, stages[0].dt, stages[0].t1,
+            master_seed=cfg.master_seed, record_stride=int(p["record_stride"]))
         stats = analysis.independence_test(result.paths)
         bound = 3.0 / np.sqrt(stats.n_increments)
         out.metrics["rho_increments"] = stats.rho_increments
         out.metrics["rho_occupancy"] = stats.rho_occupancy
         out.metrics["n_increments"] = stats.n_increments
         out.metrics["rho_bound"] = bound
-        out.checks.append(
-            Check("increment_correlation", abs(stats.rho_increments),
-                  f"< {bound:.3e} (3/sqrt(samples))", abs(stats.rho_increments) < bound)
-        )
+        out.checks.append(Check("increment_correlation", abs(stats.rho_increments),
+                                f"< {bound:.3e} (3/sqrt(samples))", abs(stats.rho_increments) < bound))
         out.tables["correlation"] = (
             ["rho_increments", "z_increments", "rho_occupancy", "z_occupancy", "n_increments"],
             [[stats.rho_increments, stats.z_increments, stats.rho_occupancy,
@@ -871,16 +869,15 @@ def _run_product_separation(cfg: ScenarioConfig, engines):
     return out
 
 
-def _run_free_packet(cfg: ScenarioConfig, engines):
+def _run_free_packet(cfg: ScenarioConfig, stages):
     out = Outcome()
     grid = cfg.build_grid()
     p = cfg.params
     sigma0 = float(p["sigma0"])
     h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass)
     psi0 = schrodinger.make_packet(grid, [0.0], np.sqrt(2.0) * sigma0)
-    snaps = schrodinger.evolve(
-        psi0, h, cfg.time["t_final"], cfg.time["dt_psi"], cfg.time["snapshot_stride"]
-    )
+    (run,) = stages
+    snaps = schrodinger.evolve(psi0, h, run.t1, run.dt, cfg.time["snapshot_stride"])
     x = grid.coords(0)
     rows = []
     for s in snaps:
@@ -889,9 +886,7 @@ def _run_free_packet(cfg: ScenarioConfig, engines):
         mean = float(np.sum(x * rho) * grid.cell_volume)
         var = float(np.sum((x - mean) ** 2 * rho) * grid.cell_volume)
         t = s.time
-        expected = sigma0 * np.sqrt(
-            1.0 + (cfg.hbar * t / (2 * cfg.mass * sigma0**2)) ** 2
-        )
+        expected = sigma0 * np.sqrt(1.0 + (cfg.hbar * t / (2 * cfg.mass * sigma0**2)) ** 2)
         rows.append([t, np.sqrt(var), expected])
     sigma_final, sigma_expected = rows[-1][1], rows[-1][2]
     rel_error = abs(sigma_final - sigma_expected) / sigma_expected
@@ -916,15 +911,13 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None, engines=("ensemble", "fp")) -> RunManifest:
-    """Execute a scenario and write manifest, metric CSVs and field snapshots.
-
-    ``engines`` restricts execution to the stochastic side ("ensemble"), the
-    density-solver side ("fp"), or both.
-    """
+def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunManifest:
+    """Run a config from ``validate_config`` and write its manifest, metric
+    CSVs and field snapshots under ``out_dir`` (by default ``cfg.out_dir``,
+    else ``runs/<scenario>``).  The runner steps the stages its scenario
+    declares, the ones the validator checked."""
     t_start = _time.perf_counter()
-    engines = set(engines)
-    outcome = _RUNNERS[cfg.scenario](cfg, engines)
+    outcome = _RUNNERS[cfg.scenario](cfg, _SCENARIOS[cfg.scenario].stages(cfg.to_dict()))
 
     out_base = Path(out_dir or cfg.out_dir or f"runs/{cfg.scenario}")
     out_base.mkdir(parents=True, exist_ok=True)
@@ -940,24 +933,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, engines=("ensemble", "fp")) 
         files.append(path.relative_to(out_base))
 
     passed = all(c.passed for c in outcome.checks)
-    inventory = [
-        {
-            "path": str(rel),
-            "bytes": (out_base / rel).stat().st_size,
-            "sha256": _sha256(out_base / rel),
-        }
-        for rel in files
-    ]
+    inventory = [{"path": str(rel), "bytes": (out_base / rel).stat().st_size,
+                  "sha256": _sha256(out_base / rel)} for rel in files]
     manifest = RunManifest(
-        scenario=cfg.scenario,
-        config=cfg.to_dict(),
-        version=__version__,
-        metrics=_jsonable(outcome.metrics),
-        checks=outcome.checks,
-        passed=passed,
-        files=inventory,
-        timing={"wall_clock_s": _time.perf_counter() - t_start},
-    )
+        scenario=cfg.scenario, config=cfg.to_dict(), version=__version__,
+        metrics=_jsonable(outcome.metrics), checks=outcome.checks, passed=passed, files=inventory,
+        timing={"wall_clock_s": _time.perf_counter() - t_start})
     manifest.save(out_base / "manifest.json")
     return manifest
 

@@ -35,10 +35,10 @@ def _report(criterion, detail, passed):
     return passed
 
 
-def _run(config, out_dir, engines=("ensemble", "fp")):
+def _run(config, out_dir):
     cfg, errors = validate_config(config)
     assert errors == [], errors
-    return run_scenario(cfg, out_dir=out_dir, engines=engines)
+    return run_scenario(cfg, out_dir=out_dir)
 
 
 # -- 1. equilibrium law --------------------------------------------------------

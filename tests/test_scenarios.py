@@ -1,4 +1,6 @@
 import json
+import timeit
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,93 @@ def test_a_step_that_does_not_divide_its_horizon_is_listed(scenario, time, error
     assert validate_config(no_walkers)[1] == expected
 
 
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_a_zero_t_final_is_listed(scenario):
+    # it validated, then raised on a snapshot stride of 0 (harmonic_ground),
+    # passed without a step (free_packet), reported NaN (product_separation) or
+    # ran to the packets' meeting time instead (interference)
+    assert validate_config({"scenario": scenario, "time": {"t_final": 0}}) == (
+        None, ["time.t_final must be a positive number, got 0"])
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"scenario": "double_well", "ensemble": {"n_trajectories": 0},
+      "params": {"b": 3.0, "equilibrium": {"enabled": False},
+                 "localization": {"n": 300, "horizon_fraction": 1e-7, "dt": 0.01}}},
+     "params.localization.dt=0.01 rounds the localization horizon 0.0002701027975858461 to zero steps"),
+    ({"scenario": "harmonic_ground", "time": {"t_final": 1e-3, "dt_psi": 4e-3, "dt_langevin": 1e-3}},
+     "time.dt_psi=0.004 rounds time.t_final=0.001 to zero steps"),
+    ({"scenario": "interference", "time": {"t_final": 1e-4}},
+     "time.dt_psi=0.002 rounds the fringe time 0.0001 to zero steps"),
+], ids=["localization", "harmonic_norm_drift", "fringe"])
+def test_a_horizon_rounded_to_zero_steps_is_listed(config, error):
+    # the localization run took no step and passed with a no-jump fraction of
+    # 1; the norm-drift run raised on a snapshot stride of 0 after validation
+    assert validate_config(config) == (None, [error])
+
+
+def test_validation_time_does_not_grow_with_the_snapshot_count():
+    # 10**7 propagator snapshots; validation used to build one object per snapshot
+    config = {"scenario": "interference",
+              "time": {"t_final": 1e4, "dt_psi": 1e-3, "snapshot_stride": 1}}
+    assert validate_config(config)[1] == []
+    assert min(timeit.repeat(lambda: validate_config(config), number=1, repeat=5)) < 1e-3
+
+
+@st.composite
+def small_configs(draw):
+    """A config of any scenario small enough to run in a fraction of a second
+    (16 grid points per axis, at most 4 walkers), its steps, horizons,
+    checkpoints and localization dt drawn from small lattices that make some
+    configs valid and others not."""
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    dims = _SCENARIOS[name].dims
+    config = {
+        "scenario": name,
+        "grid": {"points": [16] * dims},
+        "time": {"dt_psi": draw(st.sampled_from([1e-3, 2e-3, 4e-3])),
+                 "dt_langevin": draw(st.sampled_from([5e-4, 1e-3, 2e-3, 3e-3])),
+                 "t_final": draw(st.sampled_from([0, 1e-3, 2e-3, 5e-3, 6e-3, 0.01, 0.0100000001])),
+                 "snapshot_stride": draw(st.sampled_from([1, 2, 3]))},
+        "ensemble": {"n_trajectories": draw(st.sampled_from([0, 1, 4]))},
+        "params": {},
+        "histogram_refine": 2,
+    }
+    p = config["params"]
+    if name in ("harmonic_ground", "double_well") and draw(st.booleans()):
+        checkpoints = st.lists(st.sampled_from([0, 1e-3, 2e-3, 2.5e-3, 5e-3]), max_size=3)
+        p["oracle"] = {"checkpoints": draw(checkpoints),
+                       "fp_dt": draw(st.sampled_from([None, 5e-4, 1e-3, 3e-3]))}
+    if name == "harmonic_ground":
+        p["norm_drift_steps"] = draw(st.sampled_from([None, 1, 3]))
+    if name == "double_well":
+        p.update(a=1.0, b=2.5, equilibrium={"enabled": draw(st.booleans())})
+        if draw(st.booleans()):
+            p["localization"] = {"n": 4, "horizon_fraction": draw(st.sampled_from([1e-6, 1e-5, 1e-4])),
+                                 "dt": draw(st.sampled_from([None, 1e-3, 0.01]))}
+    if name == "adiabatic_tracking":
+        p["lam_values"] = [1.0, 10.0]
+    return config
+
+
+def test_every_config_the_validator_accepts_runs(tmp_path):
+    # every stage the runner steps is one the validator checked
+    accepted = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_configs())
+    def check(source):
+        cfg, errors = validate_config(source)
+        accepted.append(cfg is not None)
+        if cfg is not None:
+            run_scenario(cfg, out_dir=tmp_path / "run")
+
+    with warnings.catch_warnings():   # a 4-walker run's statistics may be NaN
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check()
+    assert any(accepted) and not all(accepted)
+
+
 @pytest.mark.parametrize("scenario, override, error", [
     ("double_well", {"params": {"mfpt": {"dt": 0.01}}},
      "params.mfpt.n must be an integer >= 1, got nothing"),
@@ -397,14 +486,6 @@ def test_metrics_identical_across_worker_counts(tmp_path):
     assert m1.metrics == m4.metrics
 
 
-def test_engine_subsets(tmp_path):
-    cfg, _ = validate_config(small_harmonic())
-    m_fp = run_scenario(cfg, out_dir=tmp_path / "fp", engines=("fp",))
-    assert "tv_equilibrium" not in m_fp.metrics  # ensemble side skipped
-    m_en = run_scenario(cfg, out_dir=tmp_path / "en", engines=("ensemble",))
-    assert "tv_equilibrium" in m_en.metrics
-
-
 # -- CLI ---------------------------------------------------------------------------
 
 def write_config(tmp_path, data):
@@ -469,14 +550,6 @@ def test_cli_report_detects_tampering(tmp_path, capsys):
     code = main(["report", "--manifest", str(tmp_path / "out" / "manifest.json")])
     assert code == 1
     assert "checksum mismatch" in capsys.readouterr().err
-
-
-def test_cli_fp_only_and_ensemble_only(tmp_path):
-    p = write_config(tmp_path, small_harmonic())
-    assert main(["fp-only", "--config", str(p), "--out", str(tmp_path / "fp")]) == 0
-    assert main(["ensemble-only", "--config", str(p), "--out", str(tmp_path / "en")]) == 0
-    m = RunManifest.load(tmp_path / "fp" / "manifest.json")
-    assert "tv_equilibrium" not in m.metrics
 
 
 def test_free_packet_scenario_runs_fast(tmp_path):
