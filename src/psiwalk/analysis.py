@@ -15,9 +15,9 @@ from .schrodinger import DoubleGaussianParams
 def histogram(points, grid: Grid) -> DensityField:
     """Normalized cell-count density of sample points on a grid.
 
-    Cells are centered on the grid coordinates.  On periodic axes samples
-    wrap; on reflecting axes samples outside the extent are counted in the
-    nearest boundary cell and reported via a warning.
+    The cells are ``Grid.cell_index``'s, centered on the grid coordinates.  On
+    periodic axes samples wrap; on reflecting axes samples outside the extent
+    are counted in the nearest boundary cell and reported via a warning.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and grid.dims == 1:
@@ -27,25 +27,17 @@ def histogram(points, grid: Grid) -> DensityField:
         raise ValueError("histogram needs at least one point")
     if pts.shape[1] != grid.dims:
         raise ValueError(f"points have {pts.shape[1]} components for a {grid.dims}-d grid")
-    edges = []
-    shifted = pts.copy()
+    if not np.isfinite(pts).all():   # a cell index cast from NaN or inf is arbitrary
+        raise ValueError("histogram points must be finite")
     outside = np.zeros(pts.shape[0], dtype=bool)
-    for k in range(grid.dims):
-        lo, hi = grid.extent[k]
-        n = grid.points[k]
-        dx = (hi - lo) / n
-        if grid.boundary[k] == PERIODIC:
-            # wrap into [lo - dx/2, hi - dx/2) so cells sit on the coords
-            shifted[:, k] = (pts[:, k] - (lo - dx / 2)) % (hi - lo) + (lo - dx / 2)
-            edges.append(lo - dx / 2 + dx * np.arange(n + 1))
-        else:
+    for k, (lo, hi) in enumerate(grid.extent):
+        if grid.boundary[k] != PERIODIC:
             outside |= (pts[:, k] < lo) | (pts[:, k] > hi)
-            shifted[:, k] = np.clip(pts[:, k], lo, hi)
-            edges.append(lo + dx * np.arange(n + 1))
     n_out = int(outside.sum())
     if n_out:
         warnings.warn(f"{n_out} sample(s) outside the grid were counted in boundary cells")
-    counts, _ = np.histogramdd(shifted, bins=edges)
+    cells = np.ravel_multi_index(tuple(grid.cell_index(pts).T), grid.points)
+    counts = np.bincount(cells, minlength=int(np.prod(grid.points))).reshape(grid.points)
     density = counts / (pts.shape[0] * grid.cell_volume)
     return DensityField(grid, density, 0.0)
 
@@ -98,21 +90,14 @@ class EscapeTimeEstimate:
     standard_error: float
     censored_fraction: float
     n: int
-    prediction: float | None = None
-    ratio: float | None = None
 
     @property
     def defined(self) -> bool:
         return np.isfinite(self.mean)
 
 
-def mfpt_estimate(results, params: DoubleGaussianParams | None = None,
-                  lam: float | None = None) -> EscapeTimeEstimate:
-    """Summarize first-passage results (objects with .time and .censored).
-
-    When the double-Gaussian parameters and lam are supplied, the estimate
-    carries the formula prediction and the measured/predicted ratio.
-    """
+def mfpt_estimate(results) -> EscapeTimeEstimate:
+    """Summarize first-passage results (objects with .time and .censored)."""
     times = np.array([r.time for r in results], dtype=float)
     censored = np.array([r.censored for r in results], dtype=bool)
     n = times.size
@@ -125,12 +110,7 @@ def mfpt_estimate(results, params: DoubleGaussianParams | None = None,
     else:
         est_mean = float(ok.mean())
         se = float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size >= 2 else np.nan
-    prediction = ratio = None
-    if params is not None and lam is not None:
-        prediction = kramers_prediction(params, lam)
-        ratio = est_mean / prediction if np.isfinite(est_mean) else np.nan
-    return EscapeTimeEstimate(mean=est_mean, standard_error=se, censored_fraction=cfrac,
-                              n=n, prediction=prediction, ratio=ratio)
+    return EscapeTimeEstimate(mean=est_mean, standard_error=se, censored_fraction=cfrac, n=n)
 
 
 @dataclass(frozen=True)

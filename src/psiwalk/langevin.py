@@ -11,12 +11,13 @@ point back into the box, periodic boundaries wrap.
 One kernel, ``_advance_block``, takes every step of every entry point: it
 interpolates the drift at the in-box positions, caps it, adds the noise,
 raises IntegratorFailure on a non-finite step, folds, and counts node-basin
-crossings.  Callers fold their start points once (a sampler draws a chunk's
-in one call) and advance the kernel a block of steps at a time up to their
-next event: noise-buffer end, snapshot-segment end, checkpoint or recorded
-row (``run_ensemble``), or the first step at which a walker meets the stop
-predicate (``run_first_passage_ensemble``, which then retires the walkers
-that hit from the batch).  A single trajectory is an ensemble of one.
+crossings.  One chunk driver, ``_run_chunk``, serves both entry points: it
+folds the chunk's start points once (a sampler draws them in one call) and
+advances the kernel a block of steps at a time up to the next event:
+noise-block end, snapshot-segment end, checkpoint, recorded row, or the
+first step at which a walker meets an optional stop predicate.  Walkers that
+meet it retire from the batch (``run_first_passage_ensemble``).  A single
+trajectory is an ensemble of one.
 
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
@@ -33,13 +34,13 @@ threads: per-step numpy dispatch holds the GIL, and two threads measured
 
 Noise budget: a chunk of m trajectories in d dimensions draws its noise into
 one buffer of at most ``_NOISE_VALUES`` doubles (8 MiB), B = _NOISE_VALUES //
-(m d) steps per trajectory at a time, refilled when used up wherever that
-falls relative to snapshot segments, checkpoints and recorded rows.  A
-stream's draws concatenate bit-exactly across calls, so B never changes a
-result; it only trades memory against per-call generator overhead.
-First-passage chunks start with blocks of ``_FIRST_BLOCK`` steps and let
-them grow with the steps already taken, up to B, so that walkers which hit
-early do not draw (and throw away) a whole budget of noise.
+(m d) steps per trajectory.  In every chunk the blocks, refilled when used
+up wherever that falls relative to snapshot segments, checkpoints and
+recorded rows, start at ``_FIRST_BLOCK`` steps and grow with the steps
+already taken, up to B, so that walkers which retire early do not draw (and
+throw away) a whole budget of noise.  A stream's draws concatenate
+bit-exactly across calls, so block sizes never change a result; they only
+trade memory against per-call generator overhead.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .guidance import GuidanceParams, _cap_vectors, drift_field
 
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
-_FIRST_BLOCK = 1024     # steps in a first-passage chunk's first noise block
+_FIRST_BLOCK = 1024     # steps in a chunk's first noise block
 
 
 class IntegratorFailure(RuntimeError):
@@ -233,18 +234,6 @@ class FirstPassage:
 # --------------------------------------------------------------------------
 # the stepping kernel
 
-def _noise_buffer(m: int, dims: int, steps: int) -> np.ndarray:
-    """Noise buffer for m trajectories: up to ``steps`` steps within the budget."""
-    return np.empty((m, max(1, min(steps, _NOISE_VALUES // (m * dims))), dims))
-
-
-def _fill_noise(rngs, buf: np.ndarray) -> np.ndarray:
-    """Fill row i of ``buf`` (steps x dims) with the next draws of ``rngs[i]``."""
-    for r, row in zip(rngs, buf):
-        r.standard_normal(out=row)
-    return buf
-
-
 def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
                    basin_map=None, basin_prev=None, crossings=None, stop=None, side=None):
     """Advance in-box positions through up to noise.shape[1] Euler-Maruyama steps.
@@ -300,59 +289,87 @@ class EnsembleResult:
 
 
 def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidanceParams, dt: float,
-               t0: float, segments, checkpoint_steps, record_stride):
+               t0: float, segments, checkpoint_steps=(), record_stride=None, stop=None):
     """Advance one chunk through ``segments`` of (steps, drift, basin map or
-    None); returns positions, crossings, {checkpoint step: positions}, paths."""
-    rngs = [substream(master_seed, sid) for sid in stream_ids]
+    None).  With a ``stop`` predicate, a walker that meets it at the start or
+    after some step retires from the batch, and later observations keep it at
+    its hit position.  Returns positions, crossings, {checkpoint step:
+    positions}, paths and each walker's hit step (-1 if none)."""
+    ids = np.asarray(stream_ids)
+    rngs = [substream(master_seed, sid) for sid in ids]
     positions = grid.fold(sampler.sample(rngs))   # the kernel takes in-box points
-    m = len(stream_ids)
+    m = len(ids)
     sigma = np.sqrt(2.0 * params.lam * dt)
     crossings = np.zeros(m, dtype=np.int64)
     basin_prev = np.full(m, -1, dtype=np.int64)
+    side = None if stop is None else stop.initial_side(positions)
+    total = sum(steps for steps, _, _ in segments)
+    buf = np.empty((m, max(1, min(total, _NOISE_VALUES // (m * grid.dims))), grid.dims))
+    noise = buf[:, :0]   # the unused steps of the current noise block
+    rows = np.arange(m)   # the chunk row of each walker still in the batch
+    hit_steps = np.full(m, -1, dtype=np.int64)
+    final, crossed = np.empty_like(positions), np.empty_like(crossings)
+
+    def retire(hit, step):
+        nonlocal rngs, rows, positions, side, crossings, basin_prev, noise
+        out = rows[hit]
+        hit_steps[out], final[out], crossed[out] = step, positions[hit], crossings[hit]
+        rngs = [r for r, h in zip(rngs, hit) if not h]
+        rows, positions, side, crossings, basin_prev, noise = (
+            a[~hit] for a in (rows, positions, side, crossings, basin_prev, noise))
 
     captured = {}
     path_rows = []
 
-    def observe(step, positions):
-        if step in checkpoint_steps:
-            captured[step] = positions.copy()
-        if record_stride and step % record_stride == 0:
-            path_rows.append(positions.copy())
+    def observe(step):
+        checkpoint = step in checkpoint_steps
+        recorded = bool(record_stride) and step % record_stride == 0
+        if checkpoint or recorded:
+            snap = positions.copy()
+            if rows.size < m:   # retired walkers stay at their hit positions
+                snap = final.copy()
+                snap[rows] = positions
+            if checkpoint:
+                captured[step] = snap
+            if recorded:
+                path_rows.append(snap)
 
-    total = sum(steps for steps, _, _ in segments)
-    buf = _noise_buffer(m, grid.dims, total)
-    used = filled = 0
-    t = t0
     step = 0
-    observe(step, positions)
+    if stop is not None:
+        retire(stop.hit(positions, side), step)
+    observe(step)
     for steps, drift, bmap in segments:
         if bmap is not None:
-            b = bmap.lookup(positions, np.empty(m, np.int64))
+            b = bmap.lookup(positions, np.empty(rows.size, np.int64))
             np.copyto(basin_prev, b, where=b >= 0)
         seg_end = step + steps
         while step < seg_end:
-            if used == filled:
-                # Fixed per-trajectory consumption order: each stream's draws
-                # continue where its previous fill stopped.
-                filled = min(buf.shape[1], total - step)
-                _fill_noise(rngs, buf[:, :filled])
-                used = 0
-            # Advance to the next event: buffer end, segment end, checkpoint
-            # or recorded row.
-            stop = min([seg_end, step + filled - used] + [c for c in checkpoint_steps if c > step])
+            if not noise.shape[1]:
+                # Each stream's draws continue where its previous fill stopped,
+                # so the block sizes, growing with the steps taken, change nothing.
+                noise = buf[: rows.size, : min(buf.shape[1], total - step, max(_FIRST_BLOCK, step))]
+                for r, row in zip(rngs, noise):
+                    r.standard_normal(out=row)
+            # Advance to the next event (block end, segment end, checkpoint or
+            # recorded row), or less if some walker meets ``stop``.
+            nxt = min([seg_end, step + noise.shape[1]] + [c for c in checkpoint_steps if c > step])
             if record_stride:
-                stop = min(stop, (step // record_stride + 1) * record_stride)
-            positions, t, _, _ = _advance_block(
-                positions, t, dt, buf[:, used : used + stop - step], drift, grid,
-                sigma, params.drift_cap, stream_ids, bmap, basin_prev, crossings,
-            )
-            used += stop - step
-            step = stop
-            observe(step, positions)
+                nxt = min(nxt, (step // record_stride + 1) * record_stride)
+            k, hit = nxt - step, None
+            if rows.size:
+                positions, _, k, hit = _advance_block(
+                    positions, t0 + step * dt, dt, noise[:, :k], drift, grid, sigma,
+                    params.drift_cap, ids[rows], bmap, basin_prev, crossings, stop, side)
+            step += k
+            noise = noise[:, k:]
+            if hit is not None:
+                retire(hit, step)
+            observe(step)
 
-    del buf  # release the noise before stacking the recorded paths
+    del buf, noise  # release the noise before stacking the recorded paths
+    final[rows], crossed[rows] = positions, crossings
     paths = np.stack(path_rows, axis=1) if path_rows else None
-    return positions, crossings, captured, paths
+    return final, crossed, captured, paths, hit_steps
 
 
 def run_ensemble(
@@ -396,7 +413,7 @@ def run_ensemble(
                 for psi, steps in step_plan(snaps, t0, t_final, dt_L)]
 
     results = [
-        _run_chunk(list(range(a, min(a + _CHUNK, n))), master_seed, sampler, grid, params, dt_L,
+        _run_chunk(range(a, min(a + _CHUNK, n)), master_seed, sampler, grid, params, dt_L,
                    t0, segments, set(checkpoint_steps), record_stride)
         for a in range(0, n, _CHUNK)
     ]
@@ -445,10 +462,10 @@ def run_first_passage_ensemble(
     stop,
     t_max: float,
     master_seed: int = 0,
-    first_stream: int = 0,
     t0: float = 0.0,
 ) -> list[FirstPassage]:
-    """First-passage times of ``n`` walkers started at ``x0`` on a static field.
+    """First-passage times of ``n`` walkers (stream ids 0..n-1) started at
+    ``x0`` on a static field.
 
     A walker's time is ``t0 + k dt_L`` for the first step k after which the
     ``stop`` predicate holds (``t0`` if it holds at the start), censored at
@@ -459,45 +476,13 @@ def run_first_passage_ensemble(
         raise ValueError("n must be >= 1")
     if dt_L <= 0:
         raise ValueError("dt_L must be positive")
-    grid = psi.grid
-    drift = _Interpolant(grid, drift_field(psi, params))
-    sigma = np.sqrt(2.0 * params.lam * dt_L)
-    x0 = grid.fold(x0)[0]
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
-
-    def work(ids):
-        m = len(ids)
-        rngs = [substream(master_seed, sid) for sid in ids]
-        positions = np.tile(x0, (m, 1))
-        side = stop.initial_side(positions)
-        times = np.full(m, np.nan)
-        at_start = stop.hit(positions, side)
-        times[at_start] = t0
-        rows = np.flatnonzero(~at_start)   # the walker in each row of the batch
-        positions, side = positions[rows], side[rows]
-        buf = _noise_buffer(m, grid.dims, max_steps)
-        step = 0
-        while rows.size and step < max_steps:
-            blk = min(buf.shape[1], max_steps - step, max(_FIRST_BLOCK, step))
-            noise = _fill_noise([rngs[i] for i in rows], buf[: rows.size, :blk])
-            while rows.size and noise.shape[1]:
-                positions, _, k, hit = _advance_block(
-                    positions, t0 + step * dt_L, dt_L, noise, drift, grid, sigma,
-                    params.drift_cap, ids[rows], stop=stop, side=side,
-                )
-                step += k
-                if hit is None:
-                    break
-                times[rows[hit]] = t0 + step * dt_L
-                rows, positions, side = rows[~hit], positions[~hit], side[~hit]
-                noise = noise[~hit, k:]
-        return times
-
-    ids_all = np.arange(first_stream, first_stream + n)
-    times = np.concatenate([work(ids_all[a : a + _CHUNK]) for a in range(0, n, _CHUNK)])
+    segments = [(max_steps, _Interpolant(psi.grid, drift_field(psi, params)), None)]
     out = []
-    for i, sid in enumerate(ids_all):
-        censored = bool(np.isnan(times[i]))
-        out.append(FirstPassage(stream_id=int(sid), time=t_max if censored else float(times[i]),
-                                censored=censored))
+    for a in range(0, n, _CHUNK):
+        ids = range(a, min(a + _CHUNK, n))
+        hits = _run_chunk(ids, master_seed, PointSampler(x0), psi.grid, params, dt_L, t0, segments,
+                          stop=stop)[4]
+        out += [FirstPassage(sid, float(t0 + k * dt_L), False) if k >= 0
+                else FirstPassage(sid, t_max, True) for sid, k in zip(ids, hits)]
     return out

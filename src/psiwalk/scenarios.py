@@ -265,8 +265,10 @@ _SCENARIOS = {
     }, stages=lambda m: [_to_t_final(m, "dt_psi", (m["time"]["dt_psi"], m["time"]["snapshot_stride"]))],
     params={
         "omega": (1.0, _POSITIVE), "displacement": (1.0, _NUMBER),
-        "lam_values": ([1.0, 10.0, 100.0], (lambda v: _is_list(v, _POSITIVE[0]) and len(v) > 0,
-                                            "a non-empty list of positive numbers")),
+        # tracking_tv_decreasing compares neighbours, and tracking_tv_last judges the largest
+        "lam_values": ([1.0, 10.0, 100.0], (
+            lambda v: _is_list(v, _POSITIVE[0]) and len(v) >= 2 and list(v) == sorted(set(v)),
+            "a strictly increasing list of at least two positive numbers")),
         "tv_limit_last": (0.1, _POSITIVE),
     }),
     "product_separation": _Scenario(dims=2, periodic=False, histograms=False, defaults={
@@ -380,6 +382,12 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
             stopped.add(st.key)
     if p.get("oracle"):
         errors += _oracle_errors(p["oracle"], m)
+    if scenario == "product_separation" and stages and not stopped:
+        (st,) = stages   # the walkers
+        n = en["n_trajectories"] * (step_count(st.t0, st.t1, st.dt) // p["record_stride"])
+        if n <= 9:   # the bound 3/sqrt(n) is then at least 1, which no |rho| exceeds
+            errors.append(f"product_separation records {n} path increments (walkers x steps // "
+                          "params.record_stride); increment_correlation needs 10 to be able to fail")
     try:
         grid = _grid(m["grid"])
     except (TypeError, ValueError) as exc:
@@ -692,22 +700,23 @@ def _mfpt_block(cfg, out, psi, dg, params, mfpt):
     start = -dg.b if mfpt["start"] is None else float(mfpt["start"])
     results = langevin.run_first_passage_ensemble(n, [start], psi, params, dt, stop, t_max,
                                                   master_seed=cfg.master_seed)
-    est = analysis.mfpt_estimate(results, params=dg, lam=params.lam)
+    est = analysis.mfpt_estimate(results)
+    ratio = est.mean / prediction if est.defined else np.nan
     out.metrics["mfpt_mean"] = est.mean
     out.metrics["mfpt_se"] = est.standard_error
     out.metrics["mfpt_censored_fraction"] = est.censored_fraction
     out.metrics["mfpt_prediction"] = prediction
-    out.metrics["mfpt_ratio"] = est.ratio
+    out.metrics["mfpt_ratio"] = ratio
     out.metrics["mfpt_escapes"] = int(round(est.n * (1 - est.censored_fraction)))
     factor = mfpt["within_factor"]
     if factor:
-        ok = est.defined and (1.0 / factor) <= est.ratio <= factor
-        out.checks.append(Check("mfpt_within_factor", est.ratio if est.defined else np.nan,
+        ok = est.defined and (1.0 / factor) <= ratio <= factor
+        out.checks.append(Check("mfpt_within_factor", ratio,
                                 f"within factor {factor} of the escape-time formula", bool(ok)))
     out.tables["mfpt"] = (
         ["a", "b", "lam", "predicted", "measured_mean", "se", "ratio", "censored_fraction", "n"],
         [[dg.a, dg.b, params.lam, prediction, est.mean, est.standard_error,
-          est.ratio, est.censored_fraction, est.n]],
+          ratio, est.censored_fraction, est.n]],
     )
 
 

@@ -19,6 +19,7 @@ from psiwalk import (
     WaveField,
     drift_field,
     evolve,
+    kramers_prediction,
     make_double_gaussian,
     make_packet,
     mfpt_estimate,
@@ -189,6 +190,32 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
         assert fp.censored == (expected is None)
         assert fp.time == (t_max if expected is None else expected)
     assert 0 < sum(fp.censored for fp in results) < 10
+
+
+def test_retired_walkers_stay_at_their_hit_position_in_later_observations(monkeypatch):
+    # The chunk driver with a stop predicate, checkpoints and recorded rows:
+    # each walker follows the reference up to its hit step and then stays at
+    # its hit position; 3-step noise blocks make walkers retire mid-block.
+    g = Grid.make(256, (-8.0, 8.0), "reflecting")
+    psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.0))
+    params = GuidanceParams(lam=1.0)
+    stop, dt, steps, seed = PlaneCrossing(at=-0.5), 0.01, 60, 5
+    monkeypatch.setattr(langevin, "_NOISE_VALUES", 24)
+    df = drift_field(psi, params)
+    final, _, captured, paths, hits = langevin._run_chunk(
+        range(8), seed, PointSampler([-1.0]), g, params, dt, 0.0,
+        [(steps, langevin._Interpolant(g, df), None)], {30}, 2, stop)
+    for sid in range(8):
+        path = em_reference([-1.0], substream(seed, sid), g, lambda s: df, params, dt, steps)
+        side = stop.initial_side(path[0])
+        hit = next((k for k in range(1, steps + 1) if stop.hit(path[k], side)[0]), -1)
+        assert hits[sid] == hit
+        if hit >= 0:
+            path = path[: hit + 1] + [path[hit]] * (steps - hit)
+        assert np.array_equal(paths[sid], np.stack(path[::2]))
+        assert np.array_equal(captured[30][sid], path[30])
+        assert np.array_equal(final[sid], path[-1])
+    assert 0 < np.sum(hits >= 0) < 8
 
 
 def reference_crossings(path, source, segment_of_step):
@@ -411,8 +438,8 @@ def test_nonfinite_step_raises_integrator_failure():
     # first passage: every walker starts at x = 2, so the first row fails
     with pytest.raises(IntegratorFailure) as err:
         run_first_passage_ensemble(4, [2.0], psi, params, dt, PlaneCrossing(at=7.0), 0.5 + 5 * dt,
-                                   master_seed=seed, first_stream=3, t0=0.5)
-    assert err.value.stream_id == 3
+                                   master_seed=seed, t0=0.5)
+    assert err.value.stream_id == 0
     assert err.value.time == pytest.approx(0.5 + dt)
 
 
@@ -518,9 +545,9 @@ def test_mfpt_double_well_matches_escape_formula():
         220, [-2.5], psi, params, 0.02, PlaneCrossing(at=2.5),
         t_max=4.0 * 207.205, master_seed=11,
     )
-    est = mfpt_estimate(results, params=dg, lam=1.0)
+    est = mfpt_estimate(results)
     assert est.n - est.censored_fraction * est.n >= 200
-    assert 1.0 / 3.0 < est.ratio < 3.0
+    assert 1.0 / 3.0 < est.mean / kramers_prediction(dg, 1.0) < 3.0
     assert abs(est.mean - MFPT_FULL_CROSSING[2.5]) / MFPT_FULL_CROSSING[2.5] < 0.25
 
 

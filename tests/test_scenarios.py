@@ -188,6 +188,30 @@ def test_an_oracle_block_that_never_runs_is_listed(scenario, override, error):
     assert validate_config({"scenario": scenario, "params": params, **override}) == (None, [error])
 
 
+@pytest.mark.parametrize("t_final, n", [(2e-3, 2), (1e-3, 1)])
+def test_an_increment_correlation_check_that_cannot_fail_is_listed(t_final, n):
+    # 3/sqrt(n) >= 1 for n <= 9 increments: with two, rho = -1.0 passed
+    # against a bound of 2.12; with one, rho was NaN and failed after the run
+    source = {"scenario": "product_separation", "grid": {"points": [16, 16]},
+              "time": {"dt_langevin": 1e-3, "t_final": t_final}, "ensemble": {"n_trajectories": 1}}
+    assert validate_config(source) == (None, [
+        f"product_separation records {n} path increments (walkers x steps // "
+        "params.record_stride); increment_correlation needs 10 to be able to fail"])
+    source["time"]["t_final"] = 1e-2
+    assert validate_config(source)[1] == []
+
+
+@pytest.mark.parametrize("lam_values", [[10.0], [100.0, 10.0, 1.0], [1.0, 1.0]])
+def test_lam_values_must_increase(lam_values):
+    # [10.0] compared nothing and passed tracking_tv_decreasing; [100, 10, 1]
+    # failed it although the TV falls as lam grows, and tracking_tv_last judged lam = 1
+    source = {"scenario": "adiabatic_tracking", "params": {"lam_values": lam_values}}
+    assert validate_config(source) == (None, [
+        "params.lam_values must be a strictly increasing list of at least two positive numbers, "
+        f"got {lam_values!r}"])
+    assert validate_config({"scenario": "adiabatic_tracking"})[1] == []
+
+
 @pytest.mark.parametrize("stride", [0, -2, 2.5, "4", True])
 def test_record_stride_must_be_positive_integer(stride):
     # listed before compute: the ensemble used to hang on a negative stride,
@@ -345,7 +369,8 @@ def test_every_config_the_validator_accepts_runs(tmp_path):
     ("double_well", {"params": {"mfpt": {"n": 10, "target": "farwell"}}},
      "params.mfpt.target must be 'far_well', 'ridge' or a number, got 'farwell'"),
     ("adiabatic_tracking", {"params": {"lam_values": []}},
-     "params.lam_values must be a non-empty list of positive numbers, got []"),
+     "params.lam_values must be a strictly increasing list of at least two positive numbers, "
+     "got []"),
     ("double_well", {"params": {"equilibrium": {"tv_limit": "0.05"}}},
      "params.equilibrium.tv_limit must be a positive number, got '0.05'"),
     ("double_well", {"params": {"oracle": 5}}, "params.oracle must be a JSON object, got 5"),
@@ -594,6 +619,19 @@ def test_double_well_localizes_on_short_horizon(tmp_path):
     paths_csv = (tmp_path / "metrics" / "paths.csv").read_text().splitlines()
     assert paths_csv[0] == "stream_id,t,x1"
     assert len(paths_csv) > 10
+
+
+def test_oracle_start_cell_is_the_walkers_histogram_cell(tmp_path):
+    # One ulp below a coarse cell edge: the oracle's point-start delta and the
+    # walkers' t = 0 histogram used to bin it into neighbouring cells (TV 1.0).
+    cfg, errors = validate_config({
+        "scenario": "double_well", "time": {"t_final": 0.05},
+        "ensemble": {"n_trajectories": 50, "sampler": {"type": "point", "at": [-3.9375000000000004]}},
+        "params": {"oracle": {"checkpoints": [0.0]}}})
+    assert errors == []
+    manifest = run_scenario(cfg, out_dir=tmp_path)
+    assert manifest.metrics["oracle_tv_max"] == 0.0
+    assert [c.passed for c in manifest.checks if c.name == "oracle_tv_max"] == [True]
 
 
 def test_manifest_echoes_config(tmp_path):
