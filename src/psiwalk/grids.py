@@ -202,9 +202,6 @@ class WaveField:
         self.values = values
         self.time = float(time)
 
-    def density(self) -> DensityField:
-        return DensityField(self.grid, np.abs(self.values) ** 2, self.time)
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2)) * self.grid.cell_volume
 

@@ -118,8 +118,9 @@ _SHARED = {
 }
 _TWO_GAUSSIANS = {"a": (1.0, _POSITIVE), "b": (1.0, _POSITIVE)}
 # None: fp_dt is time.dt_langevin.
-_ORACLE = {"checkpoints": ([], (_is_list, "a list of numbers")), "fp_dt": (None, _POSITIVE),
-           "tv_limit": (0.05, _POSITIVE)}
+_ORACLE = {"checkpoints": (_REQUIRED, (lambda v: _is_list(v) and len(v) > 0,
+                                        "a non-empty list of numbers")),
+           "fp_dt": (None, _POSITIVE), "tv_limit": (0.05, _POSITIVE)}
 
 
 class _Stage(NamedTuple):
@@ -207,87 +208,6 @@ def _interference_stages(m: dict) -> list:
     return stages
 
 
-@dataclass(frozen=True)
-class _Scenario:
-    dims: int          # grid axes the runner builds its state on
-    periodic: bool     # propagated by the split-step method, which needs periodic axes
-    histograms: bool   # compares histograms coarsened by ``histogram_refine``
-    defaults: dict     # dotted path -> default, replacing the one in _SHARED
-    params: dict       # the scenario's ``params`` keys
-    stages: Callable   # merged config -> the _Stages its runner steps, in O(1)
-
-
-_SCENARIOS = {
-    "double_well": _Scenario(dims=1, periodic=False, histograms=True, defaults={
-        "grid.points": [512], "grid.extent": [[-9.0, 9.0]], "grid.boundary": [REFLECTING],
-        "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 200.0,
-        "ensemble.n_trajectories": 10000,
-        "ensemble.sampler.type": "point", "ensemble.sampler.at": [-1.0],
-    }, stages=_double_well_stages, params={
-        **_TWO_GAUSSIANS,
-        "equilibrium": ({}, {"enabled": (True, (lambda v: isinstance(v, bool), "true or false")),
-                             "tv_limit": (0.05, _POSITIVE)}),
-        "oracle": (None, _ORACLE),
-        # None: dt is time.dt_langevin, start is -b, within_factor sets no check.
-        "mfpt": (None, {"n": (_REQUIRED, _STRIDE), "dt": (None, _POSITIVE),
-                        "target": ("far_well", _TARGET), "t_max_factor": (4.0, _POSITIVE),
-                        "start": (None, _NUMBER), "within_factor": (None, _POSITIVE)}),
-        # None: dt is time.dt_langevin, well_gap is b / 2.
-        "localization": (None, {"n": (_REQUIRED, _STRIDE), "dt": (None, _POSITIVE),
-                                "horizon_fraction": (0.1, _POSITIVE), "well_gap": (None, _POSITIVE),
-                                "record_stride": (20, _STRIDE), "stay_fraction": (0.95, _FRACTION),
-                                "write_paths": (0, _COUNT)}),
-    }),
-    "interference": _Scenario(dims=1, periodic=True, histograms=True, defaults={
-        "grid.points": [2048], "grid.extent": [[-16.0, 16.0]], "grid.boundary": [PERIODIC],
-        "guidance.lam": 25.0, "guidance.drift_cap": "auto",
-        "time.dt_psi": 2e-3, "time.dt_langevin": 1e-4,
-        "time.t_final": None,   # None: when the two packets meet
-        "ensemble.n_trajectories": 8192, "histogram_refine": 8,
-    }, stages=_interference_stages, params={
-        "packet_width": (1.0, _POSITIVE), "separation": (5.0, _POSITIVE),
-        "momentum": (2.0, _POSITIVE), "node_threshold": (1e-8, _POSITIVE),
-        "tv_limit": (0.15, _POSITIVE), "zero_crossing_fraction": (0.99, _FRACTION),
-    }),
-    "harmonic_ground": _Scenario(dims=1, periodic=True, histograms=True, defaults={
-        "grid.points": [256], "grid.extent": [[-8.0, 8.0]], "grid.boundary": [PERIODIC],
-        "guidance.lam": 10.0, "time.t_final": 20.0,
-        "ensemble.sampler.type": "point", "ensemble.sampler.at": [0.0],
-    }, stages=_harmonic_stages, params={
-        "omega": (1.0, _POSITIVE), "tv_limit": (0.08, _POSITIVE),
-        "norm_drift_limit": (1e-9, _POSITIVE),
-        "norm_drift_steps": (None, _STRIDE),   # None: t_final / dt_psi
-        "oracle": (None, _ORACLE),
-    }),
-    "adiabatic_tracking": _Scenario(dims=1, periodic=True, histograms=False, defaults={
-        "grid.points": [384], "grid.extent": [[-12.0, 12.0]], "grid.boundary": [PERIODIC],
-        "time.t_final": 6.283, "ensemble.n_trajectories": 0,
-    }, stages=lambda m: [_to_t_final(m, "dt_psi", (m["time"]["dt_psi"], m["time"]["snapshot_stride"]))],
-    params={
-        "omega": (1.0, _POSITIVE), "displacement": (1.0, _NUMBER),
-        # tracking_tv_decreasing compares neighbours, and tracking_tv_last judges the largest
-        "lam_values": ([1.0, 10.0, 100.0], (
-            lambda v: _is_list(v, _POSITIVE[0]) and len(v) >= 2 and list(v) == sorted(set(v)),
-            "a strictly increasing list of at least two positive numbers")),
-        "tv_limit_last": (0.1, _POSITIVE),
-    }),
-    "product_separation": _Scenario(dims=2, periodic=False, histograms=False, defaults={
-        "grid.points": [128, 128], "grid.extent": [[-8.0, 8.0], [-8.0, 8.0]],
-        "grid.boundary": [REFLECTING, REFLECTING],
-        "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 100.0,
-        "ensemble.n_trajectories": 64,
-    }, stages=lambda m: [_to_t_final(m, "dt_langevin")] if m["ensemble"]["n_trajectories"] else [],
-    params={**_TWO_GAUSSIANS, "gauss_width": (1.0, _POSITIVE), "record_stride": (1, _STRIDE),
-               "write_paths": (0, _COUNT)}),
-    "free_packet": _Scenario(dims=1, periodic=True, histograms=False, defaults={
-        "grid.points": [1024], "grid.extent": [[-40.0, 40.0]], "grid.boundary": [PERIODIC],
-        "time.t_final": 2.0, "time.snapshot_stride": 100, "ensemble.n_trajectories": 0,
-    }, stages=lambda m: [_to_t_final(m, "dt_psi")],
-    params={"sigma0": (1.0, _POSITIVE), "rel_error_limit": (0.01, _POSITIVE)}),
-}
-SCENARIO_NAMES = tuple(_SCENARIOS)
-
-
 def _walk(spec: dict, given: dict, path: str, defaults: dict, errors: list) -> dict:
     """``given`` merged over the defaults of one level of the schema, a
     scenario's ``defaults`` (dotted path -> default) before the table's.
@@ -310,15 +230,6 @@ def _walk(spec: dict, given: dict, path: str, defaults: dict, errors: list) -> d
             errors.append(f"{name} must be {phrase}, got {shown}")
         merged[key] = copy.deepcopy(value)
     return merged
-
-
-def _deep_merge(dst: dict, src: dict) -> dict:
-    for key, value in src.items():
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _deep_merge(dst[key], value)
-        else:
-            dst[key] = copy.deepcopy(value)
-    return dst
 
 
 def _snapshot_steps(st: _Stage):
@@ -508,16 +419,7 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         d = json.loads(Path(path).read_text())
-        return cls(
-            scenario=d["scenario"],
-            config=d["config"],
-            version=d["version"],
-            metrics=d["metrics"],
-            checks=[Check(**c) for c in d["checks"]],
-            passed=d["passed"],
-            files=d["files"],
-            timing=d["timing"],
-        )
+        return cls(**{**d, "checks": [Check(**c) for c in d["checks"]]})
 
     def verify_files(self, base_dir) -> list[str]:
         """Recompute checksums; returns a list of mismatches (empty = ok)."""
@@ -535,23 +437,35 @@ class RunManifest:
 # --------------------------------------------------------------------------
 # shared scenario pieces
 
-def _sampler_from_config(cfg: ScenarioConfig, psi: WaveField, params: GuidanceParams):
+def _check(out: Outcome, name: str, value, relation: str, limit):
+    """Record the threshold check ``value < limit`` or ``value >= limit``."""
+    passed = value < limit if relation == "<" else value >= limit
+    out.checks.append(Check(name, value, f"{relation} {limit}", passed))
+
+
+def _distance(p: DensityField, ref: DensityField, refine: int = 1) -> tuple[float, float]:
+    """TV distance and max-norm between ``p`` and ``ref`` normalized, both
+    block-averaged by ``refine`` first when it is above 1."""
+    if refine > 1:
+        p, ref = analysis.coarsen(p, refine), analysis.coarsen(ref, refine)
+    ref = ref.normalized()
+    return analysis.total_variation(p, ref), float(np.max(np.abs(p.values - ref.values)))
+
+
+def _walkers(cfg: ScenarioConfig, psi0: WaveField, snaps, params: GuidanceParams, stage: _Stage, **kw):
+    """The config's walkers, drawn by its sampler (a point, or the density of
+    ``psi0``) and stepped from its master seed through ``stage`` on ``snaps``."""
     spec = cfg.ensemble["sampler"]
-    if spec["type"] == "point":
-        return langevin.PointSampler(np.asarray(spec["at"], dtype=float))
-    return langevin.DensitySampler(regularized_density(psi, params))
+    sampler = (langevin.PointSampler(np.asarray(spec["at"], dtype=float)) if spec["type"] == "point"
+               else langevin.DensitySampler(regularized_density(psi0, params)))
+    return langevin.run_ensemble(cfg.ensemble["n_trajectories"], sampler, snaps, params, stage.dt,
+                                 stage.t1, master_seed=cfg.master_seed, **kw)
 
 
-def _coarse(field: DensityField, refine: int) -> DensityField:
-    return field if refine == 1 else analysis.coarsen(field, refine)
-
-
-def _harmonic_potential(grid: Grid, omega: float, mass: float) -> np.ndarray:
-    mesh = grid.meshgrid()
-    u = np.zeros(grid.points)
-    for m in mesh:
-        u = u + 0.5 * mass * omega**2 * m**2
-    return u
+def _harmonic(cfg: ScenarioConfig, grid: Grid, omega: float) -> schrodinger.HamiltonianSpec:
+    """The config's Hamiltonian in the trap U = m omega^2 |x|^2 / 2."""
+    u = sum((0.5 * cfg.mass * omega**2 * m**2 for m in grid.meshgrid()), np.zeros(grid.points))
+    return schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass, potential=u)
 
 
 # --------------------------------------------------------------------------
@@ -562,8 +476,7 @@ def _run_harmonic_ground(cfg: ScenarioConfig, stages):
     grid = cfg.build_grid()
     p = cfg.params
     omega = float(p["omega"])
-    potential = _harmonic_potential(grid, omega, cfg.mass)
-    h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass, potential=potential)
+    h = _harmonic(cfg, grid, omega)
     x = grid.coords(0)
     psi0 = WaveField(grid, (cfg.mass * omega / np.pi / cfg.hbar) ** 0.25
                      * np.exp(-cfg.mass * omega * x**2 / (2 * cfg.hbar)))
@@ -578,8 +491,7 @@ def _run_harmonic_ground(cfg: ScenarioConfig, stages):
     norm_drift = abs(psi_final.norm_sq() - norm0) / norm0
     out.metrics["norm_drift"] = norm_drift
     out.metrics["propagator_steps"] = steps
-    limit = p["norm_drift_limit"]
-    out.checks.append(Check("psi_norm_drift", norm_drift, f"< {limit}", norm_drift < limit))
+    _check(out, "psi_norm_drift", norm_drift, "<", p["norm_drift_limit"])
     out.fields.append(("psi_final", psi_final))
 
     equilibrium = regularized_density(psi0, params)
@@ -598,14 +510,11 @@ def _equilibrium_check(cfg, out, stages, psi, params, equilibrium, limit):
     ``equilibrium`` against ``limit``, and cross-check the density solver at
     ``params.oracle``'s checkpoints when it is set.  Returns the TV distance."""
     walkers, *oracle_stages = stages
-    result = langevin.run_ensemble(
-        cfg.ensemble["n_trajectories"], _sampler_from_config(cfg, psi, params), psi, params,
-        walkers.dt, walkers.t1, master_seed=cfg.master_seed,
-        checkpoint_times=tuple(st.t1 for st in oracle_stages if st.key == walkers.key))
-    tv = analysis.total_variation(_coarse(result.histogram, cfg.histogram_refine),
-                                  _coarse(equilibrium, cfg.histogram_refine).normalized())
+    result = _walkers(cfg, psi, psi, params, walkers,
+                      checkpoint_times=tuple(st.t1 for st in oracle_stages if st.key == walkers.key))
+    tv, _ = _distance(result.histogram, equilibrium, cfg.histogram_refine)
     out.metrics["tv_equilibrium"] = tv
-    out.checks.append(Check("tv_equilibrium", tv, f"< {limit}", tv < limit))
+    _check(out, "tv_equilibrium", tv, "<", limit)
     out.fields.append(("final_histogram", result.histogram))
     if cfg.params["oracle"]:
         legs = [st for st in oracle_stages if st.key != walkers.key]
@@ -632,20 +541,12 @@ def _oracle_cross_check(cfg, out, psi, params, result, legs):
         dens = densities[leg.t1] = smoluchowski.fp_evolve(dens, psi, params, float(leg.dt), leg.t1,
                                                           method="auto")[-1]
         dens = DensityField(grid, dens.values, leg.t1)
-    rows = []
-    worst = 0.0
-    for tc, positions in result.checkpoints:
-        dens = densities[tc]
-        hist = analysis.histogram(positions, dens.grid)
-        hc = _coarse(hist, cfg.histogram_refine)
-        dc = _coarse(dens, cfg.histogram_refine).normalized()
-        tv = analysis.total_variation(hc, dc)
-        rows.append([tc, tv, float(np.max(np.abs(hc.values - dc.values)))])
-        worst = max(worst, tv)
+    rows = [[tc, *_distance(analysis.histogram(positions, grid), densities[tc], cfg.histogram_refine)]
+            for tc, positions in result.checkpoints]
+    worst = max(tv for _, tv, _ in rows)
     out.metrics["oracle_tv_max"] = worst
     out.metrics["oracle_checkpoints"] = [float(t) for t, _ in result.checkpoints]
-    limit = cfg.params["oracle"]["tv_limit"]
-    out.checks.append(Check("oracle_tv_max", worst, f"< {limit}", worst < limit))
+    _check(out, "oracle_tv_max", worst, "<", cfg.params["oracle"]["tv_limit"])
     out.tables["oracle_tv"] = (["t", "tv", "maxnorm"], rows)
 
 
@@ -686,13 +587,8 @@ def _run_double_well(cfg: ScenarioConfig, stages):
 
 
 def _mfpt_block(cfg, out, psi, dg, params, mfpt):
-    target = mfpt["target"]
-    if target == "far_well":
-        stop = langevin.PlaneCrossing(at=dg.b)
-    elif target == "ridge":
-        stop = langevin.PlaneCrossing(at=0.0)
-    else:
-        stop = langevin.PlaneCrossing(at=float(target))
+    target = {"far_well": dg.b, "ridge": 0.0}.get(mfpt["target"], mfpt["target"])
+    stop = langevin.PlaneCrossing(at=float(target))
     prediction = analysis.kramers_prediction(dg, params.lam)
     t_max = mfpt["t_max_factor"] * prediction
     dt = float(mfpt["dt"] or cfg.time["dt_langevin"])
@@ -738,8 +634,7 @@ def _localization_block(cfg, out, psi, dg, params, loc, stage):
     out.metrics["no_jump_fraction"] = stay
     out.metrics["mean_jumps"] = float(jumps.mean())
     out.metrics["final_mass_start_well"] = mass_start_well
-    frac = loc["stay_fraction"]
-    out.checks.append(Check("no_jump_fraction", stay, f">= {frac}", stay >= frac))
+    _check(out, "no_jump_fraction", stay, ">=", loc["stay_fraction"])
     out.tables["localization"] = (
         ["horizon", "no_jump_fraction", "mean_jumps", "final_mass_start_well", "n"],
         [[horizon, stay, float(jumps.mean()), mass_start_well, n]],
@@ -754,8 +649,7 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, stages):
     grid = cfg.build_grid()
     p = cfg.params
     omega = float(p["omega"])
-    potential = _harmonic_potential(grid, omega, cfg.mass)
-    h = schrodinger.HamiltonianSpec(hbar=cfg.hbar, mass=cfg.mass, potential=potential)
+    h = _harmonic(cfg, grid, omega)
     psi0 = schrodinger.make_packet(grid, [float(p["displacement"])], np.sqrt(cfg.hbar / (cfg.mass * omega)))
     (run,) = stages   # the propagator, and the density solver through its snapshots
     snaps = schrodinger.evolve(psi0, h, run.t1, run.dt, cfg.time["snapshot_stride"])
@@ -773,11 +667,9 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, stages):
         tvs = []
         # densities and snapshots both fall every snapshot_stride steps and at the end
         for dens, snap in zip(densities, snaps):
-            ref = regularized_density(snap, params).normalized()
-            dn = dens.normalized()
-            tv = analysis.total_variation(dn, ref)
+            tv, maxnorm = _distance(dens.normalized(), regularized_density(snap, params))
             tvs.append(tv)
-            series_rows.append([lam, dens.time, tv, float(np.max(np.abs(dn.values - ref.values)))])
+            series_rows.append([lam, dens.time, tv, maxnorm])
         mean_tv = float(np.mean(tvs))
         max_tv = float(np.max(tvs))
         tv_by_lam.append(mean_tv)
@@ -787,8 +679,7 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, stages):
     decreasing = all(a > b for a, b in zip(tv_by_lam[:-1], tv_by_lam[1:]))
     out.checks.append(Check("tracking_tv_decreasing", float(tv_by_lam[-1] - tv_by_lam[0]),
                             "strictly decreasing in lam", decreasing))
-    limit = p["tv_limit_last"]
-    out.checks.append(Check("tracking_tv_last", tv_by_lam[-1], f"< {limit}", tv_by_lam[-1] < limit))
+    _check(out, "tracking_tv_last", tv_by_lam[-1], "<", p["tv_limit_last"])
     out.tables["tracking"] = (["lam", "tv_mean", "tv_max"], summary_rows)
     out.tables["tracking_series"] = (["lam", "t", "tv", "maxnorm"], series_rows)
     return out
@@ -816,22 +707,14 @@ def _run_interference(cfg: ScenarioConfig, stages):
 
     if walkers:
         params = cfg.guidance_params()
-        sampler = _sampler_from_config(cfg, psi0, params)
-        result = langevin.run_ensemble(
-            cfg.ensemble["n_trajectories"], sampler, snaps, params, walkers[0].dt, walkers[0].t1,
-            master_seed=cfg.master_seed, node_threshold=float(p["node_threshold"]))
-        reference = regularized_density(snaps[-1], params)
-        tv = analysis.total_variation(_coarse(result.histogram, cfg.histogram_refine),
-                                      _coarse(reference, cfg.histogram_refine).normalized())
+        result = _walkers(cfg, psi0, snaps, params, walkers[0], node_threshold=float(p["node_threshold"]))
+        tv, _ = _distance(result.histogram, regularized_density(snaps[-1], params), cfg.histogram_refine)
         zero_fraction = float(np.mean(result.crossings == 0))
         out.metrics["tv_fringe"] = tv
         out.metrics["zero_crossing_fraction"] = zero_fraction
         out.metrics["mean_crossings"] = float(result.crossings.mean())
-        limit = p["tv_limit"]
-        frac = p["zero_crossing_fraction"]
-        out.checks.append(Check("tv_fringe", tv, f"< {limit}", tv < limit))
-        out.checks.append(Check("zero_crossing_fraction", zero_fraction, f">= {frac}",
-                                zero_fraction >= frac))
+        _check(out, "tv_fringe", tv, "<", p["tv_limit"])
+        _check(out, "zero_crossing_fraction", zero_fraction, ">=", p["zero_crossing_fraction"])
         out.fields.append(("final_histogram", result.histogram))
         out.tables["interference"] = (
             ["fringe_time", "tv", "zero_crossing_fraction", "mean_crossings", "n"],
@@ -855,10 +738,7 @@ def _run_product_separation(cfg: ScenarioConfig, stages):
     params = cfg.guidance_params()
 
     if stages:   # the walkers
-        sampler = _sampler_from_config(cfg, psi, params)
-        result = langevin.run_ensemble(
-            cfg.ensemble["n_trajectories"], sampler, psi, params, stages[0].dt, stages[0].t1,
-            master_seed=cfg.master_seed, record_stride=int(p["record_stride"]))
+        result = _walkers(cfg, psi, psi, params, stages[0], record_stride=int(p["record_stride"]))
         stats = analysis.independence_test(result.paths)
         bound = 3.0 / np.sqrt(stats.n_increments)
         out.metrics["rho_increments"] = stats.rho_increments
@@ -902,22 +782,94 @@ def _run_free_packet(cfg: ScenarioConfig, stages):
     out.metrics["sigma_final"] = float(sigma_final)
     out.metrics["sigma_expected"] = float(sigma_expected)
     out.metrics["rel_error"] = float(rel_error)
-    limit = p["rel_error_limit"]
-    out.checks.append(Check("dispersion_rel_error", rel_error, f"< {limit}", rel_error < limit))
+    _check(out, "dispersion_rel_error", rel_error, "<", p["rel_error_limit"])
     out.tables["dispersion"] = (["t", "sigma_measured", "sigma_expected"], rows)
     out.fields.append(("psi_initial", psi0))
     out.fields.append(("psi_final", snaps[-1]))
     return out
 
 
-_RUNNERS = {
-    "harmonic_ground": _run_harmonic_ground,
-    "double_well": _run_double_well,
-    "adiabatic_tracking": _run_adiabatic_tracking,
-    "interference": _run_interference,
-    "product_separation": _run_product_separation,
-    "free_packet": _run_free_packet,
+@dataclass(frozen=True)
+class _Scenario:
+    dims: int          # grid axes the runner builds its state on
+    periodic: bool     # propagated by the split-step method, which needs periodic axes
+    histograms: bool   # compares histograms coarsened by ``histogram_refine``
+    defaults: dict     # dotted path -> default, replacing the one in _SHARED
+    params: dict       # the scenario's ``params`` keys
+    stages: Callable   # merged config -> the _Stages its runner steps, in O(1)
+    run: Callable      # (config, its stages) -> Outcome
+
+
+_SCENARIOS = {
+    "double_well": _Scenario(dims=1, periodic=False, histograms=True, defaults={
+        "grid.points": [512], "grid.extent": [[-9.0, 9.0]], "grid.boundary": [REFLECTING],
+        "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 200.0,
+        "ensemble.n_trajectories": 10000,
+        "ensemble.sampler.type": "point", "ensemble.sampler.at": [-1.0],
+    }, stages=_double_well_stages, run=_run_double_well, params={
+        **_TWO_GAUSSIANS,
+        "equilibrium": ({}, {"enabled": (True, (lambda v: isinstance(v, bool), "true or false")),
+                             "tv_limit": (0.05, _POSITIVE)}),
+        "oracle": (None, _ORACLE),
+        # None: dt is time.dt_langevin, start is -b, within_factor sets no check.
+        "mfpt": (None, {"n": (_REQUIRED, _STRIDE), "dt": (None, _POSITIVE),
+                        "target": ("far_well", _TARGET), "t_max_factor": (4.0, _POSITIVE),
+                        "start": (None, _NUMBER), "within_factor": (None, _POSITIVE)}),
+        # None: dt is time.dt_langevin, well_gap is b / 2.
+        "localization": (None, {"n": (_REQUIRED, _STRIDE), "dt": (None, _POSITIVE),
+                                "horizon_fraction": (0.1, _POSITIVE), "well_gap": (None, _POSITIVE),
+                                "record_stride": (20, _STRIDE), "stay_fraction": (0.95, _FRACTION),
+                                "write_paths": (0, _COUNT)}),
+    }),
+    "interference": _Scenario(dims=1, periodic=True, histograms=True, defaults={
+        "grid.points": [2048], "grid.extent": [[-16.0, 16.0]], "grid.boundary": [PERIODIC],
+        "guidance.lam": 25.0, "guidance.drift_cap": "auto",
+        "time.dt_psi": 2e-3, "time.dt_langevin": 1e-4,
+        "time.t_final": None,   # None: when the two packets meet
+        "ensemble.n_trajectories": 8192, "histogram_refine": 8,
+    }, stages=_interference_stages, run=_run_interference, params={
+        "packet_width": (1.0, _POSITIVE), "separation": (5.0, _POSITIVE),
+        "momentum": (2.0, _POSITIVE), "node_threshold": (1e-8, _POSITIVE),
+        "tv_limit": (0.15, _POSITIVE), "zero_crossing_fraction": (0.99, _FRACTION),
+    }),
+    "harmonic_ground": _Scenario(dims=1, periodic=True, histograms=True, defaults={
+        "grid.points": [256], "grid.extent": [[-8.0, 8.0]], "grid.boundary": [PERIODIC],
+        "guidance.lam": 10.0, "time.t_final": 20.0,
+        "ensemble.sampler.type": "point", "ensemble.sampler.at": [0.0],
+    }, stages=_harmonic_stages, run=_run_harmonic_ground, params={
+        "omega": (1.0, _POSITIVE), "tv_limit": (0.08, _POSITIVE),
+        "norm_drift_limit": (1e-9, _POSITIVE),
+        "norm_drift_steps": (None, _STRIDE),   # None: t_final / dt_psi
+        "oracle": (None, _ORACLE),
+    }),
+    "adiabatic_tracking": _Scenario(dims=1, periodic=True, histograms=False, defaults={
+        "grid.points": [384], "grid.extent": [[-12.0, 12.0]], "grid.boundary": [PERIODIC],
+        "time.t_final": 6.283, "ensemble.n_trajectories": 0,
+    }, stages=lambda m: [_to_t_final(m, "dt_psi", (m["time"]["dt_psi"], m["time"]["snapshot_stride"]))],
+    run=_run_adiabatic_tracking, params={
+        "omega": (1.0, _POSITIVE), "displacement": (1.0, _NUMBER),
+        # tracking_tv_decreasing compares neighbours, and tracking_tv_last judges the largest
+        "lam_values": ([1.0, 10.0, 100.0], (
+            lambda v: _is_list(v, _POSITIVE[0]) and len(v) >= 2 and list(v) == sorted(set(v)),
+            "a strictly increasing list of at least two positive numbers")),
+        "tv_limit_last": (0.1, _POSITIVE),
+    }),
+    "product_separation": _Scenario(dims=2, periodic=False, histograms=False, defaults={
+        "grid.points": [128, 128], "grid.extent": [[-8.0, 8.0], [-8.0, 8.0]],
+        "grid.boundary": [REFLECTING, REFLECTING],
+        "time.dt_psi": 5e-3, "time.dt_langevin": 5e-3, "time.t_final": 100.0,
+        "ensemble.n_trajectories": 64,
+    }, stages=lambda m: [_to_t_final(m, "dt_langevin")] if m["ensemble"]["n_trajectories"] else [],
+    run=_run_product_separation, params={
+        **_TWO_GAUSSIANS, "gauss_width": (1.0, _POSITIVE), "record_stride": (1, _STRIDE),
+        "write_paths": (0, _COUNT)}),
+    "free_packet": _Scenario(dims=1, periodic=True, histograms=False, defaults={
+        "grid.points": [1024], "grid.extent": [[-40.0, 40.0]], "grid.boundary": [PERIODIC],
+        "time.t_final": 2.0, "time.snapshot_stride": 100, "ensemble.n_trajectories": 0,
+    }, stages=lambda m: [_to_t_final(m, "dt_psi")],
+    run=_run_free_packet, params={"sigma0": (1.0, _POSITIVE), "rel_error_limit": (0.01, _POSITIVE)}),
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunManifest:
@@ -926,16 +878,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunManifest:
     else ``runs/<scenario>``).  The runner steps the stages its scenario
     declares, the ones the validator checked."""
     t_start = _time.perf_counter()
-    outcome = _RUNNERS[cfg.scenario](cfg, _SCENARIOS[cfg.scenario].stages(cfg.to_dict()))
+    need = _SCENARIOS[cfg.scenario]
+    outcome = need.run(cfg, need.stages(cfg.to_dict()))
 
     out_base = Path(out_dir or cfg.out_dir or f"runs/{cfg.scenario}")
     out_base.mkdir(parents=True, exist_ok=True)
     files = []
     for name, fld in outcome.fields:
-        path = write_field(fld, out_base / "fields" / name)
-        for suffix in (".f64", ".json"):
-            rel = (out_base / "fields" / name).with_suffix(suffix).relative_to(out_base)
-            files.append(rel)
+        binary = write_field(fld, out_base / "fields" / name).relative_to(out_base)
+        files += [binary, binary.with_suffix(".json")]
     for name, (header, rows) in sorted(outcome.tables.items()):
         path = out_base / "metrics" / f"{name}.csv"
         _write_csv(path, header, rows)

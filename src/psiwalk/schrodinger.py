@@ -111,19 +111,20 @@ def evolve(
     dt: float,
     snapshot_stride: int = 1,
 ) -> list[WaveField]:
-    """Propagate to ``t_final`` returning snapshots every ``snapshot_stride`` steps.
+    """Propagate from ``psi.time`` to the absolute time ``t_final``, returning
+    snapshots every ``snapshot_stride`` steps.
 
     The snapshot list always includes the initial state and the final state,
-    so it has ``ceil(steps / stride) + 1`` entries.  The step count over the
-    horizon ``t_final`` follows ``grids.step_count``.
+    so it has ``ceil(steps / stride) + 1`` entries.  The step count from
+    ``psi.time`` to ``t_final`` follows ``grids.step_count``.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if t_final < psi.time:
+        raise ValueError(f"t_final={t_final} precedes the initial time {psi.time}")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
-    if t_final == 0:
+    if t_final == psi.time:
         return [psi]
-    steps = step_count(0.0, t_final, dt)
+    steps = step_count(psi.time, t_final, dt)
     _require_periodic(psi.grid)
     exp_half_pot, exp_kin = _phase_tables(psi.grid, h, dt)
 

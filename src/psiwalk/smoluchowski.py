@@ -283,6 +283,8 @@ def fp_evolve(
     """
     if method not in ("explicit", "implicit", "auto"):
         raise ValueError(f"unknown stepping method {method!r}")
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be >= 1")
     plan = step_plan(psi_snapshots, p0.time, t_final, dt)
     total = sum(steps for _, steps in plan)
     out, p, done = [p0], p0, 0   # done: steps taken

@@ -16,13 +16,14 @@ The hashes depend on floating-point results of numpy's FFT and Philox
 generator, so they hold for the numpy/scipy versions the suite runs with.
 """
 
+import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from psiwalk.scenarios import _deep_merge, run_scenario, validate_config
+from psiwalk.scenarios import SCENARIO_NAMES, run_scenario, validate_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -94,8 +95,23 @@ GOLDEN = {
 }
 
 
+def _deep_merge(dst: dict, src: dict) -> dict:
+    for key, value in src.items():
+        if isinstance(value, dict) and isinstance(dst.get(key), dict):
+            _deep_merge(dst[key], value)
+        else:
+            dst[key] = copy.deepcopy(value)
+    return dst
+
+
 def test_every_shipped_config_is_covered():
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(REDUCED)
+
+
+def test_every_scenario_has_a_shipped_config():
+    # so a new scenario cannot land without a golden hash
+    shipped = {json.loads(p.read_text())["scenario"] for p in CONFIGS.glob("*.json")}
+    assert set(SCENARIO_NAMES) <= shipped
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psiwalk import (
+    DensityField,
     DensitySampler,
     DoubleGaussianParams,
     Grid,
@@ -609,7 +610,7 @@ def test_node_confinement_static_standing_wave():
     dt = 1e-4
     params = GuidanceParams(lam=1.0, epsilon=1e-12, drift_cap=2.0 * np.sqrt(2.0 / dt))
     res = run_ensemble(
-        500, DensitySampler(psi.density()), psi, params, dt, 1.0,
+        500, DensitySampler(DensityField(g, np.abs(psi.values) ** 2)), psi, params, dt, 1.0,
         master_seed=41, node_threshold=1e-6,
     )
     assert np.mean(res.crossings == 0) >= 0.99

@@ -181,9 +181,16 @@ def test_oracle_legs_are_checked_as_the_density_solver_steps_them():
      "params.oracle never runs: it needs ensemble.n_trajectories > 0"),
     ("harmonic_ground", {"ensemble": {"n_trajectories": 0}},
      "params.oracle never runs: it needs ensemble.n_trajectories > 0"),
-], ids=["double_well_no_equilibrium", "double_well_no_walkers", "harmonic_no_walkers"])
+    ("harmonic_ground", {"time": {"t_final": 0.05}, "ensemble": {"n_trajectories": 50},
+                         "params": {"oracle": {}}},
+     "params.oracle.checkpoints must be a non-empty list of numbers, got nothing"),
+    ("harmonic_ground", {"params": {"oracle": {"checkpoints": []}}},
+     "params.oracle.checkpoints must be a non-empty list of numbers, got []"),
+], ids=["double_well_no_equilibrium", "double_well_no_walkers", "harmonic_no_walkers",
+        "harmonic_no_checkpoints", "harmonic_empty_checkpoints"])
 def test_an_oracle_block_that_never_runs_is_listed(scenario, override, error):
-    # these validated, ran no density solve and reported passed
+    # these validated, ran no density solve and reported passed (without
+    # checkpoints: a header-only oracle_tv.csv and an oracle_tv_max of 0.0)
     params = {"oracle": {"checkpoints": [0.5]}, **override.pop("params", {})}
     assert validate_config({"scenario": scenario, "params": params, **override}) == (None, [error])
 
@@ -399,10 +406,11 @@ def test_workers_is_the_one_ignored_key():
 
 
 def test_validate_prints_the_defaults_of_nested_blocks(tmp_path, capsys):
-    p = write_config(tmp_path, {"scenario": "harmonic_ground", "params": {"oracle": {}}})
+    p = write_config(tmp_path, {"scenario": "harmonic_ground",
+                                "params": {"oracle": {"checkpoints": [0.5]}}})
     assert main(["validate", "--config", str(p)]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed["params"]["oracle"] == {"checkpoints": [], "fp_dt": None, "tv_limit": 0.05}
+    assert printed["params"]["oracle"] == {"checkpoints": [0.5], "fp_dt": None, "tv_limit": 0.05}
     assert printed["ensemble"]["sampler"] == {"type": "point", "at": [0.0]}
 
 
@@ -619,6 +627,39 @@ def test_double_well_localizes_on_short_horizon(tmp_path):
     paths_csv = (tmp_path / "metrics" / "paths.csv").read_text().splitlines()
     assert paths_csv[0] == "stream_id,t,x1"
     assert len(paths_csv) > 10
+
+
+def run_mfpt(out_dir, **mfpt):
+    """The reduced double_well_mfpt config with ``mfpt`` over its block:
+    returns the manifest and the bytes of mfpt.csv."""
+    cfg, errors = validate_config({
+        "scenario": "double_well",
+        "grid": {"points": [512], "extent": [[-9.5, 9.5]], "boundary": ["reflecting"]},
+        "time": {"dt_psi": 0.02, "dt_langevin": 0.02, "t_final": 1.0},
+        "ensemble": {"n_trajectories": 0},
+        "params": {"a": 1.0, "b": 2.5, "equilibrium": {"enabled": False},
+                   "mfpt": {"n": 60, "dt": 0.02, "t_max_factor": 0.25, **mfpt}},
+        "master_seed": 411})
+    assert errors == []
+    manifest = run_scenario(cfg, out_dir=out_dir)
+    return manifest, (out_dir / "metrics" / "mfpt.csv").read_bytes()
+
+
+def test_a_numeric_mfpt_target_at_b_is_the_far_well(tmp_path):
+    assert run_mfpt(tmp_path / "b", target=2.5)[1] == run_mfpt(tmp_path / "far", target="far_well")[1]
+
+
+def test_an_mfpt_start_at_minus_b_is_the_default(tmp_path):
+    assert run_mfpt(tmp_path / "start", start=-2.5)[1] == run_mfpt(tmp_path / "default")[1]
+
+
+def test_the_ridge_is_reached_before_the_far_well(tmp_path):
+    # same seed, same paths: each walker crosses x = 0 on its way to x = b.
+    # The shipped budget of 4 escape times leaves almost no walker censored.
+    ridge, _ = run_mfpt(tmp_path / "ridge", target="ridge", t_max_factor=4.0)
+    far, _ = run_mfpt(tmp_path / "far", target="far_well", t_max_factor=4.0)
+    assert ridge.metrics["mfpt_mean"] < far.metrics["mfpt_mean"]
+    assert ridge.metrics["mfpt_censored_fraction"] <= far.metrics["mfpt_censored_fraction"]
 
 
 def test_oracle_start_cell_is_the_walkers_histogram_cell(tmp_path):

@@ -99,6 +99,21 @@ def test_evolve_rejects_nondividing_dt():
         evolve(psi, h, 0.0105, 1e-3)
 
 
+def test_evolve_takes_t_final_as_an_absolute_time():
+    # a packet at t = 1 stepped to 1.5 ran 150 steps and ended at 2.5, while
+    # fp_evolve and run_ensemble end at 1.5
+    g, x, h = harmonic_setup()
+    psi = WaveField(g, np.exp(-x**2 / 2), 1.0)
+    snaps = evolve(psi, h, 1.5, 0.01, snapshot_stride=10)
+    assert [s.time for s in snaps] == pytest.approx([1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
+    from_zero = evolve(WaveField(g, psi.values, 0.0), h, 0.5, 0.01, snapshot_stride=10)
+    assert np.array_equal(snaps[-1].values, from_zero[-1].values)
+    (same,) = evolve(psi, h, 1.0, 0.01)
+    assert same is psi
+    with pytest.raises(ValueError, match="precedes the initial time"):
+        evolve(psi, h, 0.5, 0.01)
+
+
 def test_coherent_state_center_oscillates():
     g, x, h = harmonic_setup(n=512, half_width=10.0)
     psi = make_packet(g, [1.0], 1.0)

@@ -359,3 +359,11 @@ def test_fp_evolve_rejects_a_dt_that_does_not_divide_a_snapshot_interval():
     on = [psi, WaveField(g, psi.values, time=0.02)]
     assert [p.time for p in fp_evolve(eq, on, params, 0.01, 0.04, snapshot_stride=2)] == [
         0.0, 0.01 + 0.01, 0.01 + 0.01 + 0.01 + 0.01]
+
+
+@pytest.mark.parametrize("stride", [0, -2])
+def test_fp_evolve_rejects_a_snapshot_stride_below_one(stride):
+    # 0 raised ZeroDivisionError after the first step; -2 ran as a stride of 2
+    g, psi, params, op, eq = double_well_setup(n=64)
+    with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
+        fp_evolve(eq, psi, params, 1e-3, 0.05, snapshot_stride=stride)
