@@ -22,7 +22,8 @@ trajectory is an ensemble of one.
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
 steps from the start.  Each segment's drift interpolant and basin map are
-built once and shared by every chunk.
+built once and shared by every chunk.  ``scipy.ndimage`` is imported when the
+first basin map is built, so runs that count no node crossings do not need it.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
@@ -48,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grids import DensityField, Grid, WaveField, _Interpolant, step_count, step_plan
 from .guidance import GuidanceParams, _cap_vectors, drift_field
@@ -144,6 +144,8 @@ class NodeBasinMap:
 
     @classmethod
     def from_wavefield(cls, psi: WaveField, threshold: float) -> "NodeBasinMap":
+        from scipy import ndimage
+
         rho = np.abs(psi.values) ** 2
         open_cells = rho >= threshold * rho.max()
         structure = ndimage.generate_binary_structure(psi.grid.dims, 1)
@@ -476,6 +478,8 @@ def run_first_passage_ensemble(
         raise ValueError("n must be >= 1")
     if dt_L <= 0:
         raise ValueError("dt_L must be positive")
+    if t_max < t0:
+        raise ValueError(f"t_max={t_max} precedes the start time t0={t0}")
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
     segments = [(max_steps, _Interpolant(psi.grid, drift_field(psi, params)), None)]
     out = []

@@ -27,7 +27,8 @@ tridiagonal system with zero coupling between pencils, factored by ``dgttrf``.
 A periodic axis also keeps its Sherman-Morrison vector.  Every implicit step
 is then one ``dgttrs`` solve per axis, plus a vectorized rank-one correction
 on periodic axes.  The operator keeps only the factors of the last dt it was
-stepped with.
+stepped with.  LAPACK comes from scipy, imported when the first axis is
+factored, so explicit steps do not need it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import PERIODIC, DensityField, Grid, WaveField, step_plan
 from .guidance import GuidanceParams
@@ -179,6 +178,8 @@ class _AxisSolver:
     """
 
     def __init__(self, op: FPOperator, axis: int, dt: float):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         grid = op.grid
         cp, cm = op._coeffs[axis]
         self.axis = axis
@@ -211,7 +212,8 @@ class _AxisSolver:
         # performs the same operations as a separate tridiagonal solve per pencil.
         *self.lu, info = dgttrf(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1])
         if info > 0:
-            raise LinAlgError("singular matrix")
+            raise np.linalg.LinAlgError("singular matrix")
+        self.dgttrs = dgttrs
         if self.periodic:
             u = np.zeros((m, n))
             u[:, 0] = gamma
@@ -222,7 +224,7 @@ class _AxisSolver:
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """Tridiagonal solve of every pencil; ``rhs`` has shape (m, n)."""
-        x, _ = dgttrs(*self.lu, rhs.reshape(-1, 1))
+        x, _ = self.dgttrs(*self.lu, rhs.reshape(-1, 1))
         return x.reshape(rhs.shape)
 
     def solve(self, values: np.ndarray) -> np.ndarray:

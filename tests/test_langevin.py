@@ -535,6 +535,25 @@ def test_first_passage_censoring():
     assert all(r.censored and r.time == 5.0 for r in results)
 
 
+@pytest.mark.parametrize("t0, t_max", [(0.0, -1.0), (1.0, 0.5)])
+def test_first_passage_rejects_t_max_before_t0(t0, t_max):
+    g = Grid.make(64, (-8.0, 8.0), "reflecting")
+    psi = WaveField(g, np.exp(-g.coords(0) ** 2 / 2))
+    with mock.patch.object(langevin, "_run_chunk") as run_chunk:
+        with pytest.raises(ValueError, match="t_max"):
+            run_first_passage_ensemble(4, [-1.0], psi, GuidanceParams(lam=1.0), 1e-2,
+                                       PlaneCrossing(at=3.0), t_max, t0=t0)
+    run_chunk.assert_not_called()
+
+
+def test_first_passage_with_t_max_at_t0_censors_at_the_start():
+    g = Grid.make(64, (-8.0, 8.0), "reflecting")
+    psi = WaveField(g, np.exp(-g.coords(0) ** 2 / 2))
+    results = run_first_passage_ensemble(4, [-1.0], psi, GuidanceParams(lam=1.0), 1e-2,
+                                         PlaneCrossing(at=3.0), 2.0, t0=2.0)
+    assert all(r.censored and r.time == 2.0 for r in results)
+
+
 def test_mfpt_double_well_matches_escape_formula():
     # b/a = 2.5: measured mean within factor 3 of (a^3/(lam b)) exp(b^2/a^2);
     # the independent quadrature oracle pins the exact value
