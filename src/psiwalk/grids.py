@@ -12,13 +12,15 @@ boundary type of the axis:
   walls sit exactly on the extent edges, natural for finite volumes).
 
 Either way every point owns one cell of volume ``prod(dx)``, so quadrature
-is a plain sum times the cell volume and is exact for constants.
+is a plain sum times the cell volume and is exact for constants.  A field
+checks its values with one min and one max reduction when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +81,7 @@ class Grid:
     def dims(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple((hi - lo) / n for (lo, hi), n in zip(self.extent, self.points))
 
@@ -149,8 +151,18 @@ class Grid:
 
 
 def _check_finite(values, what):
-    if not np.all(np.isfinite(values)):
+    """The smallest and largest of ``values``, which NaN and infinities make non-finite."""
+    lo, hi = np.minimum.reduce(values, axis=None), np.maximum.reduce(values, axis=None)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{what} must be finite everywhere")
+    return lo, hi
+
+
+def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
+    """``np.roll(values, step, axis)`` as one concatenation of two slices."""
+    head = (slice(None),) * axis
+    return np.concatenate((values[head + (slice(-step, None),)],
+                           values[head + (slice(None, -step),)]), axis=axis)
 
 
 class DensityField:
@@ -163,8 +175,7 @@ class DensityField:
         values = np.array(values, dtype=np.float64, copy=True)
         if values.shape != grid.points:
             raise ValueError(f"values shape {values.shape} does not match grid points {grid.points}")
-        _check_finite(values, "density values")
-        if np.any(values < 0):
+        if _check_finite(values, "density values")[0] < 0:
             raise ValueError("density values must be nonnegative")
         values.setflags(write=False)
         self.grid = grid
@@ -194,8 +205,7 @@ class WaveField:
         values = np.array(values, dtype=np.complex128, copy=True)
         if values.shape != grid.points:
             raise ValueError(f"values shape {values.shape} does not match grid points {grid.points}")
-        _check_finite(values.view(np.float64), "wave values")
-        if not np.any(values != 0):
+        if _check_finite(values.view(np.float64), "wave values") == (0, 0):
             raise ValueError("wave field must have positive squared norm")
         values.setflags(write=False)
         self.grid = grid
@@ -209,9 +219,12 @@ class WaveField:
 def step_count(t0: float, t1: float, dt: float) -> int:
     """Number of ``dt`` steps from ``t0`` to ``t1``: the one step rule of every engine.
 
-    The steps must span ``t1 - t0`` to within ``1e-9 * max(1, |t1 - t0|)``, and
-    a positive span takes at least one step; anything else raises ValueError.
+    ``dt`` must be positive and finite, the steps must span ``t1 - t0`` to within
+    ``1e-9 * max(1, |t1 - t0|)``, and a positive span takes at least one step;
+    anything else raises ValueError.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt} must be a positive finite number")
     span = t1 - t0
     steps = int(round(span / dt))
     if steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)) or (span > 0 and not steps):
@@ -258,7 +271,7 @@ def gradient_log(field, epsilon: float) -> np.ndarray:
     for k in range(grid.dims):
         dx = grid.spacing[k]
         if grid.boundary[k] == PERIODIC:
-            g = (np.roll(logv, -1, axis=k) - np.roll(logv, 1, axis=k)) / (2.0 * dx)
+            g = (_shift(logv, -1, k) - _shift(logv, 1, k)) / (2.0 * dx)
         else:
             g = np.empty_like(logv)
             mid = [slice(None)] * grid.dims

@@ -28,6 +28,7 @@ first basin map is built, so runs that count no node crossings do not need it.
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
 and master seed, independent of chunking and of how the noise is blocked.
+The key reaches Philox through a minimal seed sequence, so no OS entropy is drawn.
 Ensembles run in fixed-size chunks of ``_CHUNK`` trajectories, one after the
 other in the calling thread, and merge in stream order.  There are no chunk
 threads: per-step numpy dispatch holds the GIL, and two threads measured
@@ -46,6 +47,7 @@ trade memory against per-call generator overhead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +71,23 @@ class IntegratorFailure(RuntimeError):
         super().__init__(f"non-finite step at x={self.position}, t={time}{where}")
 
 
+@functools.cache
+def _philox_key():
+    """A seed-sequence class that hands Philox its key words as they are,
+    defined on first use so that ``import psiwalk`` does not load ``numpy.random``."""
+    return type("PhiloxKey", (np.random.bit_generator.ISeedSequence,), {
+        "__init__": lambda self, words: setattr(self, "words", words),
+        "generate_state": lambda self, n_words, dtype=None: np.array(self.words, np.uint64)})
+
+
 def substream(master_seed: int, stream_id: int) -> np.random.Generator:
     """Counter-based Philox generator for one trajectory.
 
     The 128-bit key combines both identifiers, so the draw sequence depends
-    only on (master_seed, stream_id).
+    only on (master_seed, stream_id).  It is set as two 64-bit words, low first.
     """
-    key = ((int(master_seed) & (2**64 - 1)) << 64) | (int(stream_id) & (2**64 - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    words = [int(stream_id) & (2**64 - 1), int(master_seed) & (2**64 - 1)]
+    return np.random.Generator(np.random.Philox(_philox_key()(words)))
 
 
 # --------------------------------------------------------------------------

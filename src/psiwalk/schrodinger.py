@@ -95,13 +95,15 @@ def _phase_tables(grid: Grid, h: HamiltonianSpec, dt: float):
     return exp_half_pot, exp_kin
 
 
-def _apply_step(values, exp_half_pot, exp_kin):
+def _apply_step(values, exp_half_pot, exp_kin, out):
     if exp_half_pot is not None:
-        values = exp_half_pot * values
-    values = np.fft.ifftn(exp_kin * np.fft.fftn(values))
+        values = np.multiply(exp_half_pot, values, out=out)
+    np.fft.fftn(values, out=out)
+    np.multiply(exp_kin, out, out=out)
+    np.fft.ifftn(out, out=out)
     if exp_half_pot is not None:
-        values = exp_half_pot * values
-    return values
+        np.multiply(exp_half_pot, out, out=out)
+    return out
 
 
 def evolve(
@@ -130,9 +132,9 @@ def evolve(
 
     t0 = psi.time
     snaps = [psi]
-    values = psi.values
+    values, out = psi.values, np.empty_like(psi.values)
     for s in range(1, steps + 1):
-        values = _apply_step(values, exp_half_pot, exp_kin)
+        values = _apply_step(values, exp_half_pot, exp_kin, out)
         if s % snapshot_stride == 0 or s == steps:
             snaps.append(WaveField(psi.grid, values, t0 + s * dt))
     return snaps

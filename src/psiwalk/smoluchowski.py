@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import PERIODIC, DensityField, Grid, WaveField, step_plan
+from .grids import PERIODIC, DensityField, Grid, WaveField, _shift, step_plan
 from .guidance import GuidanceParams
 
 
@@ -102,7 +102,7 @@ class FPOperator:
         face_w = []
         for axis in range(grid.dims):
             if grid.boundary[axis] == PERIODIC:
-                face_w.append(log_rho - np.roll(log_rho, -1, axis=axis))
+                face_w.append(log_rho - _shift(log_rho, -1, axis))
             else:
                 lo, hi = _lo_hi(grid.dims, axis)
                 face_w.append(log_rho[lo] - log_rho[hi])
@@ -119,7 +119,7 @@ class FPOperator:
         cp, cm = self._coeffs[axis]
         dx = self.grid.spacing[axis]
         if self.grid.boundary[axis] == PERIODIC:
-            return (self.lam / dx) * (cp * np.roll(p, -1, axis=axis) - cm * p)
+            return (self.lam / dx) * (cp * _shift(p, -1, axis) - cm * p)
         lo, hi = _lo_hi(self.grid.dims, axis)
         return (self.lam / dx) * (cp * p[hi] - cm * p[lo])
 
@@ -130,7 +130,7 @@ class FPOperator:
             dx = self.grid.spacing[axis]
             flux = self._face_flux(axis, p)
             if self.grid.boundary[axis] == PERIODIC:
-                out += (flux - np.roll(flux, 1, axis=axis)) / dx
+                out += (flux - _shift(flux, 1, axis)) / dx
             else:
                 lo, hi = _lo_hi(self.grid.dims, axis)
                 out[lo] += flux / dx
@@ -149,7 +149,7 @@ class FPOperator:
             for axis, (cp, cm) in enumerate(self._coeffs):
                 c = self.lam / self.grid.spacing[axis] ** 2
                 if self.grid.boundary[axis] == PERIODIC:
-                    diag += c * (cm + np.roll(cp, 1, axis=axis))
+                    diag += c * (cm + _shift(cp, 1, axis))
                 else:
                     lo, hi = _lo_hi(self.grid.dims, axis)
                     contrib = np.zeros(self.grid.points)
@@ -195,7 +195,7 @@ class _AxisSolver:
         if self.periodic:
             sup[:, :-1] = -scale * cp[:, :-1]           # face i couples cell i to i+1
             sub[:, 1:] = -scale * cm[:, :-1]
-            diag = 1.0 + scale * (cm + np.roll(cp, 1, axis=1))
+            diag = 1.0 + scale * (cm + _shift(cp, 1, 1))
             corner_lo = -scale * cm[:, -1]              # (0, n-1): inflow through wrap face
             corner_hi = -scale * cp[:, -1]              # (n-1, 0)
             gamma = -diag[:, 0]
@@ -232,7 +232,7 @@ class _AxisSolver:
         y = self._solve(moved.reshape(-1, moved.shape[-1]))
         if self.periodic:
             v_dot_y = y[:, 0] + self.ratio * y[:, -1]
-            y = y - (v_dot_y / self.denom)[:, None] * self.z
+            y -= (v_dot_y / self.denom)[:, None] * self.z
         return y.reshape(moved.shape).swapaxes(self.axis, -1)
 
 
@@ -287,6 +287,8 @@ def fp_evolve(
         raise ValueError(f"unknown stepping method {method!r}")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
+    if t_final < p0.time:
+        raise ValueError(f"t_final={t_final} precedes the initial time {p0.time}")
     plan = step_plan(psi_snapshots, p0.time, t_final, dt)
     total = sum(steps for _, steps in plan)
     out, p, done = [p0], p0, 0   # done: steps taken

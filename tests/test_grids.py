@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,14 @@ from hypothesis import strategies as st
 
 from psiwalk import (
     DensityField,
+    GuidanceParams,
     Grid,
+    HamiltonianSpec,
+    WaveField,
+    evolve,
+    fp_evolve,
     gradient_log,
+    make_packet,
 )
 from psiwalk.grids import step_count, step_plan
 
@@ -65,12 +72,30 @@ def test_integrate_zero_field():
 
 def test_density_rejects_negative_and_nonfinite():
     g = Grid.make(16, (0.0, 1.0), "periodic")
-    with pytest.raises(ValueError):
-        DensityField(g, -np.ones(16))
-    bad = np.ones(16)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        DensityField(g, bad)
+    finite, sign = "must be finite everywhere", "must be nonnegative"
+    for value, message in [(np.nan, finite), (np.inf, finite), (-np.inf, finite),
+                           (-1e-300, sign), (-1.0, sign)]:
+        bad = np.ones(16)
+        bad[3] = value
+        with pytest.raises(ValueError, match=f"density values {message}"):
+            DensityField(g, bad)
+        if message == finite:
+            for part in ("real", "imag"):
+                wave = np.ones(16, dtype=complex)
+                setattr(wave, part, bad)
+                with pytest.raises(ValueError, match=f"wave values {message}"):
+                    WaveField(g, wave)
+
+
+def test_fields_accept_negative_zero_and_huge_finite_values():
+    g = Grid.make(16, (0.0, 1.0), "periodic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert DensityField(g, np.full(16, -0.0)).total() == 0.0
+        assert np.all(DensityField(g, np.full(16, 1e308)).values == 1e308)
+        WaveField(g, np.full(16, -1e308 + 1e308j))
+    with pytest.raises(ValueError, match="positive squared norm"):
+        WaveField(g, np.full(16, -0.0 - 0.0j))
 
 
 def test_normalize_on_demand():
@@ -82,9 +107,13 @@ def test_normalize_on_demand():
 
 def test_fields_are_immutable():
     g = Grid.make(16, (0.0, 1.0), "periodic")
-    f = DensityField(g, np.ones(16))
-    with pytest.raises(ValueError):
-        f.values[0] = 2.0
+    for field, value in ((DensityField, 1.0), (WaveField, 1.0 + 1.0j)):
+        source = np.full(16, value)
+        f = field(g, source)
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        source[:] = 5.0
+        assert np.all(f.values == value)
 
 
 def test_gradient_log_gaussian():
@@ -321,6 +350,19 @@ def test_step_count_rule():
                        (1.0, 21.0 + 3e-8, 1e-5)]:
         with pytest.raises(ValueError, match="does not divide the interval"):
             step_count(t0, t1, dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_every_engine_rejects_a_dt_that_is_not_positive_and_finite(dt):
+    # 0 raised ZeroDivisionError and NaN "cannot convert float NaN to integer"
+    g = Grid.make(32, (-4.0, 4.0), "periodic")
+    psi = make_packet(g, [0.0], 1.0)
+    p0 = DensityField(g, np.abs(psi.values) ** 2)
+    for run in (lambda: step_count(0.0, 1.0, dt), lambda: step_plan([psi], 0.0, 1.0, dt),
+                lambda: evolve(psi, HamiltonianSpec(), 0.01, dt),
+                lambda: fp_evolve(p0, psi, GuidanceParams(lam=1.0), dt, 0.01)):
+        with pytest.raises(ValueError, match=r"dt=\S+ must be a positive finite number"):
+            run()
 
 
 @settings(max_examples=300, deadline=None)

@@ -100,6 +100,25 @@ def test_substreams_are_reproducible_and_distinct():
     assert not np.allclose(a, c)
 
 
+def _same_state(a, b):
+    """Equal Philox states: key, counter, buffer and the cached draws."""
+    sa, sb = ({**r.bit_generator.state, **r.bit_generator.state["state"]} for r in (a, b))
+    return sa.keys() == sb.keys() and all(
+        np.array_equal(sa[k], sb[k]) for k in sa if k != "state")
+
+
+@pytest.mark.parametrize("seed,sid", [(1, 5), (0, 0), (715, 4095), (2**63 + 7, 123456),
+                                      (2**64 - 1, 2**64 - 1), (-3, 17), (-1, 2**64 - 1)])
+def test_substream_is_philox_keyed_by_seed_and_stream_id(seed, sid):
+    # the key as one 128-bit integer: master seed high, stream id low, both mod 2^64
+    key = ((seed % 2**64) << 64) | (sid % 2**64)
+    ref, rng = np.random.Generator(np.random.Philox(key=key)), substream(seed, sid)
+    assert _same_state(rng, ref)
+    assert np.array_equal(rng.standard_normal(1000), ref.standard_normal(1000))
+    assert np.array_equal(rng.integers(0, 2**63, 7), ref.integers(0, 2**63, 7))
+    assert _same_state(rng, ref)
+
+
 def test_same_noise_spec_bit_identical_paths():
     g, psi = gaussian_setup()
     params = GuidanceParams(lam=1.0)

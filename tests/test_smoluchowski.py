@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from psiwalk import (
@@ -367,3 +369,33 @@ def test_fp_evolve_rejects_a_snapshot_stride_below_one(stride):
     g, psi, params, op, eq = double_well_setup(n=64)
     with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
         fp_evolve(eq, psi, params, 1e-3, 0.05, snapshot_stride=stride)
+
+
+def test_fp_evolve_rejects_a_t_final_before_the_start():
+    # it said "dt=0.001 does not divide the interval [1.0, 0.5]"
+    g, psi, params, op, eq = double_well_setup(n=64)
+    late = DensityField(g, eq.values, time=1.0)
+    with pytest.raises(ValueError, match="t_final=0.5 precedes the initial time 1.0"):
+        fp_evolve(late, psi, params, 1e-3, 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary=st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.sampled_from([P, R])] * d)),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 3.0),
+       lam=st.floats(0.1, 100.0), dt=st.floats(1e-4, 5e-2))
+def test_steps_conserve_mass_and_keep_the_equilibrium_on_random_log_densities(
+        boundary, seed, scale, lam, dt):
+    # every periodic axis takes the shifted (wrap-face) paths of the operator,
+    # its stability bound and its cyclic solve
+    rng = np.random.default_rng(seed)
+    points = tuple(int(n) for n in rng.integers(8, 14, size=len(boundary)))
+    extent = [(-float(h), float(h)) for h in rng.uniform(1.0, 4.0, size=len(boundary))]
+    g = Grid.make(points, extent, boundary)
+    log_rho = rng.normal(scale=scale, size=points)
+    op = FPOperator.from_log_density(g, log_rho, lam)
+    eq = DensityField(g, np.exp(log_rho))
+    p = DensityField(g, rng.random(points))
+    for step, step_dt in ((fp_step, op.stable_dt()), (fp_step_implicit, dt)):
+        assert abs(step(p, op, step_dt).total() - p.total()) <= 1e-12 * p.total()
+        moved = np.max(np.abs(step(eq, op, step_dt).values - eq.values))
+        assert moved <= 1e-12 * eq.values.max()

@@ -1,10 +1,11 @@
-"""scipy is loaded on first use only.
+"""scipy and ``numpy.random`` are loaded on first use only.
 
 The implicit density step (LAPACK ``dgttrf``/``dgttrs``) and the node-basin
 map (``ndimage.label``) are the only users of scipy, and importing it costs
-more than the rest of ``import psiwalk``.  Each test runs a fresh interpreter,
-so modules loaded by earlier tests in this process do not count, and checks
-which ``scipy`` modules that interpreter ended with.
+more than the rest of ``import psiwalk``; ``numpy.random`` is first needed by
+a walker's noise stream.  Each test runs a fresh interpreter, so modules
+loaded by earlier tests in this process do not count, and checks which
+``scipy`` (or ``numpy.random``) modules that interpreter ended with.
 """
 
 import json
@@ -19,9 +20,9 @@ from test_golden import CONFIGS, REDUCED, _deep_merge
 
 SRC = Path(psiwalk.__file__).resolve().parent.parent
 
-# The last line a cold run prints: the scipy modules it loaded.
+# The last line a cold run prints: the modules it loaded from PACKAGE.
 REPORT = """
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m == PACKAGE or m.startswith(PACKAGE + "."))))
 """
 
 # Validate, run and report each reduced config given on the command line.  The
@@ -39,10 +40,11 @@ for path in sys.argv[1:]:
 """
 
 
-def _scipy_modules_of(code, *args, cwd):
+def _loaded_modules(code, *args, cwd, package="scipy"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + REPORT, *args],
+    report = REPORT.replace("PACKAGE", repr(package))
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + report, *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -70,16 +72,17 @@ for path in sys.argv[1:]:
     assert cli.main(["validate", "--config", path]) == 0
 """
     configs = sorted(str(p) for p in CONFIGS.glob("*.json"))
-    assert _scipy_modules_of(code, *configs, cwd=tmp_path) == []
+    assert _loaded_modules(code, *configs, cwd=tmp_path) == []
+    assert _loaded_modules(code, *configs, cwd=tmp_path, package="numpy.random") == []
 
 
 def test_walker_and_propagator_runs_and_report_load_no_scipy(tmp_path):
     configs = _reduced_configs(tmp_path, "free_packet", "double_well_mfpt")
-    assert _scipy_modules_of(RUN, *configs, cwd=tmp_path) == []
+    assert _loaded_modules(RUN, *configs, cwd=tmp_path) == []
 
 
 def test_node_basins_and_implicit_density_steps_load_scipy_on_first_use(tmp_path):
     # interference labels node basins; adiabatic_tracking takes implicit steps
     for name, needed in [("interference", "scipy.ndimage"), ("adiabatic_tracking", "scipy.linalg")]:
-        loaded = _scipy_modules_of(RUN, *_reduced_configs(tmp_path, name), cwd=tmp_path)
+        loaded = _loaded_modules(RUN, *_reduced_configs(tmp_path, name), cwd=tmp_path)
         assert needed in loaded
