@@ -14,7 +14,7 @@ from .grids import (
     DensityField,
     Grid,
     WaveField,
-    gradient_log,
+    gradient,
 )
 from .fieldio import read_field, write_field
 from .schrodinger import (
@@ -30,6 +30,7 @@ from .schrodinger import (
 from .guidance import (
     GuidanceParams,
     drift_field,
+    log_density,
     regularized_density,
 )
 from .langevin import (
@@ -49,13 +50,12 @@ from .smoluchowski import FPOperator, StepSizeError, fp_evolve, fp_step, fp_step
 from .analysis import (
     CorrelationStats,
     EscapeTimeEstimate,
-    OccupancyResult,
     coarsen,
     histogram,
     independence_test,
     kramers_prediction,
     mfpt_estimate,
     total_variation,
-    well_occupancy,
+    well_jumps,
 )
 from .scenarios import RunManifest, ScenarioConfig, run_scenario, validate_config

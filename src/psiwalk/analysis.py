@@ -157,31 +157,19 @@ def independence_test(paths: np.ndarray, split: float = 0.0) -> CorrelationStats
     )
 
 
-@dataclass(frozen=True)
-class OccupancyResult:
-    labels: np.ndarray
-    dwell_times: tuple[float, ...]
-    jump_count: int
+def well_jumps(paths: np.ndarray, wells, axis: int = 0) -> np.ndarray:
+    """Number of jumps between wells of each path in ``paths``, shape (n, rows, dims).
 
-
-def well_occupancy(path: np.ndarray, wells, dt: float = 1.0, axis: int = 0) -> OccupancyResult:
-    """Label each sample by well region and count transitions between wells.
-
-    ``wells`` is a list of (lo, hi) intervals on one axis; gaps between the
-    regions are neutral and keep the previous label, so a jump is recorded
-    only when the path actually reaches a different well.
+    ``wells`` is a list of (lo, hi) intervals on one axis; a row in no well
+    keeps the well of the path's last row in one, so a jump is counted only
+    when the path actually reaches a different well.
     """
-    path = np.asarray(path, dtype=float)
-    x = path if path.ndim == 1 else path[:, axis]
-    labels = np.full(x.size, -1, dtype=np.int64)
+    x = np.asarray(paths, dtype=float)[..., axis]
+    labels = np.full(x.shape, -1, dtype=np.int64)
     for j, (lo, hi) in enumerate(wells):
         labels[(x >= lo) & (x <= hi)] = j
-    visited = labels[labels >= 0]
-    if visited.size == 0:
-        return OccupancyResult(labels=labels, dwell_times=(), jump_count=0)
-    changes = visited[1:] != visited[:-1]
-    jump_count = int(changes.sum())
-    # dwell durations between consecutive well changes, in units of dt
-    run_lengths = np.diff(np.concatenate([[0], np.flatnonzero(changes) + 1, [visited.size]]))
-    dwell_times = tuple(float(r * dt) for r in run_lengths if r > 0)
-    return OccupancyResult(labels=labels, dwell_times=dwell_times, jump_count=jump_count)
+    # Forward-fill the gaps: each row reads the label of its last row in a well.
+    last = np.where(labels >= 0, np.arange(x.shape[1]), 0)
+    np.maximum.accumulate(last, axis=1, out=last)
+    filled = np.take_along_axis(labels, last, axis=1)
+    return ((filled[:, 1:] != filled[:, :-1]) & (filled[:, :-1] >= 0)).sum(axis=1)

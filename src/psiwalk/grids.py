@@ -216,6 +216,12 @@ class WaveField:
         return float(np.sum(np.abs(self.values) ** 2)) * self.grid.cell_volume
 
 
+def _check_dt(dt: float) -> None:
+    """Reject a step size that is not positive and finite, as every engine does."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt} must be a positive finite number")
+
+
 def step_count(t0: float, t1: float, dt: float) -> int:
     """Number of ``dt`` steps from ``t0`` to ``t1``: the one step rule of every engine.
 
@@ -223,8 +229,7 @@ def step_count(t0: float, t1: float, dt: float) -> int:
     ``1e-9 * max(1, |t1 - t0|)``, and a positive span takes at least one step;
     anything else raises ValueError.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt={dt} must be a positive finite number")
+    _check_dt(dt)
     span = t1 - t0
     steps = int(round(span / dt))
     if steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)) or (span > 0 and not steps):
@@ -256,41 +261,25 @@ def step_plan(snapshots, t0: float, t1: float, dt: float) -> list:
     return [(snap, steps) for snap, steps in plan if steps]
 
 
-def gradient_log(field, epsilon: float) -> np.ndarray:
-    """Gradient of ``ln(values + epsilon)``, shape ``(*points, dims)``.
+def gradient(grid: Grid, values) -> np.ndarray:
+    """Gradient of ``values`` on ``grid``, shape ``(*points, dims)``.
 
     Central differences in the interior; periodic axes wrap, reflecting axes
-    use second-order one-sided stencils at the walls.  ``epsilon`` is the
-    absolute regularizer keeping the log finite at nodes.
+    use second-order one-sided stencils at the walls.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    grid = field.grid
-    logv = np.log(np.asarray(field.values, dtype=float) + epsilon)
+    values = np.asarray(values, dtype=float)
     out = np.empty(grid.points + (grid.dims,))
     for k in range(grid.dims):
-        dx = grid.spacing[k]
+        # Both views put axis k first, so one set of stencils serves every axis.
+        v, g = np.moveaxis(values, k, 0), np.moveaxis(out[..., k], k, 0)
+        g[1:-1] = v[2:] - v[:-2]
         if grid.boundary[k] == PERIODIC:
-            g = (_shift(logv, -1, k) - _shift(logv, 1, k)) / (2.0 * dx)
+            g[0] = v[1] - v[-1]
+            g[-1] = v[0] - v[-2]
         else:
-            g = np.empty_like(logv)
-            mid = [slice(None)] * grid.dims
-            lop = [slice(None)] * grid.dims
-            hip = [slice(None)] * grid.dims
-            mid[k], lop[k], hip[k] = slice(1, -1), slice(None, -2), slice(2, None)
-            g[tuple(mid)] = (logv[tuple(hip)] - logv[tuple(lop)]) / (2.0 * dx)
-
-            def take(i):
-                sl = [slice(None)] * grid.dims
-                sl[k] = i
-                return logv[tuple(sl)]
-
-            first = [slice(None)] * grid.dims
-            last = [slice(None)] * grid.dims
-            first[k], last[k] = 0, -1
-            g[tuple(first)] = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * dx)
-            g[tuple(last)] = (3.0 * take(-1) - 4.0 * take(-2) + take(-3)) / (2.0 * dx)
-        out[..., k] = g
+            g[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+            g[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+        g /= 2.0 * grid.spacing[k]
     return out
 
 

@@ -1,12 +1,14 @@
-"""Conversion of a wave field into the particle's potential and drift.
+"""The guidance law: how a wave field becomes the walker's drift and density.
 
-The walker feels the potential ``V = -ln(|Psi|^2 + eps)`` and drifts with
-velocity ``lambda * grad ln(|Psi|^2 + eps)``.  The additive regularizer
-``eps`` is RELATIVE: the value added to |Psi|^2 is ``epsilon * max|Psi|^2``,
-which caps the barrier height at nodes near ``-ln(epsilon)`` (about 27.6 for
-the default 1e-12) and makes the drift exactly invariant under rescaling of
-Psi.  The regularized density ``|Psi|^2 + eps`` is then the exact stationary
-density of the walker for a static field.
+This module is the one place that turns Psi into the regularized density
+``rho_eps = |Psi|^2 + eps``; the walkers' drift and the density solver's face
+drifts both read its logarithm.  The walker feels the potential
+``V = -ln rho_eps`` and drifts with velocity ``lambda * grad ln rho_eps``.  The
+additive regularizer is RELATIVE: ``eps = epsilon * max|Psi|^2``, which caps
+the barrier height at nodes near ``-ln(epsilon)`` (about 27.6 for the default
+1e-12) and makes the drift exactly invariant under rescaling of Psi.
+``rho_eps`` is then the exact stationary density of the walker for a static
+field.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityField, WaveField, gradient_log
+from .grids import DensityField, WaveField, gradient
 
 
 @dataclass(frozen=True)
@@ -40,27 +42,33 @@ class GuidanceParams:
         if self.drift_cap is not None and self.drift_cap <= 0:
             raise ValueError("drift_cap must be positive when set")
 
-    def effective_epsilon(self, density_max: float) -> float:
-        scale = density_max if density_max > 0 else 1.0
-        return self.epsilon * scale
-
 
 def regularized_density(psi: WaveField, params: GuidanceParams) -> DensityField:
     """|Psi|^2 + eps, the walker's exact stationary density for static Psi."""
-    rho = np.abs(psi.values) ** 2
-    eps = params.effective_epsilon(float(rho.max()))
-    return DensityField(psi.grid, rho + eps, psi.time)
+    return DensityField(psi.grid, _rho_eps(psi, params), psi.time)
+
+
+def log_density(psi: WaveField, params: GuidanceParams) -> np.ndarray:
+    """ln(|Psi|^2 + eps) as a raw array: minus the walker's potential."""
+    rho = _rho_eps(psi, params)
+    return np.log(rho, out=rho)
 
 
 def drift_field(psi: WaveField, params: GuidanceParams) -> np.ndarray:
     """``lam * grad ln(|Psi|^2 + eps)`` on psi's grid, shape ``(*points, dims)``,
     clipped to ``drift_cap`` when set."""
-    rho = DensityField(psi.grid, np.abs(psi.values) ** 2, psi.time)
-    eps = params.effective_epsilon(float(rho.values.max()))
-    vectors = _cap_vectors(params.lam * gradient_log(rho, eps), params.drift_cap)
+    vectors = _cap_vectors(params.lam * gradient(psi.grid, log_density(psi, params)),
+                           params.drift_cap)
     if not np.all(np.isfinite(vectors)):
         raise ValueError("drift vectors must be finite")
     return vectors
+
+
+def _rho_eps(psi: WaveField, params: GuidanceParams) -> np.ndarray:
+    """|Psi|^2 + epsilon * max|Psi|^2, the only place the regularizer is added."""
+    rho = np.abs(psi.values) ** 2
+    rho += params.epsilon * rho.max()
+    return rho
 
 
 def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:

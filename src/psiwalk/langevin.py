@@ -1,7 +1,8 @@
 """Euler-Maruyama integration of the guided walker, single and ensemble.
 
-The walker obeys  dX = lam * grad ln(|Psi|^2 + eps) dt + sqrt(2 lam) dW  with
-independent unit white noise per dimension, discretized as
+The walker obeys  dX = lam * grad ln rho_eps dt + sqrt(2 lam) dW, with the
+regularized density rho_eps of ``guidance`` and independent unit white noise
+per dimension, discretized as
 
     X_{s+1} = X_s + drift(X_s, t_s) * dt + sqrt(2 lam dt) * eta_s,
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityField, Grid, WaveField, _Interpolant, step_count, step_plan
+from .grids import DensityField, Grid, WaveField, _check_dt, _Interpolant, step_count, step_plan
 from .guidance import GuidanceParams, _cap_vectors, drift_field
 
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
@@ -406,8 +407,6 @@ def run_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dt_L <= 0:
-        raise ValueError("dt_L must be positive")
     if record_stride is not None and record_stride < 0:
         raise ValueError(f"record_stride must be >= 0, got {record_stride}")
     snaps = [psi_snapshots] if isinstance(psi_snapshots, WaveField) else list(psi_snapshots)
@@ -487,8 +486,7 @@ def run_first_passage_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dt_L <= 0:
-        raise ValueError("dt_L must be positive")
+    _check_dt(dt_L)
     if t_max < t0:
         raise ValueError(f"t_max={t_max} precedes the start time t0={t0}")
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))

@@ -527,16 +527,13 @@ def _oracle_cross_check(cfg, out, psi, params, result, legs):
     which steps ``legs`` one after another."""
     start = cfg.ensemble["sampler"]
     grid = psi.grid
-    if start["type"] == "point":
-        p0_values = np.zeros(grid.points)
-        idx = grid.cell_index(np.asarray(start["at"], dtype=float))[0]
-        p0_values[tuple(idx)] = 1.0 / grid.cell_volume
-    else:
-        p0_values = regularized_density(psi, params).normalized().values
+    # A point start is the walkers' folded start point, binned by the one cell rule.
+    p0 = (analysis.histogram(grid.fold(np.asarray(start["at"], dtype=float)), grid)
+          if start["type"] == "point" else regularized_density(psi, params).normalized())
     # One evolution through the sorted checkpoints, each leg starting where the
     # last one ended, at the checkpoint time the validator planned it from.
     densities = {}
-    dens = DensityField(grid, p0_values, 0.0)
+    dens = DensityField(grid, p0.values, 0.0)
     for leg in legs:
         dens = densities[leg.t1] = smoluchowski.fp_evolve(dens, psi, params, float(leg.dt), leg.t1,
                                                           method="auto")[-1]
@@ -624,10 +621,7 @@ def _localization_block(cfg, out, psi, dg, params, loc, stage):
     wells = [(lo_edge, -gap), (gap, hi_edge)]
     result = langevin.run_ensemble(n, langevin.PointSampler([-dg.b]), psi, params, dt, horizon,
                                    master_seed=cfg.master_seed, record_stride=int(loc["record_stride"]))
-    jumps = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        occ = analysis.well_occupancy(result.paths[i], wells, dt=dt)
-        jumps[i] = occ.jump_count
+    jumps = analysis.well_jumps(result.paths, wells)
     stay = float(np.mean(jumps == 0))
     mass_start_well = float(np.mean(result.final_positions[:, 0] < 0.0))
     out.metrics["localization_horizon"] = horizon

@@ -124,8 +124,6 @@ def evolve(
         raise ValueError(f"t_final={t_final} precedes the initial time {psi.time}")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
-    if t_final == psi.time:
-        return [psi]
     steps = step_count(psi.time, t_final, dt)
     _require_periodic(psi.grid)
     exp_half_pot, exp_kin = _phase_tables(psi.grid, h, dt)

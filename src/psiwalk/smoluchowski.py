@@ -1,7 +1,8 @@
 """Finite-volume solver for the walker's position density.
 
-Solves  dp/dt = lam * div( -grad(ln(|Psi|^2 + eps)) p + grad p )  in flux form
-on the same grids as the Langevin engine, as its deterministic oracle.
+Solves  dp/dt = lam * div( -grad(ln rho_eps) p + grad p )  in flux form on
+the same grids as the Langevin engine, as its deterministic oracle; ln rho_eps
+is ``guidance.log_density``, the log-density the walkers' drift is built from.
 
 Scheme.  Per axis face between cells i and i+1 define the dimensionless drift
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import PERIODIC, DensityField, Grid, WaveField, _shift, step_plan
-from .guidance import GuidanceParams
+from .guidance import GuidanceParams, log_density
 
 
 class StepSizeError(ValueError):
@@ -110,9 +111,7 @@ class FPOperator:
 
     @classmethod
     def from_wavefield(cls, psi: WaveField, params: GuidanceParams) -> "FPOperator":
-        rho = np.abs(psi.values) ** 2
-        eps = params.effective_epsilon(float(rho.max()))
-        return cls.from_log_density(psi.grid, np.log(rho + eps), params.lam)
+        return cls.from_log_density(psi.grid, log_density(psi, params), params.lam)
 
     def _face_flux(self, axis: int, p: np.ndarray) -> np.ndarray:
         """(lam/dx) * (cp p_hi - cm p_lo) through every face of ``axis``."""

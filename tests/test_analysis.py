@@ -12,7 +12,7 @@ from psiwalk import (
     kramers_prediction,
     mfpt_estimate,
     total_variation,
-    well_occupancy,
+    well_jumps,
 )
 from psiwalk.langevin import substream
 
@@ -218,23 +218,31 @@ def test_independence_degenerate_flagged():
 
 # -- well occupancy ---------------------------------------------------------------
 
+WELLS = [(-3.0, -1.0), (1.0, 3.0)]
+
+
 def test_occupancy_single_well():
-    path = np.full((50, 1), -2.0)
-    occ = well_occupancy(path, [(-3.0, -1.0), (1.0, 3.0)], dt=0.1)
-    assert occ.jump_count == 0
-    assert occ.dwell_times == (5.0,)
-    assert np.all(occ.labels == 0)
+    assert list(well_jumps(np.full((1, 50, 1), -2.0), WELLS)) == [0]
 
 
 def test_occupancy_alternating_every_step():
     path = np.array([[-2.0], [2.0]] * 10)
-    occ = well_occupancy(path, [(-3.0, -1.0), (1.0, 3.0)])
-    assert occ.jump_count == len(path) - 1
+    assert list(well_jumps(path[None], WELLS)) == [len(path) - 1]
 
 
 def test_occupancy_neutral_gap_not_a_jump():
     # visiting the gap and returning to the same well does not count
     path = np.array([[-2.0], [0.0], [-2.0], [0.0], [2.0]])
-    occ = well_occupancy(path, [(-3.0, -1.0), (1.0, 3.0)])
-    assert occ.jump_count == 1
-    assert list(occ.labels) == [0, -1, 0, -1, 1]
+    assert list(well_jumps(path[None], WELLS)) == [1]
+
+
+def test_well_jumps_count_the_changes_of_the_wells_each_path_visits():
+    # per path: the sequence of wells visited, gap rows dropped, and its changes
+    rng = np.random.default_rng(11)
+    paths = rng.choice([-2.0, -0.5, 0.0, 2.5, 4.0], size=(300, 40, 2))
+    x = paths[..., 1]
+    expected = []
+    for row in x:
+        visited = [j for v in row for j, (lo, hi) in enumerate(WELLS) if lo <= v <= hi]
+        expected.append(sum(a != b for a, b in zip(visited, visited[1:])))
+    assert list(well_jumps(paths, WELLS, axis=1)) == expected

@@ -11,11 +11,15 @@ from psiwalk import (
     GuidanceParams,
     Grid,
     HamiltonianSpec,
+    PlaneCrossing,
+    PointSampler,
     WaveField,
     evolve,
     fp_evolve,
-    gradient_log,
+    gradient,
     make_packet,
+    run_ensemble,
+    run_first_passage_ensemble,
 )
 from psiwalk.grids import step_count, step_plan
 
@@ -120,8 +124,7 @@ def test_gradient_log_gaussian():
     # d/dx ln exp(-x^2) = -2x; the grid spacing puts nodes at 0 and 0.5
     g = Grid.make(192, (-6.0, 6.0), "periodic")
     x = g.coords(0)
-    f = DensityField(g, np.exp(-(x**2)))
-    grad = gradient_log(f, 1e-300)
+    grad = gradient(g, np.log(np.exp(-(x**2))))
     i0 = np.flatnonzero(x == 0.0)[0]
     assert grad[i0, 0] == pytest.approx(0.0, abs=1e-10)
     ihalf = np.flatnonzero(x == 0.5)[0]
@@ -130,17 +133,20 @@ def test_gradient_log_gaussian():
 
 def test_gradient_log_zero_field():
     g = Grid.make(32, (0.0, 1.0), "reflecting")
-    grad = gradient_log(DensityField(g, np.zeros(32)), 1e-12)
+    grad = gradient(g, np.log(np.zeros(32) + 1e-12))
     assert np.all(grad == 0.0)
 
 
-def test_gradient_log_rejects_bad_epsilon():
-    g = Grid.make(32, (0.0, 1.0), "periodic")
-    f = DensityField(g, np.ones(32))
-    with pytest.raises(ValueError):
-        gradient_log(f, 0.0)
-    with pytest.raises(ValueError):
-        gradient_log(f, -1e-9)
+def test_gradient_axis_k_is_the_1d_gradient_of_every_pencil():
+    bounds = ("periodic", "reflecting", "reflecting")
+    g = Grid.make((8, 9, 10), [(-1.0, 1.0), (0.0, 3.0), (-2.0, 0.5)], bounds)
+    values = np.random.default_rng(5).normal(size=g.points)
+    grad = gradient(g, values)
+    for k in range(3):
+        line = Grid.make(g.points[k], g.extent[k], bounds[k])
+        pencils = np.moveaxis(values, k, -1).reshape(-1, g.points[k])
+        expected = np.stack([gradient(line, pencil)[:, 0] for pencil in pencils])
+        assert np.array_equal(np.moveaxis(grad[..., k], k, -1).reshape(expected.shape), expected)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
@@ -150,8 +156,7 @@ def test_gradient_log_second_order_convergence(boundary):
     for n in (64, 128, 256):
         g = Grid.make(n, (-3.0, 3.0), boundary)
         x = g.coords(0)
-        f = DensityField(g, np.exp(np.sin(np.pi * x / 3.0)))
-        grad = gradient_log(f, 1e-300)[:, 0]
+        grad = gradient(g, np.log(np.exp(np.sin(np.pi * x / 3.0))))[:, 0]
         exact = (np.pi / 3.0) * np.cos(np.pi * x / 3.0)
         errors.append(np.max(np.abs(grad - exact)))
     assert errors[0] / errors[1] > 3.0
@@ -354,13 +359,20 @@ def test_step_count_rule():
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
 def test_every_engine_rejects_a_dt_that_is_not_positive_and_finite(dt):
-    # 0 raised ZeroDivisionError and NaN "cannot convert float NaN to integer"
+    # 0 raised ZeroDivisionError and NaN "cannot convert float NaN to integer";
+    # a zero-length evolve returned its input, and first passage with an
+    # infinite dt censored every walker
     g = Grid.make(32, (-4.0, 4.0), "periodic")
     psi = make_packet(g, [0.0], 1.0)
     p0 = DensityField(g, np.abs(psi.values) ** 2)
+    params = GuidanceParams(lam=1.0)
     for run in (lambda: step_count(0.0, 1.0, dt), lambda: step_plan([psi], 0.0, 1.0, dt),
                 lambda: evolve(psi, HamiltonianSpec(), 0.01, dt),
-                lambda: fp_evolve(p0, psi, GuidanceParams(lam=1.0), dt, 0.01)):
+                lambda: evolve(psi, HamiltonianSpec(), psi.time, dt),
+                lambda: fp_evolve(p0, psi, params, dt, 0.01),
+                lambda: run_ensemble(4, PointSampler([0.0]), psi, params, dt, 0.01),
+                lambda: run_first_passage_ensemble(4, [0.0], psi, params, dt,
+                                                   PlaneCrossing(at=1.0), 0.01)):
         with pytest.raises(ValueError, match=r"dt=\S+ must be a positive finite number"):
             run()
 

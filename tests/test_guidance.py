@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from psiwalk import (
+    FPOperator,
     Grid,
     GuidanceParams,
     WaveField,
     drift_field,
+    gradient,
+    log_density,
     regularized_density,
 )
+from psiwalk.guidance import _cap_vectors
 
 from _interpolate import interpolate
 
@@ -129,3 +133,25 @@ def test_drift_at_node_and_zero():
     zero = WaveField(g, np.ones_like(psi.values))
     dz = drift_field(zero, params)
     assert np.all(interpolate(g, dz, np.array([0.3])) == 0.0)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+def test_walkers_and_density_solver_read_one_log_density(boundary):
+    # The drift, the face drifts and the stationary density all come from
+    # log_density, bit for bit, node cells included.
+    g = Grid.make((24, 20), [(-3.0, 3.0), (-2.0, 2.5)], boundary)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=g.points) + 1j * rng.normal(size=g.points)
+    values[5, :] = 0.0
+    psi = WaveField(g, values)
+    for params in (GuidanceParams(lam=1.3), GuidanceParams(lam=40.0, epsilon=1e-6, drift_cap=5.0)):
+        log_rho = log_density(psi, params)
+        assert np.array_equal(np.log(regularized_density(psi, params).values), log_rho)
+        assert np.array_equal(drift_field(psi, params),
+                              _cap_vectors(params.lam * gradient(g, log_rho), params.drift_cap))
+        face_w = FPOperator.from_wavefield(psi, params).face_w
+        for k in range(g.dims):
+            cells = np.moveaxis(log_rho, k, 0)
+            if boundary == "periodic":   # the last face wraps to cell 0
+                cells = np.concatenate([cells, cells[:1]])
+            assert np.array_equal(np.moveaxis(face_w[k], k, 0), cells[:-1] - cells[1:])

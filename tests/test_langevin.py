@@ -439,6 +439,7 @@ class TwoPointSampler:
         return np.array([[self.a if rng.random() < 0.5 else self.b] for rng in rngs])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # the step overflows on purpose
 def test_nonfinite_step_raises_integrator_failure():
     # lam * dt_L = 8e307 keeps the noise scale finite, but where the drift is
     # lam * 4 (at x = 2 on |psi|^2 = exp(-(x - 4)^2)) the step overflows; at

@@ -33,7 +33,6 @@ KEEP = {
     "FirstPassage": "returned by run_first_passage_ensemble",
     "CorrelationStats": "returned by independence_test",
     "EscapeTimeEstimate": "returned by mfpt_estimate",
-    "OccupancyResult": "returned by well_occupancy",
     "UnsupportedPropagatorError": "raised by evolve on a non-periodic grid",
     "IntegratorFailure": "raised by the ensembles on a non-finite step",
     "StepSizeError": "raised by fp_step beyond its stability bound",

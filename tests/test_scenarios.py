@@ -675,6 +675,20 @@ def test_oracle_start_cell_is_the_walkers_histogram_cell(tmp_path):
     assert [c.passed for c in manifest.checks if c.name == "oracle_tv_max"] == [True]
 
 
+def test_oracle_starts_a_point_beyond_a_wall_where_the_walkers_fold_it(tmp_path):
+    # -9.5 lies beyond the wall at -9 and folds to -8.5; the oracle used to
+    # clip it into the edge cell instead (oracle_tv_max 0.43 against 0.10).
+    def oracle_tv(at):
+        cfg, errors = validate_config({
+            "scenario": "double_well", "time": {"t_final": 0.05},
+            "ensemble": {"n_trajectories": 200, "sampler": {"type": "point", "at": [at]}},
+            "params": {"oracle": {"checkpoints": [0.05]}}})
+        assert errors == []
+        return run_scenario(cfg, out_dir=tmp_path / str(at)).metrics["oracle_tv_max"]
+
+    assert oracle_tv(-9.5) == oracle_tv(-8.5)
+
+
 def test_manifest_echoes_config(tmp_path):
     cfg, _ = validate_config(small_harmonic())
     manifest = run_scenario(cfg, out_dir=tmp_path)

@@ -64,8 +64,9 @@ def test_free_packet_dispersion():
 def test_nonperiodic_grid_rejected():
     g = Grid.make(64, (-4.0, 4.0), "reflecting")
     psi = WaveField(g, np.exp(-g.coords(0) ** 2))
-    with pytest.raises(UnsupportedPropagatorError):
-        evolve(psi, HamiltonianSpec(), 1e-3, 1e-3)
+    for t_final in (1e-3, psi.time):   # a zero-length run is checked too
+        with pytest.raises(UnsupportedPropagatorError):
+            evolve(psi, HamiltonianSpec(), t_final, 1e-3)
 
 
 def test_evolve_zero_horizon_returns_input():
