@@ -67,7 +67,9 @@ def drift_field(psi: WaveField, params: GuidanceParams) -> np.ndarray:
 def _rho_eps(psi: WaveField, params: GuidanceParams) -> np.ndarray:
     """|Psi|^2 + epsilon * max|Psi|^2, the only place the regularizer is added."""
     rho = np.abs(psi.values) ** 2
-    rho += params.epsilon * rho.max()
+    if not (top := rho.max()) > 0:   # eps would be 0 too, and ln rho_eps -inf
+        raise ValueError("|Psi|^2 underflows to zero everywhere")
+    rho += params.epsilon * top
     return rho
 
 
@@ -75,8 +77,13 @@ def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:
     """Scale vectors (last axis) longer than ``cap`` down to that length, in place."""
     if cap is None:
         return v
-    mag = v * v if v.shape[-1] == 1 else np.sum(v * v, axis=-1, keepdims=True)
-    if (np.sqrt(mag, out=mag) > cap).any():   # vectors within the cap get cap / cap = 1
+    if v.shape[-1] == 1:
+        mag = np.abs(v)
+    else:
+        with np.errstate(over="ignore"):   # rows whose squares overflow are measured again
+            mag = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+        mag[np.isinf(mag)] = np.hypot.reduce(v[np.isinf(mag[..., 0])], axis=-1)
+    if (mag > cap).any():   # vectors within the cap get cap / cap = 1
         np.maximum(mag, cap, out=mag)
         v *= np.divide(cap, mag, out=mag)
     return v

@@ -36,14 +36,15 @@ threads: per-step numpy dispatch holds the GIL, and two threads measured
 0.64-0.69x the speed of one.
 
 Noise budget: a chunk of m trajectories in d dimensions draws its noise into
-one buffer of at most ``_NOISE_VALUES`` doubles (8 MiB), B = _NOISE_VALUES //
-(m d) steps per trajectory.  In every chunk the blocks, refilled when used
-up wherever that falls relative to snapshot segments, checkpoints and
-recorded rows, start at ``_FIRST_BLOCK`` steps and grow with the steps
-already taken, up to B, so that walkers which retire early do not draw (and
-throw away) a whole budget of noise.  A stream's draws concatenate
-bit-exactly across calls, so block sizes never change a result; they only
-trade memory against per-call generator overhead.
+one step-major buffer ``(B, m, d)`` of at most ``_NOISE_VALUES`` doubles (8
+MiB), B = min(_NOISE_VALUES // (m d), _TILE // d), so a step reads one
+contiguous row.  Blocks, refilled when used up wherever that falls, start at
+``_FIRST_BLOCK`` steps and grow with the steps taken, up to B, so that walkers
+which retire early do not draw a whole budget.  Streams draw into walker tiles
+of at most ``_TILE`` doubles, each stored transposed and times sigma while in
+cache (sigma * eta is the same product wherever it is formed).  A stream's
+draws concatenate bit-exactly across calls, so block and tile sizes never
+change a result; they trade memory against per-call generator overhead.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .guidance import GuidanceParams, _cap_vectors, drift_field
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
 _FIRST_BLOCK = 1024     # steps in a chunk's first noise block
+_TILE = 2**14           # doubles in a noise tile (128 KiB, cache-sized)
 
 
 class IntegratorFailure(RuntimeError):
@@ -196,8 +198,8 @@ class NodeBasinMap:
         for k, lo, dx, half, stride in self._axes:
             q = x[:, k] - lo
             q /= dx
-            q += half   # adding 0.0 on reflecting axes leaves the floor unchanged
-            term = np.floor(q, out=q).astype(np.int64)
+            q += half   # in-box quotients are >= 0, where truncation is the floor
+            term = q.astype(np.int64)
             if stride > 1:
                 term *= stride
             flat = term if k == 0 else flat + term
@@ -248,10 +250,11 @@ class FirstPassage:
 # --------------------------------------------------------------------------
 # the stepping kernel
 
-def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
+def _advance_block(positions, t, dt, noise, drift, grid, cap, stream_ids,
                    basin_map=None, basin_prev=None, crossings=None, stop=None, side=None):
-    """Advance in-box positions through up to noise.shape[1] Euler-Maruyama steps.
+    """Advance in-box positions through up to len(noise) Euler-Maruyama steps.
 
+    ``noise`` is step-major, ``(steps, m, dims)``, and already scaled by sigma.
     ``drift`` maps in-box positions to new drift arrays.  Each step raises
     IntegratorFailure on a non-finite proposal, and with a ``stop`` predicate
     the block ends after the first step at which some walker hits.  With a
@@ -260,13 +263,13 @@ def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
     Returns ``(positions, t, steps, hit)``, ``hit`` marking the walkers that
     stopped (None when the block ran out).
     """
-    m, steps = noise.shape[:2]
+    steps, m = noise.shape[:2]
     if basin_map is not None:
         basins = np.empty(m, np.int64)
     for s in range(steps):
         v = _cap_vectors(drift(positions), cap)
         v *= dt
-        v += sigma * noise[:, s]
+        v += noise[s]
         v += positions
         if not np.isfinite(v.sum()):   # the sum may also overflow on finite rows
             bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
@@ -276,8 +279,8 @@ def _advance_block(positions, t, dt, noise, drift, grid, sigma, cap, stream_ids,
         t = t + dt
         if basin_map is not None:
             basin_map.lookup(positions, basins)
-            if not np.array_equal(basins, basin_prev):   # most steps change no label
-                crossings += (basins != basin_prev) & (basins >= 0) & (basin_prev >= 0)
+            if (changed := basins != basin_prev).any():   # most steps change no label
+                crossings += changed & (basins >= 0) & (basin_prev >= 0)
                 np.copyto(basin_prev, basins, where=basins >= 0)
         if stop is not None:
             hit = stop.hit(positions, side)
@@ -318,8 +321,10 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
     basin_prev = np.full(m, -1, dtype=np.int64)
     side = None if stop is None else stop.initial_side(positions)
     total = sum(steps for steps, _, _ in segments)
-    buf = np.empty((m, max(1, min(total, _NOISE_VALUES // (m * grid.dims))), grid.dims))
-    noise = buf[:, :0]   # the unused steps of the current noise block
+    # A block of at most _TILE // dims steps lets one walker's steps fill a tile.
+    buf = np.empty((max(1, min(total, _NOISE_VALUES // (m * grid.dims), _TILE // grid.dims)),
+                    m, grid.dims))
+    noise = buf[:0]   # the unused steps of the current noise block
     rows = np.arange(m)   # the chunk row of each walker still in the batch
     hit_steps = np.full(m, -1, dtype=np.int64)
     final, crossed = np.empty_like(positions), np.empty_like(crossings)
@@ -329,8 +334,9 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
         out = rows[hit]
         hit_steps[out], final[out], crossed[out] = step, positions[hit], crossings[hit]
         rngs = [r for r, h in zip(rngs, hit) if not h]
-        rows, positions, side, crossings, basin_prev, noise = (
-            a[~hit] for a in (rows, positions, side, crossings, basin_prev, noise))
+        rows, positions, side, crossings, basin_prev = (
+            a[~hit] for a in (rows, positions, side, crossings, basin_prev))
+        noise = noise.compress(~hit, axis=1)   # 2x faster than boolean indexing here
 
     captured = {}
     path_rows = []
@@ -358,24 +364,30 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
             np.copyto(basin_prev, b, where=b >= 0)
         seg_end = step + steps
         while step < seg_end:
-            if not noise.shape[1]:
+            if not len(noise):
                 # Each stream's draws continue where its previous fill stopped,
                 # so the block sizes, growing with the steps taken, change nothing.
-                noise = buf[: rows.size, : min(buf.shape[1], total - step, max(_FIRST_BLOCK, step))]
-                for r, row in zip(rngs, noise):
-                    r.standard_normal(out=row)
+                # The streams draw into tiles of whole walkers, at most _TILE doubles,
+                # and each tile is stored step-major, times sigma, while in cache.
+                noise = buf[: min(len(buf), total - step, max(_FIRST_BLOCK, step)), : rows.size]
+                w = max(1, _TILE // (len(noise) * grid.dims))   # walkers per tile
+                tile = np.empty((min(w, rows.size), len(noise), grid.dims))
+                for a in range(0, rows.size, w):
+                    for r, row in zip(rngs[a : a + w], tile):
+                        r.standard_normal(out=row)
+                    np.multiply(tile[: rows.size - a].transpose(1, 0, 2), sigma, out=noise[:, a : a + w])
             # Advance to the next event (block end, segment end, checkpoint or
             # recorded row), or less if some walker meets ``stop``.
-            nxt = min([seg_end, step + noise.shape[1]] + [c for c in checkpoint_steps if c > step])
+            nxt = min([seg_end, step + len(noise)] + [c for c in checkpoint_steps if c > step])
             if record_stride:
                 nxt = min(nxt, (step // record_stride + 1) * record_stride)
             k, hit = nxt - step, None
             if rows.size:
                 positions, _, k, hit = _advance_block(
-                    positions, t0 + step * dt, dt, noise[:, :k], drift, grid, sigma,
-                    params.drift_cap, ids[rows], bmap, basin_prev, crossings, stop, side)
+                    positions, t0 + step * dt, dt, noise[:k], drift, grid, params.drift_cap,
+                    ids[rows], bmap, basin_prev, crossings, stop, side)
             step += k
-            noise = noise[:, k:]
+            noise = noise[k:]
             if hit is not None:
                 retire(hit, step)
             observe(step)
@@ -487,8 +499,8 @@ def run_first_passage_ensemble(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_dt(dt_L)
-    if t_max < t0:
-        raise ValueError(f"t_max={t_max} precedes the start time t0={t0}")
+    if not t0 <= t_max < np.inf:
+        raise ValueError(f"t_max={t_max} must be finite and not precede the start time t0={t0}")
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
     segments = [(max_steps, _Interpolant(psi.grid, drift_field(psi, params)), None)]
     out = []

@@ -89,6 +89,41 @@ def test_drift_cap_dominates():
     assert mags.max() <= 3.0 + 1e-12
 
 
+def test_cap_reaches_vectors_whose_squared_length_overflows():
+    # |v| > ~1.3e154 squares to inf: such a vector must still be scaled to the
+    # cap, not to 0, and every other row keeps the bits of cap / |v| scaling.
+    assert np.array_equal(_cap_vectors(np.array([[1e200], [-3e300], [2.0]]), 10.0),
+                          [[10.0], [-10.0], [2.0]])
+    v = np.array([[1e200, -1e200], [3.0, 4.0], [30.0, -40.0], [-1e300, 0.0], [0.0, 0.0]])
+    capped = _cap_vectors(v.copy(), 10.0)
+    assert np.allclose(capped[0], [10 / np.sqrt(2), -10 / np.sqrt(2)], rtol=1e-15)
+    assert np.array_equal(capped[3], [-10.0, 0.0])
+    small = v[[1, 2, 4]]
+    norm = np.sqrt(np.sum(small * small, axis=-1, keepdims=True))
+    assert np.array_equal(capped[[1, 2, 4]], small * (10.0 / np.maximum(norm, 10.0)))
+    # lam = 1e160 passes validation; its drift overflows when squared
+    g, x, psi = gaussian_field(n=64, half=8.0)
+    params = GuidanceParams(lam=1e160, drift_cap=5.0)
+    raw = params.lam * gradient(g, log_density(psi, params))[..., 0]
+    d = drift_field(psi, params)[..., 0]
+    assert np.abs(raw).max() > 1e155
+    assert np.allclose(d, np.where(np.abs(raw) > 5.0, 5.0 * np.sign(raw), raw), rtol=1e-15, atol=0)
+
+
+def test_density_that_underflows_to_zero_everywhere_is_rejected():
+    # |Psi| ~ 1e-170 is a valid WaveField, but |Psi|^2 is 0 in every cell:
+    # there is no relative regularizer, and ln rho_eps would be -inf.
+    g, x, _ = gaussian_field()
+    psi = WaveField(g, 1e-170 * np.exp(-x**2))
+    params = GuidanceParams(lam=1.0)
+    for build in (regularized_density, log_density, drift_field, FPOperator.from_wavefield):
+        with pytest.raises(ValueError, match="underflows"):
+            build(psi, params)
+    # a small field whose density stays normal is accepted
+    assert np.allclose(drift_field(WaveField(g, 1e-100 * np.exp(-x**2)), params),
+                       drift_field(WaveField(g, np.exp(-x**2)), params), rtol=1e-9, atol=1e-9)
+
+
 def test_product_state_separates():
     # The log potential is additive for product states, so the x-drift is
     # independent of y.  A strictly positive field keeps the regularizer

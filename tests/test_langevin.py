@@ -159,8 +159,11 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
     # 13 walkers in chunks of 5, 5 and 3; a noise budget of 3 steps per full
     # chunk and 5 for the partial one puts refills inside the 7-step snapshot
     # segments, and checkpoints (steps 5, 11) and recorded rows (every 4th
-    # step) split the blocks.  Every row must equal a per-stream reference
-    # that draws once per step.
+    # step) split the blocks.  Noise tiles of 6 d doubles hold 2 walkers of
+    # a 3-step block (a partial last tile in a chunk of 5) and 1 of a 5-step
+    # block; tiles of d doubles cut every block to one step; tiles of 15 d
+    # doubles hold whole chunks.  Every row must equal a per-stream
+    # reference that draws once per step.
     snaps = colliding_packets(dims)
     # a large epsilon flattens the node barriers so that 1-d walkers cross them
     params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
@@ -171,20 +174,24 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
     whole = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
     monkeypatch.setattr(langevin, "_CHUNK", 5)
     monkeypatch.setattr(langevin, "_NOISE_VALUES", 15 * dims)
-    res = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
-
     source = SnapshotReference(snaps, params)
+    paths = []
     for sid in range(n):
         rng = substream(seed, sid)
-        path = em_reference(sampler.sample([rng])[0], rng, source.grid,
-                            lambda s: source.drifts[source.segment_index(s * dt)], params, dt, 20)
-        assert np.array_equal(res.checkpoints[0][1][sid], path[5])
-        assert np.array_equal(res.checkpoints[1][1][sid], path[11])
-        assert np.array_equal(res.paths[sid], np.stack(path[::4]))
-        assert np.array_equal(res.final_positions[sid], path[-1])
-    assert dims == 2 or res.crossings.sum() > 0
-    assert np.array_equal(res.crossings, whole.crossings)
-    assert np.array_equal(res.paths, whole.paths)
+        paths.append(em_reference(sampler.sample([rng])[0], rng, source.grid,
+                                  lambda s: source.drifts[source.segment_index(s * dt)], params,
+                                  dt, 20))
+    for tile in (6, 1, 15):
+        monkeypatch.setattr(langevin, "_TILE", tile * dims)
+        res = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
+        for sid, path in enumerate(paths):
+            assert np.array_equal(res.checkpoints[0][1][sid], path[5])
+            assert np.array_equal(res.checkpoints[1][1][sid], path[11])
+            assert np.array_equal(res.paths[sid], np.stack(path[::4]))
+            assert np.array_equal(res.final_positions[sid], path[-1])
+        assert dims == 2 or res.crossings.sum() > 0
+        assert np.array_equal(res.crossings, whole.crossings)
+        assert np.array_equal(res.paths, whole.paths)
 
 
 @pytest.mark.parametrize("noise_values, first_block", [(12, 1024), (400, 2)])
@@ -215,12 +222,14 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
 def test_retired_walkers_stay_at_their_hit_position_in_later_observations(monkeypatch):
     # The chunk driver with a stop predicate, checkpoints and recorded rows:
     # each walker follows the reference up to its hit step and then stays at
-    # its hit position; 3-step noise blocks make walkers retire mid-block.
+    # its hit position; 3-step noise blocks, filled in tiles of 2 walkers,
+    # make walkers retire mid-block.
     g = Grid.make(256, (-8.0, 8.0), "reflecting")
     psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.0))
     params = GuidanceParams(lam=1.0)
     stop, dt, steps, seed = PlaneCrossing(at=-0.5), 0.01, 60, 5
     monkeypatch.setattr(langevin, "_NOISE_VALUES", 24)
+    monkeypatch.setattr(langevin, "_TILE", 6)
     df = drift_field(psi, params)
     final, _, captured, paths, hits = langevin._run_chunk(
         range(8), seed, PointSampler([-1.0]), g, params, dt, 0.0,
@@ -270,17 +279,19 @@ def standing_waves(dims, boundary):
 @settings(max_examples=40, deadline=None)
 @given(dims=st.sampled_from([1, 2]), boundary=st.sampled_from(["periodic", "reflecting"]),
        chunk=st.integers(1, 8), noise_values=st.integers(1, 64), first_block=st.integers(1, 8),
-       seed=st.integers(0, 2**16))
+       tile=st.integers(1, 48), seed=st.integers(0, 2**16))
 def test_kernel_matches_reference_for_any_chunk_and_noise_budget(
-        dims, boundary, chunk, noise_values, first_block, seed):
-    # Blocks and chunks of any size: every result equals the one-draw-per-step
-    # reference, crossings included.
+        dims, boundary, chunk, noise_values, first_block, tile, seed):
+    # Blocks, tiles and chunks of any size: every result equals the
+    # one-draw-per-step reference, crossings included.  A tile holds from one
+    # walker to the whole chunk, the last tile of a block may be partial, and
+    # first-passage walkers retire inside tiled blocks.
     snaps = standing_waves(dims, boundary)
     params = GuidanceParams(lam=3.0, epsilon=0.05, drift_cap=15.0)
     sampler = DensitySampler(regularized_density(snaps[0], params))
     dt, n, x0, stop = 0.01, 7, [0.3] * dims, PlaneCrossing(at=0.9)
     with mock.patch.multiple(langevin, _CHUNK=chunk, _NOISE_VALUES=noise_values,
-                             _FIRST_BLOCK=first_block):
+                             _FIRST_BLOCK=first_block, _TILE=tile):
         res = run_ensemble(n, sampler, snaps, params, dt, 0.09, master_seed=seed,
                            node_threshold=0.1, checkpoint_times=(0.04,), record_stride=3)
         passages = run_first_passage_ensemble(n, x0, snaps[0], params, dt, stop, 0.3,
@@ -393,7 +404,7 @@ def test_constant_drift_deterministic_limit():
     g, _ = flat_setup()
     positions, t, steps, hit = langevin._advance_block(
         np.array([[0.25]]), 0.0, 0.25, np.zeros((1, 1, 1)), lambda x: np.full_like(x, 2.0),
-        g, 0.0, None, [0],
+        g, None, [0],
     )
     assert positions[0, 0] == 0.25 + 2.0 * 0.25
     assert (t, steps, hit) == (0.25, 1, None)
@@ -564,6 +575,15 @@ def test_first_passage_rejects_t_max_before_t0(t0, t_max):
             run_first_passage_ensemble(4, [-1.0], psi, GuidanceParams(lam=1.0), 1e-2,
                                        PlaneCrossing(at=3.0), t_max, t0=t0)
     run_chunk.assert_not_called()
+
+
+@pytest.mark.parametrize("t_max", [float("inf"), float("nan")])
+def test_first_passage_rejects_a_t_max_that_is_not_finite(t_max):
+    g = Grid.make(32, (-8.0, 8.0), "reflecting")
+    psi = WaveField(g, np.exp(-g.coords(0) ** 2 / 2))
+    with pytest.raises(ValueError, match="t_max"):
+        run_first_passage_ensemble(4, [-1.0], psi, GuidanceParams(lam=1.0), 1e-2,
+                                   PlaneCrossing(at=3.0), t_max)
 
 
 def test_first_passage_with_t_max_at_t0_censors_at_the_start():
