@@ -176,6 +176,12 @@ def _harmonic_stages(m: dict) -> list:
     return [_to_t_final(m, "dt_psi")._replace(t1=t1, rounded=True), *_equilibrium_stages(m)]
 
 
+def _escape_time(m: dict) -> float:
+    """The escape-time formula for the double well of ``m``; inf once it overflows."""
+    dg = schrodinger.DoubleGaussianParams(a=float(m["params"]["a"]), b=float(m["params"]["b"]))
+    return analysis.kramers_prediction(dg, float(m["guidance"]["lam"]))
+
+
 def _double_well_stages(m: dict) -> list:
     """The equilibrium stages if enabled, then the localization walkers up to
     params.localization.horizon_fraction of the escape-time formula in whole
@@ -185,8 +191,7 @@ def _double_well_stages(m: dict) -> list:
     stages = _equilibrium_stages(m) if p["equilibrium"]["enabled"] else []
     loc = p["localization"]
     if loc:
-        dg = schrodinger.DoubleGaussianParams(a=float(p["a"]), b=float(p["b"]))
-        horizon = loc["horizon_fraction"] * analysis.kramers_prediction(dg, float(m["guidance"]["lam"]))
+        horizon = loc["horizon_fraction"] * _escape_time(m)
         key, dt = (("params.localization.dt", loc["dt"]) if loc["dt"]
                    else ("time.dt_langevin", m["time"]["dt_langevin"]))
         stages.append(_Stage(key, f"the localization horizon {horizon}", 0.0, _whole(horizon, dt), dt,
@@ -248,6 +253,8 @@ def _snapshot_steps(st: _Stage):
 
 def _stage_error(st: _Stage) -> str | None:
     """Why the runner could not step ``st``, or None."""
+    if not np.isfinite(st.t1):
+        return f"{st.horizon} is not finite"
     try:
         if st.lattice:
             _snapshot_steps(st)
@@ -280,9 +287,11 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
     if tm["dt_langevin"] > tm["dt_psi"] * (1 + 1e-12):
         errors.append("time.dt_langevin must not exceed time.dt_psi")
     need = _SCENARIOS[scenario]
-    with warnings.catch_warnings():   # the escape-time formula's range warning is the run's to give
+    # the escape-time formula's range and overflow warnings are the run's to give
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stages = need.stages(m)
+        escape = _escape_time(m) if scenario == "double_well" else None
     # A stage from t0 > 0 (an oracle leg) resumes where the last stage of its
     # dt stopped, and is never reached once that one fails.
     stopped = set()
@@ -321,6 +330,14 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
         if lo > -reach or hi < reach:
             errors.append(f"grid extent [{lo}, {hi}] does not cover the double well's "
                           f"[-(b + 6a), b + 6a] = [{-reach}, {reach}]")
+        mfpt = p["mfpt"]
+        if mfpt:
+            if not np.isfinite(mfpt["t_max_factor"] * escape):
+                errors.append(f"params.mfpt.t_max_factor={mfpt['t_max_factor']} times the "
+                              f"escape-time formula {escape} is not finite")
+            if _is_number(mfpt["target"]) and not lo < mfpt["target"] < hi:
+                errors.append(f"params.mfpt.target must lie inside the grid extent ({lo}, {hi}) "
+                              f"for a walker to reach it, got {mfpt['target']}")
     return errors
 
 

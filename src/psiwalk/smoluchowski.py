@@ -9,7 +9,10 @@ Scheme.  Per axis face between cells i and i+1 define the dimensionless drift
     w = ln rho_eps(x_i) - ln rho_eps(x_{i+1})
 
 and the flux  G = (lam/dx) * [ gp(w) p_{i+1} - gm(w) p_i ]  with the
-Chang-Cooper weights gm(w) = w / (e^w - 1), gp(w) = gm(w) + w.  Because the
+Chang-Cooper weights gm(w) = w / (e^w - 1), gp(w) = gm(w) + w.  Each axis
+has one face per cell, past cell i.  On a periodic axis the last face wraps
+to cell 0; on a reflecting axis it is the wall, whose weights are zero, so
+both boundaries share one flux, divergence and stability bound.  Because the
 face drift is the exact log-density difference of the adjacent cells, the
 discrete flux vanishes identically when p is proportional to rho_eps at the
 cell centers: the regularized density is the exact stationary state, to
@@ -64,27 +67,20 @@ def _gm(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lo_hi(dims: int, axis: int):
-    """Index tuples selecting the low and the high cell of every interior face."""
-    lo = [slice(None)] * dims
-    hi = [slice(None)] * dims
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return tuple(lo), tuple(hi)
-
-
 @dataclass(eq=False)
 class FPOperator:
     """Discrete drift-diffusion operator for one wave-field snapshot.
 
-    ``face_w[axis]`` holds the dimensionless face drifts; periodic axes have
-    one face per cell (the last wraps around), reflecting axes only interior
-    faces (wall fluxes vanish).
+    ``face_w[axis]`` holds the dimensionless face drifts: one face per cell on
+    a periodic axis (the last wraps around), the interior faces on a reflecting
+    one, whose wall face past the last cell gets zero weights in ``_coeffs``.
     """
 
     grid: Grid
     lam: float
     face_w: list[np.ndarray]
-    # (cp, cm) per axis: the weights of (p_hi, p_lo) in the face flux.
+    # (cp, cm) per axis: the weights of (p_hi, p_lo) in the face flux, one face
+    # per cell; a reflecting axis appends its wall face, whose weights are zero.
     _coeffs: list = field(init=False, repr=False)
     _stable_dt: float | None = field(init=False, repr=False, default=None)
     # (dt, one _AxisSolver per axis) of the last implicit dt, or None.
@@ -92,9 +88,13 @@ class FPOperator:
 
     def __post_init__(self):
         self._coeffs = []
-        for w in self.face_w:
+        for axis, w in enumerate(self.face_w):
             cm = _gm(w)
-            self._coeffs.append((cm + w, cm))
+            coeffs = (cm + w, cm)
+            if self.grid.boundary[axis] != PERIODIC:
+                wall = np.zeros(w.shape[:axis] + (1,) + w.shape[axis + 1:])
+                coeffs = tuple(np.concatenate((c, wall), axis=axis) for c in coeffs)
+            self._coeffs.append(coeffs)
 
     @classmethod
     def from_log_density(cls, grid: Grid, log_rho: np.ndarray, lam: float) -> "FPOperator":
@@ -102,11 +102,10 @@ class FPOperator:
             raise ValueError("lam must be positive")
         face_w = []
         for axis in range(grid.dims):
-            if grid.boundary[axis] == PERIODIC:
-                face_w.append(log_rho - _shift(log_rho, -1, axis))
-            else:
-                lo, hi = _lo_hi(grid.dims, axis)
-                face_w.append(log_rho[lo] - log_rho[hi])
+            w = log_rho - _shift(log_rho, -1, axis)
+            if grid.boundary[axis] != PERIODIC:   # the wrap face is a wall
+                w = w[(slice(None),) * axis + (slice(None, -1),)]
+            face_w.append(w)
         return cls(grid=grid, lam=lam, face_w=face_w)
 
     @classmethod
@@ -116,24 +115,14 @@ class FPOperator:
     def _face_flux(self, axis: int, p: np.ndarray) -> np.ndarray:
         """(lam/dx) * (cp p_hi - cm p_lo) through every face of ``axis``."""
         cp, cm = self._coeffs[axis]
-        dx = self.grid.spacing[axis]
-        if self.grid.boundary[axis] == PERIODIC:
-            return (self.lam / dx) * (cp * _shift(p, -1, axis) - cm * p)
-        lo, hi = _lo_hi(self.grid.dims, axis)
-        return (self.lam / dx) * (cp * p[hi] - cm * p[lo])
+        return (self.lam / self.grid.spacing[axis]) * (cp * _shift(p, -1, axis) - cm * p)
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """Flux divergence: the right-hand side of dp/dt."""
         out = np.zeros_like(p)
         for axis in range(self.grid.dims):
-            dx = self.grid.spacing[axis]
             flux = self._face_flux(axis, p)
-            if self.grid.boundary[axis] == PERIODIC:
-                out += (flux - _shift(flux, 1, axis)) / dx
-            else:
-                lo, hi = _lo_hi(self.grid.dims, axis)
-                out[lo] += flux / dx
-                out[hi] -= flux / dx
+            out += (flux - _shift(flux, 1, axis)) / self.grid.spacing[axis]
         return out
 
     def flux_max(self, p: np.ndarray) -> float:
@@ -147,14 +136,7 @@ class FPOperator:
             diag = np.zeros(self.grid.points)
             for axis, (cp, cm) in enumerate(self._coeffs):
                 c = self.lam / self.grid.spacing[axis] ** 2
-                if self.grid.boundary[axis] == PERIODIC:
-                    diag += c * (cm + _shift(cp, 1, axis))
-                else:
-                    lo, hi = _lo_hi(self.grid.dims, axis)
-                    contrib = np.zeros(self.grid.points)
-                    contrib[lo] += c * cm
-                    contrib[hi] += c * cp
-                    diag += contrib
+                diag += c * (cm + _shift(cp, 1, axis))
             peak = float(diag.max())
             self._stable_dt = np.inf if peak == 0 else 1.0 / peak
         return self._stable_dt
@@ -186,26 +168,23 @@ class _AxisSolver:
         # Pencil layout: the axis swapped to the end, one pencil per row.
         cp = cp.swapaxes(axis, -1)
         cp = cp.reshape(-1, cp.shape[-1])
-        cm = cm.swapaxes(axis, -1).reshape(cp.shape[0], -1)
-        m, n = cp.shape[0], grid.points[axis]
+        cm = cm.swapaxes(axis, -1).reshape(cp.shape)
+        m, n = cp.shape
         self.periodic = grid.boundary[axis] == PERIODIC
         sub = np.zeros((m, n))      # entry (i, i-1) of each pencil
         sup = np.zeros((m, n))      # entry (i, i+1)
+        sup[:, :-1] = -scale * cp[:, :-1]               # face i couples cell i to i+1
+        sub[:, 1:] = -scale * cm[:, :-1]
+        cp_prev = _shift(cp, 1, 1)                      # the face below each cell
         if self.periodic:
-            sup[:, :-1] = -scale * cp[:, :-1]           # face i couples cell i to i+1
-            sub[:, 1:] = -scale * cm[:, :-1]
-            diag = 1.0 + scale * (cm + _shift(cp, 1, 1))
+            diag = 1.0 + scale * (cm + cp_prev)
             corner_lo = -scale * cm[:, -1]              # (0, n-1): inflow through wrap face
             corner_hi = -scale * cp[:, -1]              # (n-1, 0)
             gamma = -diag[:, 0]
             diag[:, 0] -= gamma
             diag[:, -1] -= corner_lo * corner_hi / gamma
-        else:
-            diag = np.ones((m, n))
-            diag[:, :-1] += scale * cm
-            diag[:, 1:] += scale * cp
-            sup[:, :-1] = -scale * cp
-            sub[:, 1:] = -scale * cm
+        else:   # summed term by term, as a tridiagonal solve per pencil sums it
+            diag = 1.0 + scale * cm + scale * cp_prev
         # The last row of each pencil couples to nothing in the next pencil.
         # Each column is diagonally dominant, so dgttrf never swaps rows and
         # performs the same operations as a separate tridiagonal solve per pencil.

@@ -7,8 +7,9 @@ to the stored values.  A pure refactor of an engine keeps these hashes; a change
 that moves the numerics on purpose re-stores them and says so.  The reduced
 sizes still cover what the engines branch on: a partial second chunk and noise
 refills inside drift-snapshot segments (interference), checkpoints and the
-density-solver cross-check on both its explicit and implicit branch
-(harmonic_ground with an oracle, and ``EXTRA``), per-step path recording in 2-d
+density-solver cross-check on both its explicit and implicit branch, on
+periodic and on reflecting axes (harmonic_ground with an oracle, and
+``EXTRA``), per-step path recording in 2-d
 (product_separation), retiring first-passage walkers (double_well_mfpt) and the
 implicit density solver on moving operators (adiabatic_tracking).
 
@@ -45,9 +46,15 @@ REDUCED = {
 }
 
 # Cases beyond the shipped configs: name -> (shipped config, overrides).  The
-# oracle case checks the density solver at unsorted and repeated checkpoints
-# on its implicit branch (lam 10 puts fp_dt above the explicit bound).
+# harmonic oracle case checks the density solver at unsorted and repeated
+# checkpoints on its implicit branch (lam 10 puts fp_dt above the explicit
+# bound); the double-well one takes explicit steps on a reflecting axis (fp_dt
+# 5e-4 is under the bound 6.1e-4 of its 512-cell grid).
 EXTRA = {
+    "double_well_oracle": ("double_well_equilibrium", {
+        **REDUCED["double_well_equilibrium"],
+        "params": {"oracle": {"checkpoints": [0.25, 1.0], "fp_dt": 5e-4}},
+    }),
     "harmonic_ground_oracle": ("harmonic_ground", {
         "guidance": {"lam": 10.0},
         "time": {"t_final": 1.0},
@@ -65,6 +72,10 @@ GOLDEN = {
     },
     "double_well_equilibrium": {
         "manifest metrics": "d89a25d31f7e008ac074c019baf94c847bab0e688ce2c4c45b9d529f2914fa55",
+    },
+    "double_well_oracle": {
+        "oracle_tv.csv": "6ded290b7c24d8ab07ee37d035c0638697f145cece060859339d47e2b5800642",
+        "manifest metrics": "69ca7475d97e2c4fce394af48abbe9e316d7795685a2c7eb4ca1f3a9abe29f3f",
     },
     "double_well_mfpt": {
         "mfpt.csv": "3f0fa4f100cd228f65ff8fb3484c76501ae0e27a6f62a4d6e5a9e3ebc345570b",

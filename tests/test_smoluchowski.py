@@ -309,8 +309,7 @@ def _dense_axis_generator(op, axis):
     return a
 
 
-@pytest.mark.parametrize("boundary", [(P,), (R,), (P, R), (R, P, P)],
-                         ids=lambda b: "-".join(x[0] for x in b))
+@pytest.mark.parametrize("boundary", BOUNDARIES + [(R, P, P)], ids=lambda b: "-".join(x[0] for x in b))
 def test_implicit_axis_solves_match_dense_backward_euler(boundary):
     for seed in range(3):
         op, p, dt = _random_case(100 + seed, boundary)
@@ -326,6 +325,8 @@ def test_implicit_axis_solves_match_dense_backward_euler(boundary):
         # the dense generator is the explicit operator, term by term
         assert np.allclose(total @ p.values.ravel(), op.apply(p.values).ravel(),
                            rtol=1e-10, atol=1e-10 * np.abs(total).max())
+        # and the explicit bound is one over the largest outflow rate of a cell
+        assert op.stable_dt() == pytest.approx(1.0 / np.max(-np.diag(total)), rel=1e-12)
 
 
 def test_operator_reused_across_dt_matches_fresh_operators():
@@ -385,8 +386,9 @@ def test_fp_evolve_rejects_a_t_final_before_the_start():
        lam=st.floats(0.1, 100.0), dt=st.floats(1e-4, 5e-2))
 def test_steps_conserve_mass_and_keep_the_equilibrium_on_random_log_densities(
         boundary, seed, scale, lam, dt):
-    # every periodic axis takes the shifted (wrap-face) paths of the operator,
-    # its stability bound and its cyclic solve
+    # every axis takes the shifted paths of the operator and its stability
+    # bound (a reflecting axis through its zero-weight wall face), and every
+    # periodic axis the cyclic solve
     rng = np.random.default_rng(seed)
     points = tuple(int(n) for n in rng.integers(8, 14, size=len(boundary)))
     extent = [(-float(h), float(h)) for h in rng.uniform(1.0, 4.0, size=len(boundary))]
