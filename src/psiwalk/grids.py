@@ -182,6 +182,15 @@ class DensityField:
         self.values = values
         self.time = float(time)
 
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray, time: float) -> "DensityField":
+        """Wrap a fresh float64 array of ``grid.points``, which the caller has
+        checked finite and nonnegative, without copying it."""
+        field = cls.__new__(cls)
+        values.setflags(write=False)
+        field.grid, field.values, field.time = grid, values, float(time)
+        return field
+
     def total(self) -> float:
         """Quadrature: the sum of the values times the cell volume.
 

@@ -338,6 +338,9 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
             if _is_number(mfpt["target"]) and not lo < mfpt["target"] < hi:
                 errors.append(f"params.mfpt.target must lie inside the grid extent ({lo}, {hi}) "
                               f"for a walker to reach it, got {mfpt['target']}")
+            if mfpt["start"] is not None and not lo <= mfpt["start"] <= hi:
+                errors.append(f"params.mfpt.start must lie inside the grid extent [{lo}, {hi}], "
+                              f"got {mfpt['start']}")
     return errors
 
 
@@ -667,24 +670,29 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, stages):
     out.fields.append(("psi_initial", psi0))
     out.fields.append(("psi_final", snaps[-1]))
 
+    # One lockstep sweep over every lam; p0 and the reference densities
+    # depend on epsilon alone.
+    sweep = [GuidanceParams(lam=float(lam), epsilon=float(cfg.guidance["epsilon"]))
+             for lam in p["lam_values"]]
+    p0 = regularized_density(psi0, sweep[0]).normalized()
+    densities = smoluchowski.fp_evolve(p0, snaps, sweep, run.dt, run.t1, method="implicit",
+                                       snapshot_stride=cfg.time["snapshot_stride"])
+    series = [[] for _ in sweep]   # the tracking_series rows of each lam
+    # densities and snapshots both fall every snapshot_stride steps and at the end
+    for snap, *dens in zip(snaps, *densities):
+        ref = regularized_density(snap, sweep[0])
+        for rows, lam, d in zip(series, p["lam_values"], dens):
+            rows.append([lam, d.time, *_distance(d.normalized(), ref)])
     summary_rows = []
     series_rows = []
     tv_by_lam = []
-    for lam in p["lam_values"]:
-        params = GuidanceParams(lam=float(lam), epsilon=float(cfg.guidance["epsilon"]))
-        p0 = regularized_density(psi0, params).normalized()
-        densities = smoluchowski.fp_evolve(p0, snaps, params, run.dt, run.t1, method="implicit",
-                                           snapshot_stride=cfg.time["snapshot_stride"])
-        tvs = []
-        # densities and snapshots both fall every snapshot_stride steps and at the end
-        for dens, snap in zip(densities, snaps):
-            tv, maxnorm = _distance(dens.normalized(), regularized_density(snap, params))
-            tvs.append(tv)
-            series_rows.append([lam, dens.time, tv, maxnorm])
+    for lam, rows in zip(p["lam_values"], series):
+        tvs = [row[2] for row in rows]
         mean_tv = float(np.mean(tvs))
         max_tv = float(np.max(tvs))
         tv_by_lam.append(mean_tv)
         summary_rows.append([lam, mean_tv, max_tv])
+        series_rows += rows
     out.metrics["lam_values"] = [float(v) for v in p["lam_values"]]
     out.metrics["tracking_tv_mean"] = tv_by_lam
     decreasing = all(a > b for a, b in zip(tv_by_lam[:-1], tv_by_lam[1:]))

@@ -33,15 +33,24 @@ is then one ``dgttrs`` solve per axis, plus a vectorized rank-one correction
 on periodic axes.  The operator keeps only the factors of the last dt it was
 stepped with.  LAPACK comes from scipy, imported when the first axis is
 factored, so explicit steps do not need it.
+
+A lambda sweep (one epsilon, several lambda) steps in lockstep.  None of the
+log density, the face drifts or the Chang-Cooper weights depends on lambda,
+so each snapshot builds them once and every lambda's operator shares them.
+The implicit lambda values are factored together: every lambda's pencils are
+laid end to end in one system per axis, each block scaled by its own
+dt * lambda / dx^2, so one ``dgttrs`` solve and one rank-one correction per
+axis step them all, with the same operations as separate solves.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import PERIODIC, DensityField, Grid, WaveField, _shift, step_plan
+from .grids import PERIODIC, DensityField, Grid, WaveField, _check_finite, _shift, step_plan
 from .guidance import GuidanceParams, log_density
 
 
@@ -83,7 +92,8 @@ class FPOperator:
     # per cell; a reflecting axis appends its wall face, whose weights are zero.
     _coeffs: list = field(init=False, repr=False)
     _stable_dt: float | None = field(init=False, repr=False, default=None)
-    # (dt, one _AxisSolver per axis) of the last implicit dt, or None.
+    # ((dt, the lam of each operator solved with), one _AxisSolver per axis)
+    # of the last implicit step, or None.
     _factors: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -111,6 +121,14 @@ class FPOperator:
     @classmethod
     def from_wavefield(cls, psi: WaveField, params: GuidanceParams) -> "FPOperator":
         return cls.from_log_density(psi.grid, log_density(psi, params), params.lam)
+
+    def _with_lam(self, lam: float) -> "FPOperator":
+        """This operator at another lam, sharing its face drifts and weights."""
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        op = copy.copy(self)
+        op.lam, op._stable_dt, op._factors = lam, None, None
+        return op
 
     def _face_flux(self, axis: int, p: np.ndarray) -> np.ndarray:
         """(lam/dx) * (cp p_hi - cm p_lo) through every face of ``axis``."""
@@ -141,10 +159,16 @@ class FPOperator:
             self._stable_dt = np.inf if peak == 0 else 1.0 / peak
         return self._stable_dt
 
-    def _solvers(self, dt: float) -> list["_AxisSolver"]:
-        """Per-axis backward-Euler factors for ``dt``, built on first use."""
-        if self._factors is None or self._factors[0] != dt:
-            self._factors = (dt, [_AxisSolver(self, axis, dt) for axis in range(self.grid.dims)])
+    def _solvers(self, dt: float, ops: list | None = None) -> list["_AxisSolver"]:
+        """Per-axis backward-Euler factors for ``dt``, built on first use.
+
+        ``ops`` is a lambda sweep led by this operator, whose weights every
+        member shares; its factors solve every member's pencils at once.
+        """
+        ops = ops or [self]
+        key = (dt, [op.lam for op in ops])
+        if self._factors is None or self._factors[0] != key:
+            self._factors = (key, [_AxisSolver(ops, axis, dt) for axis in range(self.grid.dims)])
         return self._factors[1]
 
 
@@ -153,22 +177,28 @@ class _AxisSolver:
 
     The pencils (the 1-d lines of cells along the axis) are laid end to end as
     one tridiagonal system whose entries between pencils are zero, so a single
-    ``dgttrs`` call solves every pencil.  A periodic pencil is cyclic: its
-    tridiagonal part is modified as in the Sherman-Morrison method, and the
-    rank-one correction ``z`` and ``1 + v.z`` are kept per pencil.
+    ``dgttrs`` call solves every pencil.  The pencils of a lambda sweep's
+    operators follow one another, operator by operator, each scaled by its
+    own lambda.  A periodic pencil is cyclic: its tridiagonal part is
+    modified as in the Sherman-Morrison method, and the rank-one correction
+    ``z`` and ``1 + v.z`` are kept per pencil.
     """
 
-    def __init__(self, op: FPOperator, axis: int, dt: float):
+    def __init__(self, ops: list[FPOperator], axis: int, dt: float):
         from scipy.linalg.lapack import dgttrf, dgttrs
 
-        grid = op.grid
-        cp, cm = op._coeffs[axis]
-        self.axis = axis
-        scale = dt * op.lam / grid.spacing[axis] ** 2
-        # Pencil layout: the axis swapped to the end, one pencil per row.
+        grid = ops[0].grid
+        cp, cm = ops[0]._coeffs[axis]
+        # counted from the end, so a sweep's values may stack their lambda first
+        self.axis = axis - grid.dims
+        # Pencil layout: the axis swapped to the end, one pencil per row,
+        # repeated once per operator.
         cp = cp.swapaxes(axis, -1)
         cp = cp.reshape(-1, cp.shape[-1])
         cm = cm.swapaxes(axis, -1).reshape(cp.shape)
+        scale = np.repeat([dt * op.lam / grid.spacing[axis] ** 2 for op in ops],
+                          cp.shape[0])[:, None]
+        cp, cm = np.tile(cp, (len(ops), 1)), np.tile(cm, (len(ops), 1))
         m, n = cp.shape
         self.periodic = grid.boundary[axis] == PERIODIC
         sub = np.zeros((m, n))      # entry (i, i-1) of each pencil
@@ -178,8 +208,8 @@ class _AxisSolver:
         cp_prev = _shift(cp, 1, 1)                      # the face below each cell
         if self.periodic:
             diag = 1.0 + scale * (cm + cp_prev)
-            corner_lo = -scale * cm[:, -1]              # (0, n-1): inflow through wrap face
-            corner_hi = -scale * cp[:, -1]              # (n-1, 0)
+            corner_lo = -scale[:, 0] * cm[:, -1]        # (0, n-1): inflow through wrap face
+            corner_hi = -scale[:, 0] * cp[:, -1]        # (n-1, 0)
             gamma = -diag[:, 0]
             diag[:, 0] -= gamma
             diag[:, -1] -= corner_lo * corner_hi / gamma
@@ -206,12 +236,23 @@ class _AxisSolver:
         return x.reshape(rhs.shape)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
+        """Every pencil of ``values``: one grid's, or a sweep's stacked along a
+        leading axis in operator order."""
         moved = values.swapaxes(self.axis, -1)
         y = self._solve(moved.reshape(-1, moved.shape[-1]))
         if self.periodic:
             v_dot_y = y[:, 0] + self.ratio * y[:, -1]
             y -= (v_dot_y / self.denom)[:, None] * self.z
         return y.reshape(moved.shape).swapaxes(self.axis, -1)
+
+
+def _densities(grid: Grid, values: np.ndarray, times) -> list[DensityField]:
+    """Fresh step results, one per row of ``values``, as DensityFields without a copy."""
+    if _check_finite(values, "density values")[0] < 0:
+        for row in values:
+            if row.min() < 0:
+                np.maximum(row, 0.0, out=row)   # rounding dust only
+    return [DensityField._adopt(grid, row, t) for row, t in zip(values, times)]
 
 
 def fp_step(p: DensityField, op: FPOperator, dt: float) -> DensityField:
@@ -221,37 +262,48 @@ def fp_step(p: DensityField, op: FPOperator, dt: float) -> DensityField:
     bound = op.stable_dt()
     if dt > bound * (1.0 + 1e-12):
         raise StepSizeError(dt, 0.9 * bound)
-    values = p.values + dt * op.apply(p.values)
-    if values.min() < 0:
-        values = np.maximum(values, 0.0)  # rounding dust only, under the bound
-    return DensityField(p.grid, values, p.time + dt)
+    return _densities(p.grid, (p.values + dt * op.apply(p.values))[None], [p.time + dt])[0]
 
 
-def fp_step_implicit(p: DensityField, op: FPOperator, dt: float) -> DensityField:
+def fp_step_implicit(p: DensityField | list[DensityField], op: FPOperator | list[FPOperator],
+                     dt: float) -> DensityField | list[DensityField]:
     """Backward-Euler step split per axis; stable and positive at any dt.
 
-    The per-axis solves run in a fixed dimension order so the result is
-    schedule-independent.
+    ``p`` and ``op`` are one DensityField and its FPOperator, or equal-length
+    sequences of them: a lambda sweep, whose operators are built from one
+    snapshot and differ only in lambda.  A sweep takes one solve per axis for
+    all its densities and returns the list of stepped densities, each
+    bit-identical to a step of its own.  The per-axis solves run in a fixed
+    dimension order so the result is schedule-independent.
     """
-    if p.grid != op.grid:
-        raise ValueError("density and operator grids differ")
-    values = p.values
-    for solver in op._solvers(dt):
+    single = isinstance(p, DensityField)
+    ps, ops = ([p], [op]) if single else (list(p), list(op))
+    if not ops or len(ps) != len(ops):
+        raise ValueError(f"a sweep needs one operator per density, got {len(ps)} densities "
+                         f"and {len(ops)} operators")
+    first = ops[0]
+    for q, o in zip(ps, ops):
+        if q.grid is not o.grid and q.grid != o.grid:
+            raise ValueError("density and operator grids differ")
+        if o._coeffs is not first._coeffs and not (
+                o.grid == first.grid and all(map(np.array_equal, o.face_w, first.face_w))):
+            raise ValueError("the operators of a sweep must differ only in lam")
+    values = np.array([q.values for q in ps])
+    for solver in first._solvers(dt, ops):
         values = solver.solve(values)
-    if values.min() < 0:
-        values = np.maximum(values, 0.0)
-    return DensityField(op.grid, values, p.time + dt)
+    out = _densities(first.grid, values, [q.time + dt for q in ps])
+    return out[0] if single else out
 
 
 def fp_evolve(
     p0: DensityField,
     psi_snapshots,
-    params: GuidanceParams,
+    params: GuidanceParams | list[GuidanceParams],
     dt: float,
     t_final: float,
     method: str = "auto",
     snapshot_stride: int = 1,
-) -> list[DensityField]:
+) -> list[DensityField] | list[list[DensityField]]:
     """Evolve the density against a sequence of wave-field snapshots.
 
     Steps follow ``grids.step_plan`` from ``p0.time`` to ``t_final``; each
@@ -260,7 +312,21 @@ def fp_evolve(
     "implicit", or "auto" (explicit when dt is within the stability bound).
     Returns density snapshots every ``snapshot_stride`` steps, always
     including the initial and final states.
+
+    ``params`` is one GuidanceParams, or a sequence of them sharing one
+    epsilon: a lambda sweep from the common ``p0``.  A sweep returns one
+    density list per lambda, in order, each bit-identical to a run of its own;
+    each lambda picks its method as its own run would.  Its lambda values step
+    in lockstep: every snapshot builds the face weights once for all, and each
+    step makes one ``fp_step_implicit`` call for every implicit lambda.
     """
+    single = isinstance(params, GuidanceParams)
+    sweep = [params] if single else list(params)
+    if not sweep:
+        raise ValueError("a lam sweep needs at least one GuidanceParams")
+    if len({q.epsilon for q in sweep}) > 1:
+        raise ValueError("the GuidanceParams of a lam sweep must share one epsilon, got "
+                         f"{[q.epsilon for q in sweep]}")
     if method not in ("explicit", "implicit", "auto"):
         raise ValueError(f"unknown stepping method {method!r}")
     if snapshot_stride < 1:
@@ -269,14 +335,23 @@ def fp_evolve(
         raise ValueError(f"t_final={t_final} precedes the initial time {p0.time}")
     plan = step_plan(psi_snapshots, p0.time, t_final, dt)
     total = sum(steps for _, steps in plan)
-    out, p, done = [p0], p0, 0   # done: steps taken
+    outs, ps, done = [[p0] for _ in sweep], [p0] * len(sweep), 0   # done: steps taken
     for psi, steps in plan:
-        op = FPOperator.from_wavefield(psi, params)
-        explicit = method == "explicit" or method == "auto" and dt <= op.stable_dt()
-        step = fp_step if explicit else fp_step_implicit
+        first = FPOperator.from_wavefield(psi, sweep[0])
+        ops = [first] + [first._with_lam(q.lam) for q in sweep[1:]]
+        explicit = [k for k, op in enumerate(ops)
+                    if method == "explicit" or method == "auto" and dt <= op.stable_dt()]
+        implicit = [k for k in range(len(ops)) if k not in explicit]
+        implicit_ops = [ops[k] for k in implicit]
         for _ in range(steps):
-            p = step(p, op, dt)
+            if implicit:
+                stepped = fp_step_implicit([ps[k] for k in implicit], implicit_ops, dt)
+                for k, q in zip(implicit, stepped):
+                    ps[k] = q
+            for k in explicit:
+                ps[k] = fp_step(ps[k], ops[k], dt)
             done += 1
             if done % snapshot_stride == 0 or done == total:
-                out.append(p)
-    return out
+                for out, q in zip(outs, ps):
+                    out.append(q)
+    return outs[0] if single else outs

@@ -379,6 +379,9 @@ def test_every_config_the_validator_accepts_runs(tmp_path):
     ("double_well", {"params": {"mfpt": {"n": 10, "target": 100}}},
      "params.mfpt.target must lie inside the grid extent (-9.0, 9.0) for a walker to reach it, "
      "got 100"),
+    # the run started from the folded point: one escape of 8, mfpt_se NaN
+    ("double_well", {"params": {"mfpt": {"n": 10, "start": 100}}},
+     "params.mfpt.start must lie inside the grid extent [-9.0, 9.0], got 100"),
     # exp(b^2 / a^2) overflows: the run raised on t_max=inf after building the wave field
     ("double_well", {"grid": {"extent": [[-40.0, 40.0]]}, "params": {"a": 1, "b": 27, "mfpt": {"n": 4}}},
      "params.mfpt.t_max_factor=4.0 times the escape-time formula inf is not finite"),
@@ -401,8 +404,8 @@ def test_every_config_the_validator_accepts_runs(tmp_path):
     ("double_well", {"params": {"localization": {"n": 10, "horizon": 1.0}}},
      "params.localization.horizon is not a params.localization key; valid keys: n, dt, "
      "horizon_fraction, well_gap, record_stride, stay_fraction, write_paths"),
-], ids=["mfpt_n", "mfpt_target", "mfpt_target_outside", "mfpt_t_max_inf", "localization_inf",
-        "lam_values", "equilibrium_tv_limit", "oracle_not_object",
+], ids=["mfpt_n", "mfpt_target", "mfpt_target_outside", "mfpt_start_outside", "mfpt_t_max_inf",
+        "localization_inf", "lam_values", "equilibrium_tv_limit", "oracle_not_object",
         "top_level_key", "section_key", "params_key", "block_key"])
 def test_optional_blocks_and_unknown_keys_are_listed(scenario, override, error):
     # an unknown key used to be ignored, leaving the default in force, and the

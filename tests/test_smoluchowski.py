@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from psiwalk import (
     run_ensemble,
     total_variation,
 )
+from psiwalk import smoluchowski
 from psiwalk.analysis import coarsen
 from psiwalk.guidance import regularized_density
 from psiwalk.smoluchowski import _gm
@@ -401,3 +404,106 @@ def test_steps_conserve_mass_and_keep_the_equilibrium_on_random_log_densities(
         assert abs(step(p, op, step_dt).total() - p.total()) <= 1e-12 * p.total()
         moved = np.max(np.abs(step(eq, op, step_dt).values - eq.values))
         assert moved <= 1e-12 * eq.values.max()
+
+
+# --------------------------------------------------------------------------
+# A lambda sweep steps in lockstep, each lambda bit for bit as its own run.
+
+def _assert_same_densities(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary=st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.sampled_from([P, R])] * d)),
+       seed=st.integers(0, 2**32 - 1), lams=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=4),
+       method=st.sampled_from(["explicit", "implicit", "auto"]),
+       segments=st.lists(st.integers(1, 3), min_size=1, max_size=3), stride=st.integers(1, 4))
+def test_a_lam_sweep_matches_separate_runs_bit_for_bit(boundary, seed, lams, method, segments, stride):
+    # moving snapshots, a start with empty cells, and under "auto" a dt between
+    # the lambdas' bounds, so that each lambda picks its own method
+    rng = np.random.default_rng(seed)
+    points = tuple(int(n) for n in rng.integers(8, 12, size=len(boundary)))
+    g = Grid.make(points, [(-3.0, 3.0)] * len(boundary), boundary)
+    sweep = [GuidanceParams(lam=lam, epsilon=1e-6) for lam in lams]
+    fields = [rng.normal(size=points) + 1j * rng.normal(size=points) for _ in segments]
+    bounds = [FPOperator.from_wavefield(WaveField(g, v), q).stable_dt() for v in fields for q in sweep]
+    dt = {"explicit": 0.5 * min(bounds), "implicit": float(10 ** rng.uniform(-3, np.log10(5e-2))),
+          "auto": float(np.sqrt(min(bounds) * max(bounds)))}[method]
+    starts = np.cumsum([0] + segments)
+    snaps = [WaveField(g, v, time=dt * int(k)) for v, k in zip(fields, starts)]
+    t_final = dt * int(starts[-1])
+    p0 = DensityField(g, rng.random(points) * (rng.random(points) < 0.7))
+    got = fp_evolve(p0, snaps, sweep, dt, t_final, method=method, snapshot_stride=stride)
+    assert len(got) == len(sweep)
+    for q, densities in zip(sweep, got):
+        _assert_same_densities(densities, fp_evolve(p0, snaps, q, dt, t_final, method=method,
+                                                     snapshot_stride=stride))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: "-".join(x[0] for x in b))
+def test_implicit_step_on_sequences_matches_per_element_steps(boundary):
+    for seed in range(3):
+        op, p, dt = _random_case(200 + seed, boundary)
+        rng = np.random.default_rng(seed)
+        lams = [op.lam, *(10 ** rng.uniform(-1, 2, size=2))]
+        ps = [p] + [DensityField(op.grid, rng.random(op.grid.points) * (rng.random(op.grid.points) < 0.7))
+                    for _ in lams[1:]]
+        ops = [FPOperator(op.grid, lam, op.face_w) for lam in lams]
+        got = fp_step_implicit(ps, ops, dt)
+        _assert_same_densities(got, [fp_step_implicit(q, FPOperator(op.grid, lam, op.face_w), dt)
+                                     for q, lam in zip(ps, lams)])
+        _assert_same_densities(fp_step_implicit([p], [op], dt), [fp_step_implicit(p, op, dt)])
+
+
+def test_a_sweep_rejects_what_cannot_step_together_before_any_step():
+    g, psi, params, op, eq = double_well_setup(n=64)
+    with mock.patch.object(smoluchowski, "fp_step_implicit") as implicit, \
+            mock.patch.object(smoluchowski, "fp_step") as explicit:
+        for sweep, error in (([params, GuidanceParams(lam=2.0, epsilon=1e-6)], "share one epsilon"),
+                             ([], "at least one GuidanceParams")):
+            with pytest.raises(ValueError, match=error):
+                fp_evolve(eq, psi, sweep, 1e-3, 4e-3)
+    assert not implicit.called and not explicit.called
+    # operators from another snapshot, or too few operators: nothing is factored
+    other = FPOperator.from_log_density(g, np.zeros(64), lam=1.0)
+    for ps, ops, error in (([eq, eq], [op, other], "differ only in lam"),
+                           ([eq, eq], [op], "one operator per density"),
+                           ([], [], "one operator per density")):
+        with pytest.raises(ValueError, match=error):
+            fp_step_implicit(ps, ops, 1e-3)
+    assert op._factors is None and other._factors is None
+
+
+def test_a_sweep_raises_on_a_nonfinite_state_in_one_lam_before_its_next_snapshot():
+    # under "auto" lam 10 steps explicitly and overflows in its first step,
+    # while lam 1000 steps implicitly and stays finite on its own
+    g, psi, params, op, eq = double_well_setup(n=64)
+    p0 = DensityField(g, np.where(np.arange(64) == 20, 1e307, 0.0))
+    sweep = [GuidanceParams(lam=10.0), GuidanceParams(lam=1000.0)]
+    assert np.isfinite(fp_evolve(p0, psi, sweep[1], 1e-3, 4e-3)[-1].values).all()
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        fp_evolve(p0, psi, sweep, 1e-3, 4e-3, snapshot_stride=4)
+
+
+@pytest.mark.parametrize("method, implicit_calls, explicit_calls", [
+    ("implicit", 6, 0), ("auto", 6, 6), ("explicit", 0, 6)])
+def test_fp_evolve_calls_the_module_fp_step_implicit_once_per_lockstep_step(
+        method, implicit_calls, explicit_calls):
+    # the benchmark's trace divides the implicit solver's time by this count;
+    # under "auto" lam 1 steps explicitly (bound 0.021) and lam 10 and 1000
+    # implicitly (bounds 2.1e-3 and 2.1e-5)
+    g, psi, params, op, eq = double_well_setup(n=64)
+    snaps = [psi, WaveField(g, np.roll(psi.values, 3), time=0.0075)]
+    lams = (1.0, 10.0, 1000.0) if method != "explicit" else (1.0, 2.0)
+    sweep = [GuidanceParams(lam=lam) for lam in lams]
+    with mock.patch.object(smoluchowski, "fp_step_implicit",
+                           wraps=smoluchowski.fp_step_implicit) as implicit, \
+            mock.patch.object(smoluchowski, "fp_step", wraps=smoluchowski.fp_step) as explicit:
+        out = fp_evolve(eq, snaps, sweep, 2.5e-3, 0.015, method=method, snapshot_stride=2)
+    assert implicit.call_count == implicit_calls
+    assert explicit.call_count == explicit_calls * (1 if method == "auto" else len(lams))
+    assert [len(densities) for densities in out] == [4] * len(lams)
