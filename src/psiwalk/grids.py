@@ -108,32 +108,40 @@ class Grid:
 
         Periodic axes wrap; reflecting axes mirror-fold, so a proposed move
         past a wall bounces back by the overshoot distance.  Positions already
-        inside the box are returned bitwise unchanged.
+        inside the box are returned bitwise unchanged, and a 2-d float64 array
+        whose every row is inside is returned itself; a non-finite coordinate
+        folds to NaN.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
         out = None
-        for k in range(self.dims):
-            lo, hi = self.extent[k]
-            span = hi - lo
+        for k, lo, hi, periodic in self._walls:
             col = x[:, k]
-            periodic = self.boundary[k] == PERIODIC
             # NaN propagates through min/max and fails these tests, as it fails ``inside``.
             top = col.max(initial=lo)
             if col.min(initial=lo) >= lo and (top < hi if periodic else top <= hi):
                 continue
             if out is None:
-                out = x.copy()
-            if periodic:
-                inside = (col >= lo) & (col < hi)
-                # The wrap can round up onto hi itself, which is lo's image.
-                wrapped = (col - lo) % span + lo
-                out[:, k] = np.where(inside, col, np.where(wrapped < hi, wrapped, lo))
-            else:
-                inside = (col >= lo) & (col <= hi)
-                y = (col - lo) % (2.0 * span)
-                folded = lo + np.where(y > span, 2.0 * span - y, y)
-                out[:, k] = np.where(inside, col, folded)
+                out = x.copy(order="K")   # keeps a column-major caller's layout
+            span = hi - lo
+            with np.errstate(invalid="ignore"):   # inf % span is NaN
+                if periodic:
+                    inside = (col >= lo) & (col < hi)
+                    # The wrap can round up onto hi itself, which is lo's image.
+                    wrapped = (col - lo) % span + lo
+                    out[:, k] = np.where(inside, col, np.where(wrapped < hi, wrapped, lo))
+                else:
+                    inside = (col >= lo) & (col <= hi)
+                    y = (col - lo) % (2.0 * span)
+                    folded = lo + np.where(y > span, 2.0 * span - y, y)
+                    out[:, k] = np.where(inside, col, folded)
         return x if out is None else out
+
+    @cached_property
+    def _walls(self) -> tuple:
+        """``(axis, lo, hi, periodic)`` of each axis, as ``fold`` reads them."""
+        return tuple((k, lo, hi, b == PERIODIC)
+                     for k, ((lo, hi), b) in enumerate(zip(self.extent, self.boundary)))
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index of the cell owning each (already folded) position, shape (m, dims)."""
@@ -303,6 +311,13 @@ class _Interpolant:
     in-box query's lower node is in [0, n] without a modulo (n, node 0's copy,
     takes weight 1 when a query rounds onto hi) and the upper neighbour along
     every axis is the lower flat index plus that axis's stride.
+
+    A call works on every axis at once, with the axes as rows, ``(dims, m)``:
+    queries whose columns are contiguous (a transposed array, as the walker
+    kernel keeps them) are read contiguously, and the result is the transpose
+    of a ``(v, m)`` array.  The per-axis constants are ``(dims, 1)`` columns
+    built here (0-d arrays on a 1-d grid), and one gather reads every corner
+    of every component.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -311,46 +326,61 @@ class _Interpolant:
         for k in range(grid.dims):
             if grid.boundary[k] == PERIODIC:
                 values = np.concatenate([values, np.take(values, [0, 1], axis=k)], axis=k)
-        tables = np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
-        self.axes = []
+        self.table = np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
         offsets = [0]   # flat offset of each corner from the lower one
         for k in range(grid.dims):
-            lo, hi = grid.extent[k]
-            n = grid.points[k]
-            stride = math.prod(values.shape[k + 1 : grid.dims])
-            self.axes.append((k, lo, (hi - lo) / n, n, grid.boundary[k] == PERIODIC, stride))
-            offsets = offsets + [o + stride for o in offsets]
-        self.corner_tables = [[t[o:] for o in offsets] for t in tables]
-        self.dtype = tables.dtype
+            offsets = offsets + [o + math.prod(values.shape[k + 1 : grid.dims]) for o in offsets]
+        self.offsets = np.array(offsets)[:, None]
+        self.sizes = [np.array(n) for n in values.shape[1 : grid.dims]]
+
+        def column(per_axis):   # 0-d on one axis, where numpy takes its scalar path
+            a = np.array(per_axis, dtype=float)
+            return a.reshape(()) if grid.dims == 1 else a[:, None]
+
+        periodic = [b == PERIODIC for b in grid.boundary]
+        self.lo = column([lo for lo, _ in grid.extent])
+        self.dx = column(grid.spacing)
+        # Reflecting axes are offset by half a cell and clamped; periodic axes
+        # take no offset and infinite clamps, which leave every value as it is.
+        self.walls = None if all(periodic) else tuple(column(c) for c in zip(*(
+            (0.0, -np.inf, np.inf, np.inf) if p else (0.5, 0.0, n - 1.0, n - 2.0)
+            for p, n in zip(periodic, grid.points))))
+        self.snap, self.one, self.zero = np.array(1e-9), np.array(1.0), np.array(0.0)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        for k, lo, dx, n, periodic, stride in self.axes:
-            f = pts[:, k] - lo
-            f /= dx
-            if not periodic:
-                f -= 0.5
-                np.maximum(f, 0.0, out=f)
-                np.minimum(f, n - 1.0, out=f)
-            # Snap queries that are a rounding error away from a node, so
-            # values stored on grid points are reproduced bit-for-bit.
-            base = np.rint(f)
-            np.copyto(f, base, where=np.abs(f - base) <= 1e-9)
-            np.floor(f, out=base)
-            if not periodic:
-                np.minimum(base, n - 2, out=base)
-            term = base.astype(np.int64)
-            f -= base   # the fraction towards the upper node
-            if stride > 1:
-                term *= stride
-            # Corner c takes the upper side of axis k when bit k of c is set;
-            # its weight multiplies the axis factors in axis order.
-            if k == 0:
-                flat, weights = term, [1.0 - f, f]
-            else:
-                flat += term
-                weights = [w * (1.0 - f) for w in weights] + [w * f for w in weights]
-        out = np.zeros((len(self.corner_tables), pts.shape[0]), dtype=self.dtype)
-        for acc, corners in zip(out, self.corner_tables):
-            for table, w in zip(corners, weights):
-                acc += table[flat] * w
+        m = pts.shape[0]
+        factors = np.empty((2, pts.shape[1], m))   # per axis: the lower and upper weight
+        f = np.subtract(pts.T, self.lo, factors[1])
+        f /= self.dx
+        if self.walls is not None:
+            half, bottom, top, top_base = self.walls
+            f -= half
+            np.maximum(f, bottom, out=f)
+            np.minimum(f, top, out=f)
+        # Snap queries that are a rounding error away from a node, so
+        # values stored on grid points are reproduced bit-for-bit.
+        base = np.rint(f)
+        gap = f - base
+        np.abs(gap, gap)
+        np.copyto(f, base, where=gap <= self.snap)
+        np.floor(f, base)
+        if self.walls is not None:
+            np.minimum(base, top_base, out=base)
+        f -= base   # the fraction towards the upper node
+        np.subtract(self.one, f, factors[0])
+        # Corner c takes the upper side of axis k when bit k of c is set; its
+        # weight multiplies the axis factors in axis order.
+        weights = factors[:, 0]
+        index = base.astype(np.int64)
+        flat = index[0]
+        for k, size in enumerate(self.sizes, 1):   # the lower corner's flat index, by Horner's rule
+            weights = (factors[:, None, k] * weights).reshape(-1, m)
+            flat *= size
+            flat += index[k]
+        corners = self.table.take(np.add(flat, self.offsets), axis=1)
+        for component in corners:
+            component *= weights
+        out = np.add(self.zero, corners[:, 0])   # summed from 0 in corner order
+        for c in range(1, len(self.offsets)):
+            out += corners[:, c]
         return out.T

@@ -82,8 +82,9 @@ def _cap_vectors(v: np.ndarray, cap: float | None) -> np.ndarray:
     else:
         with np.errstate(over="ignore"):   # rows whose squares overflow are measured again
             mag = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-        mag[np.isinf(mag)] = np.hypot.reduce(v[np.isinf(mag[..., 0])], axis=-1)
-    if (mag > cap).any():   # vectors within the cap get cap / cap = 1
+        if np.count_nonzero(inf := np.isinf(mag)):
+            mag[inf] = np.hypot.reduce(v[inf[..., 0]], axis=-1)
+    if np.count_nonzero(mag > cap):   # vectors within the cap get cap / cap = 1
         np.maximum(mag, cap, out=mag)
         v *= np.divide(cap, mag, out=mag)
     return v

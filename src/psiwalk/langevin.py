@@ -11,14 +11,23 @@ point back into the box, periodic boundaries wrap.
 
 One kernel, ``_advance_block``, takes every step of every entry point: it
 interpolates the drift at the in-box positions, caps it, adds the noise,
-raises IntegratorFailure on a non-finite step, folds, and counts node-basin
-crossings.  One chunk driver, ``_run_chunk``, serves both entry points: it
-folds the chunk's start points once (a sampler draws them in one call) and
-advances the kernel a block of steps at a time up to the next event:
-noise-block end, snapshot-segment end, checkpoint, recorded row, or the
-first step at which a walker meets an optional stop predicate.  Walkers that
-meet it retire from the batch (``run_first_passage_ensemble``).  A single
-trajectory is an ensemble of one.
+folds, raises IntegratorFailure on a non-finite step, counts node-basin
+crossings and records the path rows it is asked for.  ``Grid.fold`` returns
+its own input when every row is in the box, and an in-box row is finite, so
+the kernel scans for non-finite values only on steps where the fold moved a
+walker.  Positions and noise are kept axis-major (the kernel sees
+``(m, dims)`` transposes of ``(dims, m)`` arrays), so every per-axis
+operation reads contiguous memory, and the kernel's scalar operands are 0-d
+arrays: a step costs a fixed few tens of numpy calls.  One chunk driver,
+``_run_chunk``, serves both entry points: it folds the chunk's start points
+once (a sampler draws them in one call) and advances the kernel a block of
+steps at a time up to the next event: noise-block end, snapshot-segment end,
+checkpoint, or the first step at which a walker meets an optional stop
+predicate.  Walkers that meet it retire from the batch
+(``run_first_passage_ensemble``).  A recorded row ends no block: the kernel
+appends each recorded position array, which no later step writes to, and the
+driver assembles the paths at the end, filling in each retired walker's hit
+position from its hit step on.  A single trajectory is an ensemble of one.
 
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
@@ -36,15 +45,18 @@ threads: per-step numpy dispatch holds the GIL, and two threads measured
 0.64-0.69x the speed of one.
 
 Noise budget: a chunk of m trajectories in d dimensions draws its noise into
-one step-major buffer ``(B, m, d)`` of at most ``_NOISE_VALUES`` doubles (8
-MiB), B = min(_NOISE_VALUES // (m d), _TILE // d), so a step reads one
-contiguous row.  Blocks, refilled when used up wherever that falls, start at
-``_FIRST_BLOCK`` steps and grow with the steps taken, up to B, so that walkers
-which retire early do not draw a whole budget.  Streams draw into walker tiles
-of at most ``_TILE`` doubles, each stored transposed and times sigma while in
-cache (sigma * eta is the same product wherever it is formed).  A stream's
-draws concatenate bit-exactly across calls, so block and tile sizes never
-change a result; they trade memory against per-call generator overhead.
+one step-major, axis-major buffer ``(B, d, m)`` of at most ``_NOISE_VALUES``
+doubles (8 MiB), so a step reads one contiguous row.  Blocks, refilled when
+used up wherever that falls, start at ``_FIRST_BLOCK`` steps and grow with
+the steps taken, up to B, so that walkers which retire early do not draw a
+whole budget.  Streams draw into tiles of at most ``_TILE`` doubles, covering
+at most ``_TILE_STEPS`` steps and as many walkers as then fit, each stored
+transposed and times sigma while in cache (sigma * eta is the same product
+wherever it is formed): the stored runs span at least 32 walkers (16 in 2-d)
+where the batch has them, and a stream draws a block longer than a tile in
+several calls.  A stream's draws concatenate bit-exactly across calls, so
+block and tile sizes never change a result; they trade memory against
+per-call generator overhead.
 """
 
 from __future__ import annotations
@@ -61,6 +73,7 @@ _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not 
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
 _FIRST_BLOCK = 1024     # steps in a chunk's first noise block
 _TILE = 2**14           # doubles in a noise tile (128 KiB, cache-sized)
+_TILE_STEPS = 512       # steps in a noise tile at most, so that its rows are wide
 
 
 class IntegratorFailure(RuntimeError):
@@ -104,6 +117,13 @@ class PointSampler:
 
     def sample(self, rngs) -> np.ndarray:
         return np.tile(self.x, (len(rngs), 1))
+
+
+def _check_start(x: np.ndarray, grid: Grid) -> None:
+    """Reject a start point whose coordinate count is not the grid's dimension."""
+    if x.size != grid.dims:
+        raise ValueError(f"the start point has {x.size} coordinates, but the grid has "
+                         f"dims={grid.dims}")
 
 
 class DensitySampler:
@@ -220,7 +240,15 @@ class PlaneCrossing:
         return np.sign(np.atleast_2d(x0)[:, self.axis] - self.at)
 
     def hit(self, x, side) -> np.ndarray:
-        return (np.atleast_2d(x)[:, self.axis] - self.at) * side <= 0
+        if not (type(x) is np.ndarray and x.ndim == 2):
+            x = np.atleast_2d(x)
+        gap = x[:, self.axis] - self._at
+        gap *= side
+        return gap <= 0
+
+    @functools.cached_property
+    def _at(self) -> np.ndarray:
+        return np.array(float(self.at))   # a 0-d operand costs less per call than a float
 
 
 @dataclass(frozen=True)
@@ -251,7 +279,8 @@ class FirstPassage:
 # the stepping kernel
 
 def _advance_block(positions, t, dt, noise, drift, grid, cap, stream_ids,
-                   basin_map=None, basin_prev=None, crossings=None, stop=None, side=None):
+                   basin_map=None, basin_prev=None, crossings=None, stop=None, side=None,
+                   record=None):
     """Advance in-box positions through up to len(noise) Euler-Maruyama steps.
 
     ``noise`` is step-major, ``(steps, m, dims)``, and already scaled by sigma.
@@ -260,33 +289,42 @@ def _advance_block(positions, t, dt, noise, drift, grid, cap, stream_ids,
     the block ends after the first step at which some walker hits.  With a
     basin map, each step counts into ``crossings`` the walkers whose basin
     differs from their last one, ``basin_prev``, which node cells (-1) keep.
+    ``record``, a ``(rows, first, stride)`` triple, appends to the list
+    ``rows`` the positions after step ``first`` of the block and every
+    ``stride``-th step after it; no step writes to a position array again.
     Returns ``(positions, t, steps, hit)``, ``hit`` marking the walkers that
     stopped (None when the block ran out).
     """
-    steps, m = noise.shape[:2]
+    m = noise.shape[1]
+    dt_array = np.array(dt)   # a 0-d operand costs less per call than a float
+    rows, nxt, stride = record if record is not None else (None, 0, 0)
     if basin_map is not None:
         basins = np.empty(m, np.int64)
-    for s in range(steps):
+    for s, eta in enumerate(noise):
         v = _cap_vectors(drift(positions), cap)
-        v *= dt
-        v += noise[s]
+        v *= dt_array
+        v += eta
         v += positions
-        if not np.isfinite(v.sum()):   # the sum may also overflow on finite rows
-            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
-            if bad.size:
+        # ``fold`` returns its input when every row is in the box, hence finite.
+        if (positions := grid.fold(v)) is not v:
+            with np.errstate(over="ignore", invalid="ignore"):   # finite rows may overflow the sum
+                finite = np.isfinite(v.sum())
+            if not finite and (bad := np.flatnonzero(~np.isfinite(v).all(axis=1))).size:
                 raise IntegratorFailure(v[bad[0]], t + dt, stream_ids[bad[0]])
-        positions = grid.fold(v)
         t = t + dt
         if basin_map is not None:
             basin_map.lookup(positions, basins)
-            if (changed := basins != basin_prev).any():   # most steps change no label
+            if np.count_nonzero(changed := basins != basin_prev):   # most steps change no label
                 crossings += changed & (basins >= 0) & (basin_prev >= 0)
                 np.copyto(basin_prev, basins, where=basins >= 0)
+        if s + 1 == nxt:
+            rows.append(positions)
+            nxt += stride
         if stop is not None:
             hit = stop.hit(positions, side)
-            if hit.any():
+            if np.count_nonzero(hit):
                 return positions, t, s + 1, hit
-    return positions, t, steps, None
+    return positions, t, len(noise), None
 
 
 # --------------------------------------------------------------------------
@@ -315,19 +353,20 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
     ids = np.asarray(stream_ids)
     rngs = [substream(master_seed, sid) for sid in ids]
     positions = grid.fold(sampler.sample(rngs))   # the kernel takes in-box points
-    m = len(ids)
+    m, dims = len(ids), grid.dims
     sigma = np.sqrt(2.0 * params.lam * dt)
     crossings = np.zeros(m, dtype=np.int64)
     basin_prev = np.full(m, -1, dtype=np.int64)
     side = None if stop is None else stop.initial_side(positions)
     total = sum(steps for steps, _, _ in segments)
-    # A block of at most _TILE // dims steps lets one walker's steps fill a tile.
-    buf = np.empty((max(1, min(total, _NOISE_VALUES // (m * grid.dims), _TILE // grid.dims)),
-                    m, grid.dims))
+    # Noise rows are axis-major, (dims, m), so that every per-axis operation
+    # of the kernel reads contiguous memory; the kernel sees (m, dims) views.
+    buf = np.empty((max(1, min(total, _NOISE_VALUES // (m * dims))), dims, m))
     noise = buf[:0]   # the unused steps of the current noise block
     rows = np.arange(m)   # the chunk row of each walker still in the batch
     hit_steps = np.full(m, -1, dtype=np.int64)
     final, crossed = np.empty_like(positions), np.empty_like(crossings)
+    recorded = [(rows, [])]   # each batch of walkers and its recorded rows, in step order
 
     def retire(hit, step):
         nonlocal rngs, rows, positions, side, crossings, basin_prev, noise
@@ -336,28 +375,17 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
         rngs = [r for r, h in zip(rngs, hit) if not h]
         rows, positions, side, crossings, basin_prev = (
             a[~hit] for a in (rows, positions, side, crossings, basin_prev))
-        noise = noise.compress(~hit, axis=1)   # 2x faster than boolean indexing here
+        noise = noise.compress(~hit, axis=2)   # 2x faster than boolean indexing here
+        recorded.append((rows, []))
 
     captured = {}
-    path_rows = []
-
-    def observe(step):
-        checkpoint = step in checkpoint_steps
-        recorded = bool(record_stride) and step % record_stride == 0
-        if checkpoint or recorded:
-            snap = positions.copy()
-            if rows.size < m:   # retired walkers stay at their hit positions
-                snap = final.copy()
-                snap[rows] = positions
-            if checkpoint:
-                captured[step] = snap
-            if recorded:
-                path_rows.append(snap)
-
     step = 0
-    if stop is not None:
-        retire(stop.hit(positions, side), step)
-    observe(step)
+    if stop is not None and np.count_nonzero(hit := stop.hit(positions, side)):
+        retire(hit, step)
+    if record_stride:
+        recorded[-1][1].append(positions)
+    if 0 in checkpoint_steps:
+        captured[0] = _observe(positions, rows, final)
     for steps, drift, bmap in segments:
         if bmap is not None:
             b = bmap.lookup(positions, np.empty(rows.size, np.int64))
@@ -365,37 +393,75 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
         seg_end = step + steps
         while step < seg_end:
             if not len(noise):
-                # Each stream's draws continue where its previous fill stopped,
-                # so the block sizes, growing with the steps taken, change nothing.
-                # The streams draw into tiles of whole walkers, at most _TILE doubles,
-                # and each tile is stored step-major, times sigma, while in cache.
-                noise = buf[: min(len(buf), total - step, max(_FIRST_BLOCK, step)), : rows.size]
-                w = max(1, _TILE // (len(noise) * grid.dims))   # walkers per tile
-                tile = np.empty((min(w, rows.size), len(noise), grid.dims))
-                for a in range(0, rows.size, w):
-                    for r, row in zip(rngs[a : a + w], tile):
-                        r.standard_normal(out=row)
-                    np.multiply(tile[: rows.size - a].transpose(1, 0, 2), sigma, out=noise[:, a : a + w])
-            # Advance to the next event (block end, segment end, checkpoint or
-            # recorded row), or less if some walker meets ``stop``.
+                noise = buf[: min(len(buf), total - step, max(_FIRST_BLOCK, step)), :, : rows.size]
+                _fill(noise, rngs, sigma)
+            # Advance to the next event (block end, segment end or checkpoint),
+            # or less if some walker meets ``stop``.
             nxt = min([seg_end, step + len(noise)] + [c for c in checkpoint_steps if c > step])
-            if record_stride:
-                nxt = min(nxt, (step // record_stride + 1) * record_stride)
+            record = (recorded[-1][1], record_stride - step % record_stride,
+                      record_stride) if record_stride else None
             k, hit = nxt - step, None
             if rows.size:
                 positions, _, k, hit = _advance_block(
-                    positions, t0 + step * dt, dt, noise[:k], drift, grid, params.drift_cap,
-                    ids[rows], bmap, basin_prev, crossings, stop, side)
+                    positions, t0 + step * dt, dt, noise[:k].transpose(0, 2, 1), drift, grid,
+                    params.drift_cap, ids[rows], bmap, basin_prev, crossings, stop, side, record)
             step += k
             noise = noise[k:]
             if hit is not None:
                 retire(hit, step)
-            observe(step)
+            if step in checkpoint_steps:
+                captured[step] = _observe(positions, rows, final)
 
     del buf, noise  # release the noise before stacking the recorded paths
     final[rows], crossed[rows] = positions, crossings
-    paths = np.stack(path_rows, axis=1) if path_rows else None
+    paths = _paths(recorded, final, hit_steps, total, record_stride) if record_stride else None
     return final, crossed, captured, paths, hit_steps
+
+
+def _fill(noise, rngs, sigma):
+    """Fill an axis-major noise block ``(steps, dims, walkers)`` with each
+    walker's next draws times sigma, a tile of walkers by steps at a time.
+
+    Each stream's draws continue where its previous fill stopped, so block and
+    tile sizes change nothing.
+    """
+    steps, dims, m = noise.shape
+    w = max(1, _TILE // (min(steps, _TILE_STEPS) * dims))   # walkers per tile
+    b = min(steps, max(1, _TILE // (w * dims)))              # steps per tile
+    tile = np.empty((min(w, m), b, dims))
+    for a in range(0, m, w):
+        for s in range(0, steps, b):
+            part = tile[: min(w, m - a), : min(b, steps - s)]
+            for r, row in zip(rngs[a : a + w], part):
+                r.standard_normal(out=row)
+            np.multiply(part.transpose(1, 2, 0), sigma, out=noise[s : s + b, :, a : a + w])
+
+
+def _observe(positions, rows, final):
+    """The chunk's positions, retired walkers at their hit positions."""
+    if rows.size == len(final):
+        return positions.copy()
+    snap = final.copy()
+    snap[rows] = positions
+    return snap
+
+
+def _paths(recorded, final, hit_steps, total, stride):
+    """Assemble ``(m, rows, dims)`` paths from the rows recorded per batch;
+    retired walkers keep their hit position from their hit step on."""
+    paths = np.empty((len(final), total // stride + 1, final.shape[1]))
+    j = 0
+    for rows, group in recorded:
+        if group:
+            block = paths[:, j : j + len(group)]
+            if rows.size == len(final):   # stacked in place: no second copy of the paths
+                np.stack(group, axis=1, out=block)
+            else:
+                block[rows] = np.stack(group, axis=1)
+            j += len(group)
+    after_hit = (hit_steps[:, None] >= 0) & (stride * np.arange(paths.shape[1]) >= hit_steps[:, None])
+    np.copyto(paths, final[:, None], where=after_hit[..., None])
+    return paths
 
 
 def run_ensemble(
@@ -424,6 +490,8 @@ def run_ensemble(
     snaps = [psi_snapshots] if isinstance(psi_snapshots, WaveField) else list(psi_snapshots)
     t0 = min(s.time for s in snaps)   # ValueError without snapshots
     grid = snaps[0].grid
+    if isinstance(sampler, PointSampler):
+        _check_start(sampler.x, grid)
     if t_final < t0:
         raise ValueError(f"t_final={t_final} precedes the first snapshot time {t0}")
     checkpoint_steps = []
@@ -501,12 +569,14 @@ def run_first_passage_ensemble(
     _check_dt(dt_L)
     if not t0 <= t_max < np.inf:
         raise ValueError(f"t_max={t_max} must be finite and not precede the start time t0={t0}")
+    sampler = PointSampler(x0)
+    _check_start(sampler.x, psi.grid)
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
     segments = [(max_steps, _Interpolant(psi.grid, drift_field(psi, params)), None)]
     out = []
     for a in range(0, n, _CHUNK):
         ids = range(a, min(a + _CHUNK, n))
-        hits = _run_chunk(ids, master_seed, PointSampler(x0), psi.grid, params, dt_L, t0, segments,
+        hits = _run_chunk(ids, master_seed, sampler, psi.grid, params, dt_L, t0, segments,
                           stop=stop)[4]
         out += [FirstPassage(sid, float(t0 + k * dt_L), False) if k >= 0
                 else FirstPassage(sid, t_max, True) for sid, k in zip(ids, hits)]

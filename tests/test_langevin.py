@@ -380,6 +380,38 @@ def test_start_point_off_a_reflecting_wall_starts_from_its_mirror_image():
     assert all(fp.time == 0.0 and not fp.censored for fp in near_wall)
 
 
+def test_recorded_rows_do_not_end_kernel_blocks(monkeypatch):
+    # A run recording every step calls the kernel once per stretch between
+    # events: noise-block ends, snapshot-segment ends and checkpoints.  Three
+    # snapshots of 7 steps each, 5-step noise blocks (refilled at steps 5, 10,
+    # 15, 20) and a checkpoint at step 11 cut the 21 steps into 8 stretches.
+    snaps = colliding_packets(1)
+    params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
+    monkeypatch.setattr(langevin, "_NOISE_VALUES", 15)
+    monkeypatch.setattr(langevin, "_FIRST_BLOCK", 5)
+    with mock.patch.object(langevin, "_advance_block", wraps=langevin._advance_block) as kernel:
+        res = run_ensemble(3, PointSampler([0.5]), snaps, params, 0.01, 0.21, master_seed=4,
+                           checkpoint_times=(0.11,), record_stride=1)
+    assert res.paths.shape == (3, 22, 1)
+    assert [call.args[3].shape[0] for call in kernel.call_args_list] == [5, 2, 3, 1, 3, 1, 5, 1]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_start_point_of_the_wrong_length_is_refused_before_any_drift_table(dims):
+    # A start point needs one coordinate per grid axis; both entry points say
+    # so before they build a drift table.
+    g, psi = flat_setup(dims=dims, n=16)
+    params = GuidanceParams(lam=1.0)
+    wrong = [0.0] * (3 - dims)   # 2 coordinates on a 1-d grid, 1 on a 2-d grid
+    message = f"has {3 - dims} coordinates, but the grid has dims={dims}"
+    with mock.patch.object(langevin, "drift_field") as drift:
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(2, PointSampler(wrong), psi, params, 0.01, 0.1)
+        with pytest.raises(ValueError, match=message):
+            run_first_passage_ensemble(2, wrong, psi, params, 0.01, PlaneCrossing(at=1.0), 0.1)
+    assert drift.call_count == 0
+
+
 def test_coordinate_sum_overflow_is_not_a_failure():
     # every walker is finite near 1.5e308, but their coordinate sum is not
     g = Grid.make(8, (1.4e308, 1.6e308), "reflecting")
@@ -450,29 +482,45 @@ class TwoPointSampler:
         return np.array([[self.a if rng.random() < 0.5 else self.b] for rng in rngs])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # the step overflows on purpose
+# the step overflows on purpose, and inf - inf is NaN; ``fold`` must raise no
+# warning of its own (``inf % span``) before the kernel reports the failure
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
 def test_nonfinite_step_raises_integrator_failure():
     # lam * dt_L = 8e307 keeps the noise scale finite, but where the drift is
     # lam * 4 (at x = 2 on |psi|^2 = exp(-(x - 4)^2)) the step overflows; at
     # x = -4 the regularizer floor flattens the drift and the step is finite.
-    g = Grid.make(256, (-8.0, 8.0), "reflecting")
-    psi = WaveField(g, np.exp(-((g.coords(0) - 4.0) ** 2) / 2))
-    params = GuidanceParams(lam=8e304)
-    dt, seed = 1e3, 5
-    sampler = TwoPointSampler(2.0, -4.0)
-    starts = list(sampler.sample([substream(seed, sid) for sid in range(6)])[:, 0])
-    first_bad = starts.index(2.0)
-    assert first_bad > 0
-    with pytest.raises(IntegratorFailure) as err:
-        run_ensemble(6, sampler, psi, params, dt, 5 * dt, master_seed=seed)
-    assert err.value.stream_id == first_bad
-    assert err.value.time == pytest.approx(dt)
-    # first passage: every walker starts at x = 2, so the first row fails
-    with pytest.raises(IntegratorFailure) as err:
-        run_first_passage_ensemble(4, [2.0], psi, params, dt, PlaneCrossing(at=7.0), 0.5 + 5 * dt,
-                                   master_seed=seed, t0=0.5)
-    assert err.value.stream_id == 0
-    assert err.value.time == pytest.approx(0.5 + dt)
+    # Both wall kinds fold the infinite proposal.
+    for boundary in ("reflecting", "periodic"):
+        g = Grid.make(256, (-8.0, 8.0), boundary)
+        psi = WaveField(g, np.exp(-((g.coords(0) - 4.0) ** 2) / 2))
+        params = GuidanceParams(lam=8e304)
+        dt, seed = 1e3, 5
+        sampler = TwoPointSampler(2.0, -4.0)
+        starts = list(sampler.sample([substream(seed, sid) for sid in range(6)])[:, 0])
+        first_bad = starts.index(2.0)
+        assert first_bad > 0
+        with pytest.raises(IntegratorFailure) as err:
+            run_ensemble(6, sampler, psi, params, dt, 5 * dt, master_seed=seed)
+        assert err.value.stream_id == first_bad
+        assert err.value.time == pytest.approx(dt)
+        assert err.value.position[0] == np.inf
+        # first passage: every walker starts at x = 2, so the first row fails
+        with pytest.raises(IntegratorFailure) as err:
+            run_first_passage_ensemble(4, [2.0], psi, params, dt, PlaneCrossing(at=7.0),
+                                       0.5 + 5 * dt, master_seed=seed, t0=0.5)
+        assert err.value.stream_id == 0
+        assert err.value.time == pytest.approx(0.5 + dt)
+        # With dt_L ten times larger the noise scale overflows too: stream 0
+        # draws a negative first normal, so its proposal is inf - inf, NaN,
+        # while the walkers beside it propose +inf or -inf.
+        assert substream(seed, 0).standard_normal() < 0
+        with pytest.raises(IntegratorFailure) as err:
+            run_first_passage_ensemble(4, [2.0], psi, params, 10 * dt, PlaneCrossing(at=7.0),
+                                       50 * dt, master_seed=seed)
+        assert err.value.stream_id == 0
+        assert np.isnan(err.value.position[0])
+        assert err.value.time == pytest.approx(10 * dt)
 
 
 def test_noise_moments_match_discretization():
