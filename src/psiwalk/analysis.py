@@ -79,7 +79,10 @@ def kramers_prediction(p: DoubleGaussianParams, lam: float) -> float:
         warnings.warn(
             f"b/a = {p.b / p.a:.2f} < 2: the escape-time formula is outside its validity range"
         )
-    return (p.a**3 / (lam * p.b)) * float(np.exp((p.b / p.a) ** 2))
+    try:
+        return (p.a**3 / (lam * p.b)) * float(np.exp((p.b / p.a) ** 2))
+    except OverflowError:   # a float power past 1.8e308, where np.exp gives inf
+        return np.inf
 
 
 @dataclass(frozen=True)

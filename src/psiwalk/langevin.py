@@ -23,11 +23,11 @@ arrays: a step costs a fixed few tens of numpy calls.  One chunk driver,
 once (a sampler draws them in one call) and advances the kernel a block of
 steps at a time up to the next event: noise-block end, snapshot-segment end,
 checkpoint, or the first step at which a walker meets an optional stop
-predicate.  Walkers that meet it retire from the batch
-(``run_first_passage_ensemble``).  A recorded row ends no block: the kernel
-appends each recorded position array, which no later step writes to, and the
-driver assembles the paths at the end, filling in each retired walker's hit
-position from its hit step on.  A single trajectory is an ensemble of one.
+predicate.  A run either observes or stops: walkers retire from the batch
+only in a first-passage run (``run_first_passage_ensemble``), which observes
+nothing else.  A recorded row ends no block: the kernel appends each recorded
+position array, which no later step writes to, and the driver stacks the
+paths at the end.  A single trajectory is an ensemble of one.
 
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
@@ -85,6 +85,9 @@ class IntegratorFailure(RuntimeError):
         self.stream_id = stream_id
         where = f" (stream {stream_id})" if stream_id is not None else ""
         super().__init__(f"non-finite step at x={self.position}, t={time}{where}")
+
+    def __reduce__(self):
+        return type(self), (self.position, self.time, self.stream_id)
 
 
 @functools.cache
@@ -278,23 +281,23 @@ class FirstPassage:
 # --------------------------------------------------------------------------
 # the stepping kernel
 
-def _advance_block(positions, t, dt, noise, drift, grid, cap, stream_ids,
+def _advance_block(positions, t0, step, dt, noise, drift, grid, cap, stream_ids,
                    basin_map=None, basin_prev=None, crossings=None, stop=None, side=None,
                    record=None):
-    """Advance in-box positions through up to len(noise) Euler-Maruyama steps.
+    """Advance in-box positions, ``step`` steps of ``dt`` past ``t0``, through
+    up to len(noise) Euler-Maruyama steps.
 
     ``noise`` is step-major, ``(steps, m, dims)``, and already scaled by sigma.
-    ``drift`` maps in-box positions to new drift arrays.  Each step raises
-    IntegratorFailure on a non-finite proposal, and with a ``stop`` predicate
-    the block ends after the first step at which some walker hits.  With a
-    basin map, each step counts into ``crossings`` the walkers whose basin
-    differs from their last one, ``basin_prev``, which node cells (-1) keep.
-    ``record``, a ``(rows, first, stride)`` triple, appends to the list
-    ``rows`` the positions after step ``first`` of the block and every
+    ``drift`` maps in-box positions to new drift arrays.  A non-finite proposal
+    at step k of the run raises IntegratorFailure at ``t0 + k * dt``, and with
+    a ``stop`` predicate the block ends after the first step at which some
+    walker hits.  With a basin map, each step counts into ``crossings`` the
+    walkers whose basin differs from their last one, ``basin_prev``, which node
+    cells (-1) keep.  ``record``, a ``(rows, first, stride)`` triple, appends to
+    the list ``rows`` the positions after step ``first`` of the block and every
     ``stride``-th step after it; no step writes to a position array again.
-    Returns ``(positions, t, steps, hit)``, ``hit`` marking the walkers that
-    stopped (None when the block ran out).
-    """
+    Returns ``(positions, steps, hit)``, ``hit`` marking the walkers that
+    stopped (None when the block ran out)."""
     m = noise.shape[1]
     dt_array = np.array(dt)   # a 0-d operand costs less per call than a float
     rows, nxt, stride = record if record is not None else (None, 0, 0)
@@ -310,8 +313,7 @@ def _advance_block(positions, t, dt, noise, drift, grid, cap, stream_ids,
             with np.errstate(over="ignore", invalid="ignore"):   # finite rows may overflow the sum
                 finite = np.isfinite(v.sum())
             if not finite and (bad := np.flatnonzero(~np.isfinite(v).all(axis=1))).size:
-                raise IntegratorFailure(v[bad[0]], t + dt, stream_ids[bad[0]])
-        t = t + dt
+                raise IntegratorFailure(v[bad[0]], t0 + (step + s + 1) * dt, stream_ids[bad[0]])
         if basin_map is not None:
             basin_map.lookup(positions, basins)
             if np.count_nonzero(changed := basins != basin_prev):   # most steps change no label
@@ -323,8 +325,8 @@ def _advance_block(positions, t, dt, noise, drift, grid, cap, stream_ids,
         if stop is not None:
             hit = stop.hit(positions, side)
             if np.count_nonzero(hit):
-                return positions, t, s + 1, hit
-    return positions, t, len(noise), None
+                return positions, s + 1, hit
+    return positions, len(noise), None
 
 
 # --------------------------------------------------------------------------
@@ -346,10 +348,11 @@ class EnsembleResult:
 def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidanceParams, dt: float,
                t0: float, segments, checkpoint_steps=(), record_stride=None, stop=None):
     """Advance one chunk through ``segments`` of (steps, drift, basin map or
-    None).  With a ``stop`` predicate, a walker that meets it at the start or
-    after some step retires from the batch, and later observations keep it at
-    its hit position.  Returns positions, crossings, {checkpoint step:
-    positions}, paths and each walker's hit step (-1 if none)."""
+    None).  A run observes or stops, never both: a ``stop`` predicate comes
+    without basin maps, checkpoints or ``record_stride``, and a walker that
+    meets it at the start or after some step retires from the batch.  Returns
+    final positions (a retired walker's at its hit), crossings, {checkpoint
+    step: positions}, paths and each walker's hit step (-1 if none)."""
     ids = np.asarray(stream_ids)
     rngs = [substream(master_seed, sid) for sid in ids]
     positions = grid.fold(sampler.sample(rngs))   # the kernel takes in-box points
@@ -365,30 +368,24 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
     noise = buf[:0]   # the unused steps of the current noise block
     rows = np.arange(m)   # the chunk row of each walker still in the batch
     hit_steps = np.full(m, -1, dtype=np.int64)
-    final, crossed = np.empty_like(positions), np.empty_like(crossings)
-    recorded = [(rows, [])]   # each batch of walkers and its recorded rows, in step order
+    final = np.empty_like(positions)
 
     def retire(hit, step):
-        nonlocal rngs, rows, positions, side, crossings, basin_prev, noise
+        nonlocal rngs, rows, positions, side, noise
         out = rows[hit]
-        hit_steps[out], final[out], crossed[out] = step, positions[hit], crossings[hit]
+        hit_steps[out], final[out] = step, positions[hit]
         rngs = [r for r, h in zip(rngs, hit) if not h]
-        rows, positions, side, crossings, basin_prev = (
-            a[~hit] for a in (rows, positions, side, crossings, basin_prev))
+        rows, positions, side = (a[~hit] for a in (rows, positions, side))
         noise = noise.compress(~hit, axis=2)   # 2x faster than boolean indexing here
-        recorded.append((rows, []))
 
-    captured = {}
     step = 0
     if stop is not None and np.count_nonzero(hit := stop.hit(positions, side)):
         retire(hit, step)
-    if record_stride:
-        recorded[-1][1].append(positions)
-    if 0 in checkpoint_steps:
-        captured[0] = _observe(positions, rows, final)
+    recorded = [positions]   # the start row, then the kernel's rows in step order
+    captured = {0: positions.copy()} if 0 in checkpoint_steps else {}
     for steps, drift, bmap in segments:
         if bmap is not None:
-            b = bmap.lookup(positions, np.empty(rows.size, np.int64))
+            b = bmap.lookup(positions, np.empty(m, np.int64))
             np.copyto(basin_prev, b, where=b >= 0)
         seg_end = step + steps
         while step < seg_end:
@@ -398,24 +395,24 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
             # Advance to the next event (block end, segment end or checkpoint),
             # or less if some walker meets ``stop``.
             nxt = min([seg_end, step + len(noise)] + [c for c in checkpoint_steps if c > step])
-            record = (recorded[-1][1], record_stride - step % record_stride,
+            record = (recorded, record_stride - step % record_stride,
                       record_stride) if record_stride else None
             k, hit = nxt - step, None
             if rows.size:
-                positions, _, k, hit = _advance_block(
-                    positions, t0 + step * dt, dt, noise[:k].transpose(0, 2, 1), drift, grid,
+                positions, k, hit = _advance_block(
+                    positions, t0, step, dt, noise[:k].transpose(0, 2, 1), drift, grid,
                     params.drift_cap, ids[rows], bmap, basin_prev, crossings, stop, side, record)
             step += k
             noise = noise[k:]
             if hit is not None:
                 retire(hit, step)
             if step in checkpoint_steps:
-                captured[step] = _observe(positions, rows, final)
+                captured[step] = positions.copy()
 
     del buf, noise  # release the noise before stacking the recorded paths
-    final[rows], crossed[rows] = positions, crossings
-    paths = _paths(recorded, final, hit_steps, total, record_stride) if record_stride else None
-    return final, crossed, captured, paths, hit_steps
+    final[rows] = positions
+    paths = np.stack(recorded, axis=1) if record_stride else None
+    return final, crossings, captured, paths, hit_steps
 
 
 def _fill(noise, rngs, sigma):
@@ -435,33 +432,6 @@ def _fill(noise, rngs, sigma):
             for r, row in zip(rngs[a : a + w], part):
                 r.standard_normal(out=row)
             np.multiply(part.transpose(1, 2, 0), sigma, out=noise[s : s + b, :, a : a + w])
-
-
-def _observe(positions, rows, final):
-    """The chunk's positions, retired walkers at their hit positions."""
-    if rows.size == len(final):
-        return positions.copy()
-    snap = final.copy()
-    snap[rows] = positions
-    return snap
-
-
-def _paths(recorded, final, hit_steps, total, stride):
-    """Assemble ``(m, rows, dims)`` paths from the rows recorded per batch;
-    retired walkers keep their hit position from their hit step on."""
-    paths = np.empty((len(final), total // stride + 1, final.shape[1]))
-    j = 0
-    for rows, group in recorded:
-        if group:
-            block = paths[:, j : j + len(group)]
-            if rows.size == len(final):   # stacked in place: no second copy of the paths
-                np.stack(group, axis=1, out=block)
-            else:
-                block[rows] = np.stack(group, axis=1)
-            j += len(group)
-    after_hit = (hit_steps[:, None] >= 0) & (stride * np.arange(paths.shape[1]) >= hit_steps[:, None])
-    np.copyto(paths, final[:, None], where=after_hit[..., None])
-    return paths
 
 
 def run_ensemble(

@@ -308,6 +308,16 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
         if n <= 9:   # the bound 3/sqrt(n) is then at least 1, which no |rho| exceeds
             errors.append(f"product_separation records {n} path increments (walkers x steps // "
                           "params.record_stride); increment_correlation needs 10 to be able to fail")
+    loc = p.get("localization")
+    if loc and loc["well_gap"] is not None and loc["well_gap"] > p["b"]:
+        errors.append(f"params.localization.well_gap={loc['well_gap']} exceeds params.b={p['b']}: "
+                      "the walkers would start at -b, outside their own well")
+    if loc and not _stage_error(st := stages[-1]):   # the localization walkers
+        steps = step_count(st.t0, st.t1, st.dt)
+        if loc["record_stride"] > steps:   # only the start row would be recorded
+            errors.append(f"params.localization.record_stride={loc['record_stride']} exceeds the "
+                          f"localization run's {steps} steps; well_jumps needs a second recorded "
+                          "row to be able to count a jump")
     try:
         grid = _grid(m["grid"])
     except (TypeError, ValueError) as exc:

@@ -1,3 +1,5 @@
+import inspect
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -219,34 +221,6 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
     assert 0 < sum(fp.censored for fp in results) < 10
 
 
-def test_retired_walkers_stay_at_their_hit_position_in_later_observations(monkeypatch):
-    # The chunk driver with a stop predicate, checkpoints and recorded rows:
-    # each walker follows the reference up to its hit step and then stays at
-    # its hit position; 3-step noise blocks, filled in tiles of 2 walkers,
-    # make walkers retire mid-block.
-    g = Grid.make(256, (-8.0, 8.0), "reflecting")
-    psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.0))
-    params = GuidanceParams(lam=1.0)
-    stop, dt, steps, seed = PlaneCrossing(at=-0.5), 0.01, 60, 5
-    monkeypatch.setattr(langevin, "_NOISE_VALUES", 24)
-    monkeypatch.setattr(langevin, "_TILE", 6)
-    df = drift_field(psi, params)
-    final, _, captured, paths, hits = langevin._run_chunk(
-        range(8), seed, PointSampler([-1.0]), g, params, dt, 0.0,
-        [(steps, langevin._Interpolant(g, df), None)], {30}, 2, stop)
-    for sid in range(8):
-        path = em_reference([-1.0], substream(seed, sid), g, lambda s: df, params, dt, steps)
-        side = stop.initial_side(path[0])
-        hit = next((k for k in range(1, steps + 1) if stop.hit(path[k], side)[0]), -1)
-        assert hits[sid] == hit
-        if hit >= 0:
-            path = path[: hit + 1] + [path[hit]] * (steps - hit)
-        assert np.array_equal(paths[sid], np.stack(path[::2]))
-        assert np.array_equal(captured[30][sid], path[30])
-        assert np.array_equal(final[sid], path[-1])
-    assert 0 < np.sum(hits >= 0) < 8
-
-
 def reference_crossings(path, source, segment_of_step):
     """Node-basin changes along a path, counted step by step: a walker keeps
     its last basin through node cells, and each segment's map re-reads it."""
@@ -393,7 +367,9 @@ def test_recorded_rows_do_not_end_kernel_blocks(monkeypatch):
         res = run_ensemble(3, PointSampler([0.5]), snaps, params, 0.01, 0.21, master_seed=4,
                            checkpoint_times=(0.11,), record_stride=1)
     assert res.paths.shape == (3, 22, 1)
-    assert [call.args[3].shape[0] for call in kernel.call_args_list] == [5, 2, 3, 1, 3, 1, 5, 1]
+    bound = [inspect.signature(langevin._advance_block).bind(*call.args, **call.kwargs)
+             for call in kernel.call_args_list]
+    assert [b.arguments["noise"].shape[0] for b in bound] == [5, 2, 3, 1, 3, 1, 5, 1]
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -434,12 +410,34 @@ def test_zero_drift_zero_lambda_keeps_position():
 
 def test_constant_drift_deterministic_limit():
     g, _ = flat_setup()
-    positions, t, steps, hit = langevin._advance_block(
-        np.array([[0.25]]), 0.0, 0.25, np.zeros((1, 1, 1)), lambda x: np.full_like(x, 2.0),
+    positions, steps, hit = langevin._advance_block(
+        np.array([[0.25]]), 0.0, 0, 0.25, np.zeros((1, 1, 1)), lambda x: np.full_like(x, 2.0),
         g, None, [0],
     )
     assert positions[0, 0] == 0.25 + 2.0 * 0.25
-    assert (t, steps, hit) == (0.25, 1, None)
+    assert (steps, hit) == (1, None)
+
+
+@pytest.mark.parametrize("step, bad", [(0, 7), (5, 2)])
+def test_kernel_failure_time_is_t0_plus_step_times_dt(step, bad):
+    # step 8 of a run fails at exactly 8 * 0.1, whatever block it falls in;
+    # adding dt eight times gives 0.7999999999999999
+    g, _ = flat_setup()
+    noise = np.zeros((10, 2, 1))
+    noise[bad, 1] = np.inf
+    with pytest.raises(IntegratorFailure) as err:
+        langevin._advance_block(np.zeros((2, 1)), 0.0, step, 0.1, noise, np.zeros_like, g,
+                                None, [3, 4])
+    assert err.value.time == 8 * 0.1
+    assert err.value.stream_id == 4
+
+
+def test_integrator_failure_survives_pickling():
+    err = pickle.loads(pickle.dumps(IntegratorFailure([1.0, np.inf], 0.5, 3)))
+    assert isinstance(err, IntegratorFailure)
+    assert np.array_equal(err.position, [1.0, np.inf])
+    assert (err.time, err.stream_id) == (0.5, 3)
+    assert str(err) == "non-finite step at x=[ 1. inf], t=0.5 (stream 3)"
 
 
 def test_entry_points_reject_nonpositive_dt():

@@ -208,6 +208,27 @@ def test_an_increment_correlation_check_that_cannot_fail_is_listed(t_final, n):
     assert validate_config(source)[1] == []
 
 
+@pytest.mark.parametrize("localization, fixed, error", [
+    ({"well_gap": 20.0}, {"well_gap": 1.0},
+     "params.localization.well_gap=20.0 exceeds params.b=1.0: the walkers would start at -b, "
+     "outside their own well"),
+    ({"record_stride": 100000}, {"record_stride": 54},
+     "params.localization.record_stride=100000 exceeds the localization run's 54 steps; "
+     "well_jumps needs a second recorded row to be able to count a jump"),
+], ids=["well_gap", "record_stride"])
+def test_a_localization_check_that_cannot_fail_is_listed(localization, fixed, error):
+    # on [-9.5, 9.5] a well_gap of 20 left both wells empty, and a stride
+    # past the horizon recorded only the start row: no_jump_fraction 1.0 passed
+    def source(loc):
+        return {"scenario": "double_well",
+                "grid": {"points": [512], "extent": [[-9.5, 9.5]], "boundary": ["reflecting"]},
+                "ensemble": {"n_trajectories": 0},
+                "params": {"a": 1.0, "b": 1.0, "equilibrium": {"enabled": False},
+                           "localization": {"n": 200, **loc}}}
+    assert validate_config(source(localization)) == (None, [error])
+    assert validate_config(source(fixed))[1] == []
+
+
 @pytest.mark.parametrize("lam_values", [[10.0], [100.0, 10.0, 1.0], [1.0, 1.0]])
 def test_lam_values_must_increase(lam_values):
     # [10.0] compared nothing and passed tracking_tv_decreasing; [100, 10, 1]
@@ -346,7 +367,8 @@ def small_configs(draw):
         p.update(a=1.0, b=2.5, equilibrium={"enabled": draw(st.booleans())})
         if draw(st.booleans()):
             p["localization"] = {"n": 4, "horizon_fraction": draw(st.sampled_from([1e-6, 1e-5, 1e-4])),
-                                 "dt": draw(st.sampled_from([None, 1e-3, 0.01]))}
+                                 "dt": draw(st.sampled_from([None, 1e-3, 0.01])),
+                                 "record_stride": draw(st.sampled_from([1, 20]))}
     if name == "adiabatic_tracking":
         p["lam_values"] = [1.0, 10.0]
     return config
