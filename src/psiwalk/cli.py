@@ -14,7 +14,15 @@ from pathlib import Path
 from .scenarios import RunManifest, run_scenario, validate_config
 
 
-def _load_config(path, seed=None):
+def _worker_count(text: str) -> int:
+    """An ``--workers`` value: an integer >= 1, as the config's key."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def _load_config(path, seed=None, workers=None):
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -27,6 +35,8 @@ def _load_config(path, seed=None):
         return None
     if seed is not None:
         cfg.master_seed = seed
+    if workers is not None:
+        cfg.workers = workers
     return cfg
 
 
@@ -41,7 +51,7 @@ def _print_manifest_summary(manifest: RunManifest):
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config, args.seed, args.workers)
     if cfg is None:
         return 1
     try:
@@ -88,8 +98,8 @@ def main(argv=None) -> int:
     sp_run = sub.add_parser("run", help="run a scenario end to end")
     sp_run.add_argument("--config", required=True, help="scenario config JSON file")
     sp_run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    sp_run.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored; chunks run serially")
+    sp_run.add_argument("--workers", type=_worker_count, default=None,
+                        help="override workers: the processes that step walker chunks")
     sp_run.add_argument("--out", default=None, help="output directory")
 
     sp_val = sub.add_parser("validate", help="validate a config and print it with defaults")

@@ -32,17 +32,25 @@ paths at the end.  A single trajectory is an ensemble of one.
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
 steps from the start.  Each segment's drift interpolant and basin map are
-built once and shared by every chunk.  ``scipy.ndimage`` is imported when the
-first basin map is built, so runs that count no node crossings do not need it.
+built once and shared by every chunk.  A basin map labels the open cells in
+numpy, so no walker run needs scipy.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
 and master seed, independent of chunking and of how the noise is blocked.
 The key reaches Philox through a minimal seed sequence, so no OS entropy is drawn.
-Ensembles run in fixed-size chunks of ``_CHUNK`` trajectories, one after the
-other in the calling thread, and merge in stream order.  There are no chunk
-threads: per-step numpy dispatch holds the GIL, and two threads measured
-0.64-0.69x the speed of one.
+An ensemble splits its walkers into near-equal chunks of at most ``_CHUNK``
+and merges their results in stream order.  ``run_ensemble`` steps its chunks
+in a pool of ``fork``ed processes, one per CPU this process may use (or fewer
+``workers``), when the run is large enough to repay the pool's fixed cost:
+at least ``_POOL_MIN_WALKERS`` walkers per process and
+``_POOL_MIN_TRAJ_STEPS`` trajectory-steps.  The children inherit the
+segments' tables through the fork and send back only their chunk results;
+results arrive in chunk order, so a failing run raises the failure of its
+lowest failing chunk, as a serial run does.  Processes, not threads:
+per-step numpy dispatch holds the GIL, and two threads measured 0.64-0.69x
+the speed of one.  Smaller runs, and every first-passage run, step their
+chunks one after the other in the calling process.
 
 Noise budget: a chunk of m trajectories in d dimensions draws its noise into
 one step-major, axis-major buffer ``(B, d, m)`` of at most ``_NOISE_VALUES``
@@ -62,6 +70,7 @@ per-call generator overhead.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +79,12 @@ from .grids import DensityField, Grid, WaveField, _check_dt, _Interpolant, step_
 from .guidance import GuidanceParams, _cap_vectors, drift_field
 
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
+# The break-even of a fork pool.  It costs 9-14 ms to start, a chunk's step
+# costs 20-60 us of numpy dispatch whatever its size, and a forked child's
+# peak RSS starts from its parent's: at 6e6 trajectory-steps a pool saved at
+# most 0.1 s and raised the peak RSS of parent and child by 14 %.
+_POOL_MIN_WALKERS = 1000         # walkers per pool process
+_POOL_MIN_TRAJ_STEPS = 10**7     # trajectory-steps (walkers x steps) of a run
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
 _FIRST_BLOCK = 1024     # steps in a chunk's first noise block
 _TILE = 2**14           # doubles in a noise tile (128 KiB, cache-sized)
@@ -181,35 +196,8 @@ class NodeBasinMap:
 
     @classmethod
     def from_wavefield(cls, psi: WaveField, threshold: float) -> "NodeBasinMap":
-        from scipy import ndimage
-
         rho = np.abs(psi.values) ** 2
-        open_cells = rho >= threshold * rho.max()
-        structure = ndimage.generate_binary_structure(psi.grid.dims, 1)
-        labeled, _ = ndimage.label(open_cells, structure=structure)
-        labels = labeled.astype(np.int64) - 1  # node cells -> -1
-        # A basin straddling a periodic boundary is one component: join the
-        # labels that touch through each periodic face (union-find, so chains
-        # of joins end in one basin) and keep each basin's smallest label.
-        root = np.arange(labels.max() + 1)
-
-        def find(a):
-            while root[a] != a:
-                a = root[a]
-            return a
-
-        for axis in range(psi.grid.dims):
-            if psi.grid.boundary[axis] != "periodic":
-                continue
-            first = np.take(labels, 0, axis=axis).ravel()
-            last = np.take(labels, -1, axis=axis).ravel()
-            for a, b in zip(first, last):
-                if a >= 0 and b >= 0:
-                    a, b = find(a), find(b)
-                    root[max(a, b)] = min(a, b)
-        root = np.array([find(a) for a in range(root.size)], dtype=np.int64)
-        labels[labels >= 0] = root[labels[labels >= 0]]
-        return cls(psi.grid, labels)
+        return cls(psi.grid, _label_basins(rho >= threshold * rho.max(), psi.grid.boundary))
 
     def basins_at(self, x) -> np.ndarray:
         idx = self.grid.cell_index(np.atleast_2d(x))
@@ -227,6 +215,38 @@ class NodeBasinMap:
                 term *= stride
             flat = term if k == 0 else flat + term
         return self.table.take(flat, out=out)
+
+
+def _label_basins(open_cells: np.ndarray, boundary) -> np.ndarray:
+    """Basin number of each open cell, -1 at the others: the components of
+    open cells joined through shared faces, a periodic axis's wrap faces
+    included, numbered in the order of their first cell in C order.
+
+    Each open face pair hooks the larger of its two roots onto the smaller,
+    and pointer jumping then points every cell at its root, until both cells
+    of every pair share one: the smallest flat index of their component."""
+    cells = np.arange(open_cells.size).reshape(open_cells.shape)
+    heads, tails = [], []
+    for axis, wall in enumerate(boundary):
+        head, tail = cells, np.roll(cells, -1, axis=axis)
+        if wall != "periodic":
+            head, tail = (np.delete(a, -1, axis=axis) for a in (head, tail))
+        heads.append(head.ravel())
+        tails.append(tail.ravel())
+    is_open = open_cells.ravel()
+    head, tail = np.concatenate(heads), np.concatenate(tails)
+    both = is_open[head] & is_open[tail]
+    head, tail = head[both], tail[both]
+    root = np.arange(open_cells.size)
+    while not np.array_equal(a := root[head], b := root[tail]):
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    labels = np.full(open_cells.size, -1, dtype=np.int64)
+    labels[is_open] = np.unique(root[is_open], return_inverse=True)[1]
+    return labels.reshape(open_cells.shape)
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +435,36 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
     return final, crossings, captured, paths, hit_steps
 
 
+def _chunks(n: int, workers: int) -> list[range]:
+    """Stream ids 0..n-1 in near-equal ranges, none empty and none above
+    ``_CHUNK``: a multiple of ``workers`` of them where n allows, so that the
+    workers get equal shares."""
+    count = min(n, workers * -(-n // (_CHUNK * workers)))
+    return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _pool_size(n: int, steps: int, workers: int | None) -> int:
+    """Processes that step ``n`` walkers through ``steps`` steps: ``workers``
+    (None: every CPU this process may use) capped at those CPUs and at one per
+    ``_POOL_MIN_WALKERS`` walkers; 1 below ``_POOL_MIN_TRAJ_STEPS``."""
+    if n * steps < _POOL_MIN_TRAJ_STEPS:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(workers or cpus, cpus, n // _POOL_MIN_WALKERS))
+
+
+_pool_job = None   # the chunk runner of a pool process, set there by ``_adopt``
+
+
+def _adopt(job):
+    global _pool_job
+    _pool_job = job
+
+
+def _pool_chunk(ids):
+    return _pool_job(ids)
+
+
 def _fill(noise, rngs, sigma):
     """Fill an axis-major noise block ``(steps, dims, walkers)`` with each
     walker's next draws times sigma, a tile of walkers by steps at a time.
@@ -445,16 +495,22 @@ def run_ensemble(
     node_threshold: float | None = None,
     checkpoint_times=(),
     record_stride: int | None = None,
+    workers: int | None = None,
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories with stream ids 0..n-1.
 
     The walkers start at the earliest snapshot's time.  The final-position
     histogram is normalized on the field grid.  ``checkpoint_times`` capture
     full position snapshots at step-aligned times; ``record_stride`` keeps
-    every k-th step of every trajectory (memory permitting).
+    every k-th step of every trajectory (memory permitting).  ``workers``
+    caps the processes that step chunks (None: every CPU this process may
+    use); a run below the pool's break-even steps in this process.  No
+    worker count changes a result.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if record_stride is not None and record_stride < 0:
         raise ValueError(f"record_stride must be >= 0, got {record_stride}")
     snaps = [psi_snapshots] if isinstance(psi_snapshots, WaveField) else list(psi_snapshots)
@@ -474,11 +530,23 @@ def run_ensemble(
                  None if node_threshold is None else NodeBasinMap.from_wavefield(psi, node_threshold))
                 for psi, steps in step_plan(snaps, t0, t_final, dt_L)]
 
-    results = [
-        _run_chunk(range(a, min(a + _CHUNK, n)), master_seed, sampler, grid, params, dt_L,
-                   t0, segments, set(checkpoint_steps), record_stride)
-        for a in range(0, n, _CHUNK)
-    ]
+    total = sum(steps for steps, _, _ in segments)
+    workers = _pool_size(n, total, workers)
+    job = functools.partial(_run_chunk, master_seed=master_seed, sampler=sampler, grid=grid,
+                            params=params, dt=dt_L, t0=t0, segments=segments,
+                            checkpoint_steps=set(checkpoint_steps), record_stride=record_stride)
+    if workers == 1:
+        results = [job(ids) for ids in _chunks(n, workers)]
+    else:
+        import multiprocessing
+
+        # The children inherit ``job`` through the fork, and only results come
+        # back pickled.  Read in chunk order, they raise the lowest failing
+        # chunk's IntegratorFailure, as a serial run does.
+        with multiprocessing.get_context("fork").Pool(workers, _adopt, (job,)) as pool:
+            results = list(pool.imap(_pool_chunk, _chunks(n, workers)))
+            pool.close()
+            pool.join()
 
     final_positions = np.concatenate([r[0] for r in results])
     crossings = np.concatenate([r[1] for r in results])
@@ -501,7 +569,7 @@ def run_ensemble(
         "epsilon": params.epsilon,
         "dt_L": dt_L,
         "t_final": t_final,
-        "steps": sum(steps for steps, _, _ in segments),
+        "steps": total,
         "master_seed": master_seed,
     }
     return EnsembleResult(
@@ -544,8 +612,7 @@ def run_first_passage_ensemble(
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
     segments = [(max_steps, _Interpolant(psi.grid, drift_field(psi, params)), None)]
     out = []
-    for a in range(0, n, _CHUNK):
-        ids = range(a, min(a + _CHUNK, n))
+    for ids in _chunks(n, 1):
         hits = _run_chunk(ids, master_seed, sampler, psi.grid, params, dt_L, t0, segments,
                           stop=stop)[4]
         out += [FirstPassage(sid, float(t0 + k * dt_L), False) if k >= 0

@@ -46,6 +46,7 @@ class ScenarioConfig:
     master_seed: int
     histogram_refine: int
     out_dir: str | None = None
+    workers: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,6 +116,8 @@ _SHARED = {
     "master_seed": (20260808, (lambda v: _is_number(v, Integral), "an integer")),
     "histogram_refine": (4, _STRIDE),
     "out_dir": (None, (lambda v: isinstance(v, str), "a string")),
+    # None: every CPU this process may use; no count changes a result.
+    "workers": (None, _STRIDE),
 }
 _TWO_GAUSSIANS = {"a": (1.0, _POSITIVE), "b": (1.0, _POSITIVE)}
 # None: fp_dt is time.dt_langevin.
@@ -369,9 +372,6 @@ def validate_config(source) -> tuple[ScenarioConfig | None, list[str]]:
         return None, [
             f"unknown scenario {scenario!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         ]
-    # ``workers`` is accepted and dropped, the one such key: the fringes
-    # benchmark config still sets it.
-    source = {key: value for key, value in source.items() if key != "workers"}
     errors: list[str] = []
     need = _SCENARIOS[scenario]
     merged = _walk({**_SHARED, "params": ({}, need.params)}, source, "", need.defaults, errors)
@@ -489,7 +489,7 @@ def _walkers(cfg: ScenarioConfig, psi0: WaveField, snaps, params: GuidanceParams
     sampler = (langevin.PointSampler(np.asarray(spec["at"], dtype=float)) if spec["type"] == "point"
                else langevin.DensitySampler(regularized_density(psi0, params)))
     return langevin.run_ensemble(cfg.ensemble["n_trajectories"], sampler, snaps, params, stage.dt,
-                                 stage.t1, master_seed=cfg.master_seed, **kw)
+                                 stage.t1, master_seed=cfg.master_seed, workers=cfg.workers, **kw)
 
 
 def _harmonic(cfg: ScenarioConfig, grid: Grid, omega: float) -> schrodinger.HamiltonianSpec:
@@ -650,7 +650,8 @@ def _localization_block(cfg, out, psi, dg, params, loc, stage):
     lo_edge, hi_edge = cfg.build_grid().extent[0]
     wells = [(lo_edge, -gap), (gap, hi_edge)]
     result = langevin.run_ensemble(n, langevin.PointSampler([-dg.b]), psi, params, dt, horizon,
-                                   master_seed=cfg.master_seed, record_stride=int(loc["record_stride"]))
+                                   master_seed=cfg.master_seed, record_stride=int(loc["record_stride"]),
+                                   workers=cfg.workers)
     jumps = analysis.well_jumps(result.paths, wells)
     stay = float(np.mean(jumps == 0))
     mass_start_well = float(np.mean(result.final_positions[:, 0] < 0.0))

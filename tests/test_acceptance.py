@@ -319,7 +319,8 @@ def test_criterion_8_determinism_across_workers(tmp_path):
     base = {
         "scenario": "harmonic_ground",
         "guidance": {"lam": 5.0},
-        "time": {"dt_psi": 2e-3, "dt_langevin": 2e-3, "t_final": 2.0},
+        # 1.03e7 trajectory-steps: above the break-even of a fork pool
+        "time": {"dt_psi": 2e-3, "dt_langevin": 2e-3, "t_final": 2.5},
         "ensemble": {"n_trajectories": 8200, "sampler": {"type": "point", "at": [0.0]}},
         "params": {"tv_limit": 0.05},
         "master_seed": 888,

@@ -3,9 +3,10 @@
 Each ``configs/*.json`` runs through ``run_scenario`` at a reduced size (the
 overrides below).  The bytes of every ``metrics/*.csv`` it writes, and the
 manifest's metrics (the only output of ``double_well_equilibrium``), must hash
-to the stored values.  A pure refactor of an engine keeps these hashes; a change
+to the stored values, whether the walkers step in this process or in a fork
+pool.  A pure refactor of an engine keeps these hashes; a change
 that moves the numerics on purpose re-stores them and says so.  The reduced
-sizes still cover what the engines branch on: a partial second chunk and noise
+sizes still cover what the engines branch on: two chunks and noise
 refills inside drift-snapshot segments (interference), checkpoints and the
 density-solver cross-check on both its explicit and implicit branch, on
 periodic and on reflecting axes (harmonic_ground with an oracle, and
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from psiwalk import langevin
 from psiwalk.scenarios import SCENARIO_NAMES, run_scenario, validate_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -125,11 +127,10 @@ def test_every_scenario_has_a_shipped_config():
     assert set(SCENARIO_NAMES) <= shipped
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_metric_csv_hashes(name, tmp_path):
+def _hashes(name, tmp_path, workers):
     config, overrides = CASES[name]
     source = _deep_merge(json.loads((CONFIGS / f"{config}.json").read_text()), overrides)
-    cfg, errors = validate_config(source)
+    cfg, errors = validate_config({**source, "workers": workers})
     assert errors == []
     manifest = run_scenario(cfg, out_dir=tmp_path)
     hashes = {
@@ -138,4 +139,18 @@ def test_metric_csv_hashes(name, tmp_path):
     }
     metrics = json.dumps(manifest.metrics, sort_keys=True).encode()
     hashes["manifest metrics"] = hashlib.sha256(metrics).hexdigest()
-    assert hashes == GOLDEN[name]
+    return hashes
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_metric_csv_hashes(name, tmp_path):
+    assert _hashes(name, tmp_path, workers=1) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_metric_csv_hashes_through_a_fork_pool(name, tmp_path, monkeypatch):
+    # every walker run of two or more walkers steps its chunks in two processes
+    monkeypatch.setattr(langevin, "_POOL_MIN_WALKERS", 1)
+    monkeypatch.setattr(langevin, "_POOL_MIN_TRAJ_STEPS", 0)
+    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _hashes(name, tmp_path, workers=2) == GOLDEN[name]

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import pickle
 from unittest import mock
 
@@ -158,14 +159,14 @@ def colliding_packets(dims):
 
 @pytest.mark.parametrize("dims", [1, 2])
 def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
-    # 13 walkers in chunks of 5, 5 and 3; a noise budget of 3 steps per full
-    # chunk and 5 for the partial one puts refills inside the 7-step snapshot
-    # segments, and checkpoints (steps 5, 11) and recorded rows (every 4th
-    # step) split the blocks.  Noise tiles of 6 d doubles hold 2 walkers of
-    # a 3-step block (a partial last tile in a chunk of 5) and 1 of a 5-step
-    # block; tiles of d doubles cut every block to one step; tiles of 15 d
-    # doubles hold whole chunks.  Every row must equal a per-stream
-    # reference that draws once per step.
+    # 13 walkers in chunks of 4, 4 and 5; a noise budget of 3 steps for the
+    # chunks of 4 and 2 for the chunk of 5 puts refills inside the 7-step
+    # snapshot segments, and checkpoints (steps 5, 11) and recorded rows
+    # (every 4th step) split the blocks.  Noise tiles of 6 d doubles hold 2
+    # walkers of a 3-step block and 3 of a 2-step block (a partial last tile
+    # in the chunk of 5); tiles of d doubles cut every block to one step;
+    # tiles of 15 d doubles hold whole chunks.  Every row must equal a
+    # per-stream reference that draws once per step.
     snaps = colliding_packets(dims)
     # a large epsilon flattens the node barriers so that 1-d walkers cross them
     params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
@@ -175,7 +176,7 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
               record_stride=4)
     whole = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
     monkeypatch.setattr(langevin, "_CHUNK", 5)
-    monkeypatch.setattr(langevin, "_NOISE_VALUES", 15 * dims)
+    monkeypatch.setattr(langevin, "_NOISE_VALUES", 12 * dims)
     source = SnapshotReference(snaps, params)
     paths = []
     for sid in range(n):
@@ -198,9 +199,9 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
 
 @pytest.mark.parametrize("noise_values, first_block", [(12, 1024), (400, 2)])
 def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_values, first_block):
-    # 10 walkers in chunks of 4, 4 and 2, with 3-step noise blocks or with
-    # blocks growing 2, 2, 4, 8, ... up to 100 steps: walkers retire
-    # mid-block; each time must equal a one-draw-per-step reference.
+    # 10 walkers in chunks of 3, 3 and 4, with 4- and 3-step noise blocks or
+    # with blocks growing 2, 2, 4, 8, ... up to 133 and 100 steps: walkers
+    # retire mid-block; each time must equal a one-draw-per-step reference.
     g = Grid.make(256, (-8.0, 8.0), "reflecting")
     psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.0))
     params = GuidanceParams(lam=1.0)
@@ -219,6 +220,91 @@ def test_first_passage_noise_blocks_do_not_change_times(monkeypatch, noise_value
         assert fp.censored == (expected is None)
         assert fp.time == (t_max if expected is None else expected)
     assert 0 < sum(fp.censored for fp in results) < 10
+
+
+@pytest.mark.parametrize("n, workers, chunk, sizes", [
+    (10_000, 2, 4096, [2500] * 4),
+    (8192, 2, 4096, [4096] * 2),
+    (10_001, 2, 4096, [2500, 2500, 2500, 2501]),
+    (13, 1, 5, [4, 4, 5]),
+    (3, 2, 4096, [1, 2]),        # n not divisible by the workers
+    (1, 2, 4096, [1]),           # fewer walkers than workers
+    (5, 2, 1, [1] * 5),          # fewer walkers than a multiple of the workers
+])
+def test_chunks_split_walkers_near_equally(monkeypatch, n, workers, chunk, sizes):
+    monkeypatch.setattr(langevin, "_CHUNK", chunk)
+    chunks = langevin._chunks(n, workers)
+    assert [len(ids) for ids in chunks] == sizes
+    assert [sid for ids in chunks for sid in ids] == list(range(n))
+
+
+def test_pool_engages_above_its_break_even_only(monkeypatch):
+    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    walkers, traj_steps = langevin._POOL_MIN_WALKERS, langevin._POOL_MIN_TRAJ_STEPS
+    size = langevin._pool_size
+    assert size(4 * walkers, traj_steps, None) == 4          # every usable CPU
+    assert size(4 * walkers, traj_steps, 3) == 3             # or fewer
+    assert size(4 * walkers, traj_steps, 8) == 4             # never more
+    assert size(3 * walkers - 1, traj_steps, None) == 2      # a worker per _POOL_MIN_WALKERS
+    assert size(2 * walkers - 1, traj_steps, None) == 1
+    assert size(4 * walkers, traj_steps // (4 * walkers) - 1, None) == 1   # too short
+
+
+def force_pool(monkeypatch):
+    """Let every run of two or more walkers use two processes."""
+    monkeypatch.setattr(langevin, "_POOL_MIN_WALKERS", 1)
+    monkeypatch.setattr(langevin, "_POOL_MIN_TRAJ_STEPS", 0)
+    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_a_pool_run_equals_a_serial_run_and_leaves_no_process(monkeypatch, dims):
+    import multiprocessing
+
+    snaps = colliding_packets(dims)
+    params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
+    sampler = DensitySampler(regularized_density(snaps[0], params))
+    kw = dict(master_seed=21, node_threshold=0.5, checkpoint_times=(0.05, 0.11), record_stride=4)
+    serial = run_ensemble(13, sampler, snaps, params, 0.01, 0.2, workers=1, **kw)
+    force_pool(monkeypatch)
+    monkeypatch.setattr(langevin, "_CHUNK", 3)   # 6 chunks on 2 processes
+    pooled = run_ensemble(13, sampler, snaps, params, 0.01, 0.2, **kw)
+    assert multiprocessing.active_children() == []
+    for a, b in [(serial.final_positions, pooled.final_positions),
+                 (serial.crossings, pooled.crossings), (serial.paths, pooled.paths),
+                 *((x, y) for (_, x), (_, y) in zip(serial.checkpoints, pooled.checkpoints))]:
+        assert a.tobytes() == b.tobytes()
+    assert serial.histogram.values.tobytes() == pooled.histogram.values.tobytes()
+    assert dims == 2 or serial.crossings.sum() > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+def test_a_chunk_failing_in_a_pool_process_raises_what_a_serial_run_raises(monkeypatch):
+    # Walkers starting at x = 2 overflow on their first step (see
+    # test_nonfinite_step_raises_integrator_failure).  In chunks of one walker,
+    # several chunks fail, and the lowest one's failure must be raised.
+    import multiprocessing
+
+    g = Grid.make(256, (-8.0, 8.0), "reflecting")
+    psi = WaveField(g, np.exp(-((g.coords(0) - 4.0) ** 2) / 2))
+    params = GuidanceParams(lam=8e304)
+    dt, seed, n = 1e3, 5, 8
+    sampler = TwoPointSampler(2.0, -4.0)
+    failing = np.flatnonzero(sampler.sample([substream(seed, sid) for sid in range(n)])[:, 0] == 2.0)
+    assert failing.size >= 2 and failing[0] > 0
+    force_pool(monkeypatch)
+    monkeypatch.setattr(langevin, "_CHUNK", 1)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(IntegratorFailure) as err:
+            run_ensemble(n, sampler, psi, params, dt, 5 * dt, master_seed=seed, workers=workers)
+        raised.append(err.value)
+        assert multiprocessing.active_children() == []
+    serial, pooled = raised
+    assert serial.stream_id == pooled.stream_id == failing[0]
+    assert serial.time == pooled.time
+    assert serial.position.tobytes() == pooled.position.tobytes()
 
 
 def reference_crossings(path, source, segment_of_step):
@@ -364,8 +450,9 @@ def test_recorded_rows_do_not_end_kernel_blocks(monkeypatch):
     monkeypatch.setattr(langevin, "_NOISE_VALUES", 15)
     monkeypatch.setattr(langevin, "_FIRST_BLOCK", 5)
     with mock.patch.object(langevin, "_advance_block", wraps=langevin._advance_block) as kernel:
+        # one process: a pool process's calls would not reach this mock
         res = run_ensemble(3, PointSampler([0.5]), snaps, params, 0.01, 0.21, master_seed=4,
-                           checkpoint_times=(0.11,), record_stride=1)
+                           checkpoint_times=(0.11,), record_stride=1, workers=1)
     assert res.paths.shape == (3, 22, 1)
     bound = [inspect.signature(langevin._advance_block).bind(*call.args, **call.kwargs)
              for call in kernel.call_args_list]
@@ -693,6 +780,45 @@ def test_node_basins_merge_through_periodic_face_in_chains():
     labels = NodeBasinMap.from_wavefield(WaveField(g, values), 0.5).labels
     assert np.unique(labels[values > 0]).tolist() == [0]
     assert np.all(labels[values == 0] == -1)
+
+
+def reference_basins(open_cells, boundary):
+    """``scipy.ndimage.label``'s components of the open cells, joined through
+    each periodic axis's wrap faces by a graph search over the labels."""
+    from scipy import ndimage
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    labeled, count = ndimage.label(open_cells)   # the default structure joins faces only
+    pairs = [(np.take(labeled, 0, axis=k).ravel(), np.take(labeled, -1, axis=k).ravel())
+             for k, wall in enumerate(boundary) if wall == "periodic"]
+    a = np.concatenate([p[0] for p in pairs] + [np.zeros(0, int)])
+    b = np.concatenate([p[1] for p in pairs] + [np.zeros(0, int)])
+    keep = (a > 0) & (b > 0)
+    graph = coo_matrix((np.ones(keep.sum()), (a[keep], b[keep])), shape=(count + 1,) * 2)
+    return np.where(labeled > 0, connected_components(graph, directed=False)[1][labeled], -1)
+
+
+def test_node_basins_are_the_components_scipy_finds():
+    # random fields in 1-3 d, with every mix of walls and axes of 8 to 12
+    # cells: the same partition, numbered in the order of each basin's first cell
+    rng = np.random.default_rng(7)
+    for trial in range(90):
+        dims = 1 + trial % 3
+        shape = tuple(int(k) for k in rng.integers(8, 13, dims))
+        for boundary in itertools.product(["periodic", "reflecting"], repeat=dims):
+            g = Grid.make(shape, ((0.0, 1.0),) * dims, boundary)
+            values = rng.random(shape) * (rng.random(shape) < rng.random())
+            values.flat[rng.integers(values.size)] = 1.0   # a wave field has some norm
+            open_cells = values**2 >= 0.25 * (values**2).max()
+            labels = NodeBasinMap.from_wavefield(WaveField(g, values), 0.25).labels
+            expected = reference_basins(open_cells, boundary)
+            assert np.array_equal(labels < 0, ~open_cells)
+            pairs = np.unique(np.stack([labels[open_cells], expected[open_cells]]), axis=1)
+            assert pairs.shape[1] == np.unique(expected[open_cells]).size
+            assert pairs.shape[1] == np.unique(labels[open_cells]).size
+            first = np.unique(labels.ravel()[open_cells.ravel()], return_index=True)[1]
+            assert np.all(np.diff(first) > 0) and labels.max() == first.size - 1
 
 
 def test_node_basin_map_labels():

@@ -357,18 +357,21 @@ def small_configs(draw):
         "histogram_refine": 2,
     }
     p = config["params"]
-    if name in ("harmonic_ground", "double_well") and draw(st.booleans()):
+    if name == "double_well":
+        p.update(a=1.0, b=2.5, equilibrium={"enabled": draw(st.booleans())})
+        if draw(st.booleans()):
+            # horizons of 0.2, 0.4 and 2e-4 (the escape time is 207): the first
+            # two keep a record_stride of 20 of every dt drawn, the last no step
+            p["localization"] = {"n": 4, "horizon_fraction": draw(st.sampled_from([1e-3, 2e-3, 1e-6])),
+                                 "dt": draw(st.sampled_from([None, 1e-3, 0.01])),
+                                 "record_stride": draw(st.sampled_from([1, 20]))}
+    # an oracle is mostly refused, so a localization block comes without one
+    if name in ("harmonic_ground", "double_well") and "localization" not in p and draw(st.booleans()):
         checkpoints = st.lists(st.sampled_from([0, 1e-3, 2e-3, 2.5e-3, 5e-3]), max_size=3)
         p["oracle"] = {"checkpoints": draw(checkpoints),
                        "fp_dt": draw(st.sampled_from([None, 5e-4, 1e-3, 3e-3]))}
     if name == "harmonic_ground":
         p["norm_drift_steps"] = draw(st.sampled_from([None, 1, 3]))
-    if name == "double_well":
-        p.update(a=1.0, b=2.5, equilibrium={"enabled": draw(st.booleans())})
-        if draw(st.booleans()):
-            p["localization"] = {"n": 4, "horizon_fraction": draw(st.sampled_from([1e-6, 1e-5, 1e-4])),
-                                 "dt": draw(st.sampled_from([None, 1e-3, 0.01])),
-                                 "record_stride": draw(st.sampled_from([1, 20]))}
     if name == "adiabatic_tracking":
         p["lam_values"] = [1.0, 10.0]
     return config
@@ -418,7 +421,7 @@ def test_every_config_the_validator_accepts_runs(tmp_path):
     ("double_well", {"params": {"oracle": 5}}, "params.oracle must be a JSON object, got 5"),
     ("free_packet", {"ensembel": {"n_trajectories": 10}},
      "ensembel is not a config key; valid keys: scenario, grid, hbar, mass, guidance, time, "
-     "ensemble, master_seed, histogram_refine, out_dir, params"),
+     "ensemble, master_seed, histogram_refine, out_dir, workers, params"),
     ("free_packet", {"ensemble": {"n_trajectory": 10}},
      "ensemble.n_trajectory is not an ensemble key; valid keys: n_trajectories, sampler"),
     ("free_packet", {"params": {"sigma_0": 2.0}},
@@ -435,8 +438,12 @@ def test_optional_blocks_and_unknown_keys_are_listed(scenario, override, error):
     assert validate_config({"scenario": scenario, **override}) == (None, [error])
 
 
-def test_workers_is_the_one_ignored_key():
-    assert validate_config({"scenario": "free_packet", "workers": 2})[1] == []
+def test_workers_is_a_process_count_checked_before_compute():
+    assert validate_config({"scenario": "free_packet"})[0].workers is None   # every usable CPU
+    assert validate_config({"scenario": "free_packet", "workers": 2})[0].workers == 2
+    for bad in (0, -1, 2.5, "two", True):
+        assert validate_config({"scenario": "free_packet", "workers": bad}) == (
+            None, [f"workers must be an integer >= 1, got {bad!r}"])
     assert validate_config({"scenario": "free_packet", "time": {"workers": 2}})[1] == [
         "time.workers is not a time key; valid keys: dt_psi, dt_langevin, t_final, snapshot_stride"]
 
@@ -601,6 +608,21 @@ def test_cli_seed_override_changes_results(tmp_path):
     ma = RunManifest.load(tmp_path / "a" / "manifest.json")
     mb = RunManifest.load(tmp_path / "b" / "manifest.json")
     assert ma.metrics["tv_equilibrium"] != mb.metrics["tv_equilibrium"]
+
+
+def test_cli_workers_override_is_checked_and_changes_no_result(tmp_path, capsys):
+    p = write_config(tmp_path, small_harmonic(workers=2))
+    for bad in ("0", "-1", "two"):
+        with pytest.raises(SystemExit):
+            main(["run", "--config", str(p), "--out", str(tmp_path / "bad"), "--workers", bad])
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    main(["run", "--config", str(p), "--out", str(tmp_path / "a")])
+    main(["run", "--config", str(p), "--out", str(tmp_path / "b"), "--workers", "1"])
+    ma = RunManifest.load(tmp_path / "a" / "manifest.json")
+    mb = RunManifest.load(tmp_path / "b" / "manifest.json")
+    assert (ma.config["workers"], mb.config["workers"]) == (2, 1)
+    assert ma.metrics == mb.metrics and ma.files == mb.files
 
 
 def test_cli_report_verifies_and_summarizes(tmp_path, capsys):

@@ -1,11 +1,11 @@
-"""scipy and ``numpy.random`` are loaded on first use only.
+"""scipy, ``numpy.random`` and ``multiprocessing`` are loaded on first use only.
 
-The implicit density step (LAPACK ``dgttrf``/``dgttrs``) and the node-basin
-map (``ndimage.label``) are the only users of scipy, and importing it costs
-more than the rest of ``import psiwalk``; ``numpy.random`` is first needed by
-a walker's noise stream.  Each test runs a fresh interpreter, so modules
-loaded by earlier tests in this process do not count, and checks which
-``scipy`` (or ``numpy.random``) modules that interpreter ended with.
+The implicit density step (LAPACK ``dgttrf``/``dgttrs``) is the only user of
+scipy, and importing it costs more than the rest of ``import psiwalk``;
+``numpy.random`` is first needed by a walker's noise stream, and
+``multiprocessing`` by a walker run large enough for a pool.  Each test runs
+a fresh interpreter, so modules loaded by earlier tests in this process do not
+count, and checks which ``scipy`` (or other) modules that interpreter ended with.
 """
 
 import json
@@ -72,17 +72,16 @@ for path in sys.argv[1:]:
     assert cli.main(["validate", "--config", path]) == 0
 """
     configs = sorted(str(p) for p in CONFIGS.glob("*.json"))
-    assert _loaded_modules(code, *configs, cwd=tmp_path) == []
-    assert _loaded_modules(code, *configs, cwd=tmp_path, package="numpy.random") == []
+    for package in ("scipy", "numpy.random", "multiprocessing"):
+        assert _loaded_modules(code, *configs, cwd=tmp_path, package=package) == []
 
 
 def test_walker_and_propagator_runs_and_report_load_no_scipy(tmp_path):
-    configs = _reduced_configs(tmp_path, "free_packet", "double_well_mfpt")
+    # interference labels node basins, double_well_mfpt retires walkers
+    configs = _reduced_configs(tmp_path, "free_packet", "double_well_mfpt", "interference")
     assert _loaded_modules(RUN, *configs, cwd=tmp_path) == []
 
 
-def test_node_basins_and_implicit_density_steps_load_scipy_on_first_use(tmp_path):
-    # interference labels node basins; adiabatic_tracking takes implicit steps
-    for name, needed in [("interference", "scipy.ndimage"), ("adiabatic_tracking", "scipy.linalg")]:
-        loaded = _loaded_modules(RUN, *_reduced_configs(tmp_path, name), cwd=tmp_path)
-        assert needed in loaded
+def test_implicit_density_steps_load_scipy_on_first_use(tmp_path):
+    loaded = _loaded_modules(RUN, *_reduced_configs(tmp_path, "adiabatic_tracking"), cwd=tmp_path)
+    assert "scipy.linalg" in loaded
