@@ -42,12 +42,13 @@ The key reaches Philox through a minimal seed sequence, so no OS entropy is draw
 An ensemble splits its walkers into near-equal chunks of at most ``_CHUNK``
 and merges their results in stream order.  ``run_ensemble`` steps its chunks
 in a pool of ``fork``ed processes, one per CPU this process may use (or fewer
-``workers``), when the run is large enough to repay the pool's fixed cost:
-at least ``_POOL_MIN_WALKERS`` walkers per process and
-``_POOL_MIN_TRAJ_STEPS`` trajectory-steps.  The children inherit the
-segments' tables through the fork and send back only their chunk results;
-results arrive in chunk order, so a failing run raises the failure of its
-lowest failing chunk, as a serial run does.  Processes, not threads:
+``workers``), when the run is large enough to repay the pool's start-up cost:
+``_POOL_MIN_TRAJ_STEPS`` trajectory-steps (walkers x steps).  The children
+inherit the segments' tables through the fork and send back only their
+chunk results; results are read in chunk order, so a failing run raises the
+failure of its lowest failing chunk, as a serial run does, and a process
+that dies raises ``BrokenProcessPool``.  Where ``fork`` is not available,
+every run steps serially.  Processes, not threads:
 per-step numpy dispatch holds the GIL, and two threads measured 0.64-0.69x
 the speed of one.  Smaller runs, and every first-passage run, step their
 chunks one after the other in the calling process.
@@ -79,11 +80,9 @@ from .grids import DensityField, Grid, WaveField, _check_dt, _Interpolant, step_
 from .guidance import GuidanceParams, _cap_vectors, drift_field
 
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
-# The break-even of a fork pool.  It costs 9-14 ms to start, a chunk's step
-# costs 20-60 us of numpy dispatch whatever its size, and a forked child's
-# peak RSS starts from its parent's: at 6e6 trajectory-steps a pool saved at
-# most 0.1 s and raised the peak RSS of parent and child by 14 %.
-_POOL_MIN_WALKERS = 1000         # walkers per pool process
+# The break-even of a fork pool.  It costs 9-14 ms to start, and a forked
+# child's peak RSS starts from its parent's: at 6e6 trajectory-steps a pool
+# saved at most 0.1 s and raised the peak RSS of parent and child by 14 %.
 _POOL_MIN_TRAJ_STEPS = 10**7     # trajectory-steps (walkers x steps) of a run
 _NOISE_VALUES = 2**20   # doubles in a chunk's noise buffer (8 MiB)
 _FIRST_BLOCK = 1024     # steps in a chunk's first noise block
@@ -443,14 +442,25 @@ def _chunks(n: int, workers: int) -> list[range]:
     return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(n: int, steps: int, workers: int | None) -> int:
     """Processes that step ``n`` walkers through ``steps`` steps: ``workers``
-    (None: every CPU this process may use) capped at those CPUs and at one per
-    ``_POOL_MIN_WALKERS`` walkers; 1 below ``_POOL_MIN_TRAJ_STEPS``."""
+    (None: every CPU this process may use) capped at those CPUs and at n;
+    1 below ``_POOL_MIN_TRAJ_STEPS`` or where ``fork`` is not available."""
     if n * steps < _POOL_MIN_TRAJ_STEPS:
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(workers or cpus, cpus, n // _POOL_MIN_WALKERS))
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = _cpus()
+    return min(workers or cpus, cpus, n)
 
 
 _pool_job = None   # the chunk runner of a pool process, set there by ``_adopt``
@@ -539,14 +549,15 @@ def run_ensemble(
         results = [job(ids) for ids in _chunks(n, workers)]
     else:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         # The children inherit ``job`` through the fork, and only results come
         # back pickled.  Read in chunk order, they raise the lowest failing
-        # chunk's IntegratorFailure, as a serial run does.
-        with multiprocessing.get_context("fork").Pool(workers, _adopt, (job,)) as pool:
-            results = list(pool.imap(_pool_chunk, _chunks(n, workers)))
-            pool.close()
-            pool.join()
+        # chunk's IntegratorFailure, as a serial run does; a child that dies
+        # raises BrokenProcessPool.  Leaving the block joins the processes.
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _adopt, (job,)) as pool:
+            results = list(pool.map(_pool_chunk, _chunks(n, workers)))
 
     final_positions = np.concatenate([r[0] for r in results])
     crossings = np.concatenate([r[1] for r in results])

@@ -150,7 +150,6 @@ def test_metric_csv_hashes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_metric_csv_hashes_through_a_fork_pool(name, tmp_path, monkeypatch):
     # every walker run of two or more walkers steps its chunks in two processes
-    monkeypatch.setattr(langevin, "_POOL_MIN_WALKERS", 1)
     monkeypatch.setattr(langevin, "_POOL_MIN_TRAJ_STEPS", 0)
-    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(langevin, "_cpus", lambda: 2)
     assert _hashes(name, tmp_path, workers=2) == GOLDEN[name]

@@ -239,22 +239,28 @@ def test_chunks_split_walkers_near_equally(monkeypatch, n, workers, chunk, sizes
 
 
 def test_pool_engages_above_its_break_even_only(monkeypatch):
-    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    walkers, traj_steps = langevin._POOL_MIN_WALKERS, langevin._POOL_MIN_TRAJ_STEPS
+    monkeypatch.setattr(langevin, "_cpus", lambda: 4)
+    traj_steps = langevin._POOL_MIN_TRAJ_STEPS
     size = langevin._pool_size
-    assert size(4 * walkers, traj_steps, None) == 4          # every usable CPU
-    assert size(4 * walkers, traj_steps, 3) == 3             # or fewer
-    assert size(4 * walkers, traj_steps, 8) == 4             # never more
-    assert size(3 * walkers - 1, traj_steps, None) == 2      # a worker per _POOL_MIN_WALKERS
-    assert size(2 * walkers - 1, traj_steps, None) == 1
-    assert size(4 * walkers, traj_steps // (4 * walkers) - 1, None) == 1   # too short
+    assert size(4000, traj_steps, None) == 4          # every usable CPU
+    assert size(4000, traj_steps, 3) == 3             # or fewer
+    assert size(4000, traj_steps, 8) == 4             # never more
+    assert size(3, traj_steps, None) == 3             # nor more than the walkers
+    assert size(4000, traj_steps // 4000 - 1, None) == 1   # too short
+
+
+def test_pool_stays_off_where_fork_is_not_available(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(langevin, "_cpus", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert langevin._pool_size(4000, langevin._POOL_MIN_TRAJ_STEPS, None) == 1
 
 
 def force_pool(monkeypatch):
     """Let every run of two or more walkers use two processes."""
-    monkeypatch.setattr(langevin, "_POOL_MIN_WALKERS", 1)
     monkeypatch.setattr(langevin, "_POOL_MIN_TRAJ_STEPS", 0)
-    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(langevin, "_cpus", lambda: 2)
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -305,6 +311,39 @@ def test_a_chunk_failing_in_a_pool_process_raises_what_a_serial_run_raises(monke
     assert serial.stream_id == pooled.stream_id == failing[0]
     assert serial.time == pooled.time
     assert serial.position.tobytes() == pooled.position.tobytes()
+
+
+def test_a_pool_process_that_dies_raises_rather_than_hangs(monkeypatch):
+    # A child killed mid-chunk (say, by the OOM killer) must fail the run, as
+    # it would a serial one; the alarm turns a hang into a test failure.
+    import multiprocessing
+    import os
+    import signal
+    from concurrent.futures.process import BrokenProcessPool
+
+    def hang(signum, frame):
+        raise AssertionError("the pool hung after a process died")
+
+    run_chunk = langevin._run_chunk
+
+    def dying(stream_ids, **kw):
+        if stream_ids[0] == 0:
+            os._exit(9)
+        return run_chunk(stream_ids, **kw)
+
+    g = Grid.make(64, (-8.0, 8.0), "reflecting")
+    psi = WaveField(g, np.exp(-(g.coords(0) ** 2) / 2))
+    force_pool(monkeypatch)
+    monkeypatch.setattr(langevin, "_run_chunk", dying)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_ensemble(4, PointSampler([0.0]), psi, GuidanceParams(lam=1.0), 0.01, 0.1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def reference_crossings(path, source, segment_of_step):

@@ -3,7 +3,7 @@ import timeit
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psiwalk.cli import main
@@ -338,12 +338,12 @@ def test_validation_time_does_not_grow_with_the_snapshot_count():
 
 
 @st.composite
-def small_configs(draw):
-    """A config of any scenario small enough to run in a fraction of a second
-    (16 grid points per axis, at most 4 walkers), its steps, horizons,
+def small_configs(draw, names=SCENARIO_NAMES):
+    """A config of one of ``names`` small enough to run in a fraction of a
+    second (16 grid points per axis, at most 4 walkers), its steps, horizons,
     checkpoints and localization dt drawn from small lattices that make some
     configs valid and others not."""
-    name = draw(st.sampled_from(SCENARIO_NAMES))
+    name = draw(st.sampled_from(names))
     dims = _SCENARIOS[name].dims
     config = {
         "scenario": name,
@@ -357,6 +357,12 @@ def small_configs(draw):
         "histogram_refine": 2,
     }
     p = config["params"]
+    if name in ("harmonic_ground", "double_well") and draw(st.booleans()):
+        checkpoints = st.lists(st.sampled_from([0, 1e-3, 2e-3, 2.5e-3, 5e-3]), max_size=3)
+        p["oracle"] = {"checkpoints": draw(checkpoints),
+                       "fp_dt": draw(st.sampled_from([None, 5e-4, 1e-3, 3e-3]))}
+    if name == "harmonic_ground":
+        p["norm_drift_steps"] = draw(st.sampled_from([None, 1, 3]))
     if name == "double_well":
         p.update(a=1.0, b=2.5, equilibrium={"enabled": draw(st.booleans())})
         if draw(st.booleans()):
@@ -365,24 +371,27 @@ def small_configs(draw):
             p["localization"] = {"n": 4, "horizon_fraction": draw(st.sampled_from([1e-3, 2e-3, 1e-6])),
                                  "dt": draw(st.sampled_from([None, 1e-3, 0.01])),
                                  "record_stride": draw(st.sampled_from([1, 20]))}
-    # an oracle is mostly refused, so a localization block comes without one
-    if name in ("harmonic_ground", "double_well") and "localization" not in p and draw(st.booleans()):
-        checkpoints = st.lists(st.sampled_from([0, 1e-3, 2e-3, 2.5e-3, 5e-3]), max_size=3)
-        p["oracle"] = {"checkpoints": draw(checkpoints),
-                       "fp_dt": draw(st.sampled_from([None, 5e-4, 1e-3, 3e-3]))}
-    if name == "harmonic_ground":
-        p["norm_drift_steps"] = draw(st.sampled_from([None, 1, 3]))
     if name == "adiabatic_tracking":
         p["lam_values"] = [1.0, 10.0]
     return config
 
 
 def test_every_config_the_validator_accepts_runs(tmp_path):
-    # every stage the runner steps is one the validator checked
+    # every stage the runner steps is one the validator checked; half the
+    # draws are double_well, whose optional blocks validate least often, and
+    # the example runs an oracle and a localization block together, which
+    # the draws seldom validate
     accepted = []
 
-    @settings(max_examples=200, deadline=None)
-    @given(small_configs())
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(small_configs(), small_configs(("double_well",))))
+    @example({"scenario": "double_well", "grid": {"points": [16]},
+              "time": {"dt_psi": 2e-3, "dt_langevin": 1e-3, "t_final": 0.01, "snapshot_stride": 1},
+              "ensemble": {"n_trajectories": 4}, "histogram_refine": 2,
+              "params": {"a": 1.0, "b": 2.5, "equilibrium": {"enabled": True},
+                         "oracle": {"checkpoints": [0, 5e-3], "fp_dt": None},
+                         "localization": {"n": 4, "horizon_fraction": 1e-3, "dt": None,
+                                          "record_stride": 20}}})
     def check(source):
         cfg, errors = validate_config(source)
         accepted.append(cfg is not None)
