@@ -49,8 +49,8 @@ class Grid:
             if int(n) != n or n < 8:
                 raise ValueError(f"need at least 8 points per axis, got {n}")
         for lo, hi in self.extent:
-            if not hi > lo:
-                raise ValueError(f"extent must satisfy hi > lo, got ({lo}, {hi})")
+            if not (hi > lo and math.isfinite(hi - lo)):   # an infinite end or width fails
+                raise ValueError(f"extent must be finite with hi > lo, got ({lo}, {hi})")
         for b in self.boundary:
             if b not in (PERIODIC, REFLECTING):
                 raise ValueError(f"boundary must be '{PERIODIC}' or '{REFLECTING}', got {b!r}")

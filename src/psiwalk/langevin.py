@@ -18,10 +18,11 @@ the kernel scans for non-finite values only on steps where the fold moved a
 walker.  Positions and noise are kept axis-major (the kernel sees
 ``(m, dims)`` transposes of ``(dims, m)`` arrays), so every per-axis
 operation reads contiguous memory, and the kernel's scalar operands are 0-d
-arrays: a step costs a fixed few tens of numpy calls.  One chunk driver,
-``_run_chunk``, serves both entry points: it folds the chunk's start points
-once (a sampler draws them in one call) and advances the kernel a block of
-steps at a time up to the next event: noise-block end, snapshot-segment end,
+arrays: a step costs a fixed few tens of numpy calls.  One launch,
+``_launch``, starts the walkers of both entry points, and one chunk driver,
+``_run_chunk``, steps each chunk: it folds the chunk's start points once (a
+sampler draws them in one call) and advances the kernel a block of steps at
+a time up to the next event: noise-block end, snapshot-segment end,
 checkpoint, or the first step at which a walker meets an optional stop
 predicate.  A run either observes or stops: walkers retire from the batch
 only in a first-passage run (``run_first_passage_ensemble``), which observes
@@ -31,17 +32,17 @@ paths at the end.  A single trajectory is an ensemble of one.
 
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
-steps from the start.  Each segment's drift interpolant and basin map are
-built once and shared by every chunk.  A basin map labels the open cells in
+steps from the start.  The launch builds each segment's drift interpolant
+and basin map once, for every chunk.  A basin map labels the open cells in
 numpy, so no walker run needs scipy.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
 and master seed, independent of chunking and of how the noise is blocked.
 The key reaches Philox through a minimal seed sequence, so no OS entropy is drawn.
-An ensemble splits its walkers into near-equal chunks of at most ``_CHUNK``
-and merges their results in stream order.  ``run_ensemble`` steps its chunks
-in a pool of ``fork``ed processes, one per CPU this process may use (or fewer
+The launch splits the walkers into near-equal chunks of at most ``_CHUNK``
+and returns their results in stream order.  It steps the chunks in a pool
+of ``fork``ed processes, one per CPU this process may use (or fewer
 ``workers``), when the run is large enough to repay the pool's start-up cost:
 ``_POOL_MIN_TRAJ_STEPS`` trajectory-steps (walkers x steps).  The children
 inherit the segments' tables through the fork and send back only their
@@ -50,8 +51,12 @@ failure of its lowest failing chunk, as a serial run does, and a process
 that dies raises ``BrokenProcessPool``.  Where ``fork`` is not available,
 every run steps serially.  Processes, not threads:
 per-step numpy dispatch holds the GIL, and two threads measured 0.64-0.69x
-the speed of one.  Smaller runs, and every first-passage run, step their
-chunks one after the other in the calling process.
+the speed of one.  Smaller runs step their chunks one after the other in
+the calling process, and so does every first-passage run, which asks for
+one process: its walkers retire as they hit, so its time is the tail of the
+last ones, and a pool of two did not shorten it (the b = 3 escape campaign,
+220 walkers and 1.19e8 budgeted trajectory-steps, took 13.2-15.9 s
+in-process and 12.7-18.6 s pooled, three runs each, with identical times).
 
 Noise budget: a chunk of m trajectories in d dimensions draws its noise into
 one step-major, axis-major buffer ``(B, d, m)`` of at most ``_NOISE_VALUES``
@@ -134,13 +139,6 @@ class PointSampler:
 
     def sample(self, rngs) -> np.ndarray:
         return np.tile(self.x, (len(rngs), 1))
-
-
-def _check_start(x: np.ndarray, grid: Grid) -> None:
-    """Reject a start point whose coordinate count is not the grid's dimension."""
-    if x.size != grid.dims:
-        raise ValueError(f"the start point has {x.size} coordinates, but the grid has "
-                         f"dims={grid.dims}")
 
 
 class DensitySampler:
@@ -494,6 +492,39 @@ def _fill(noise, rngs, sigma):
             np.multiply(part.transpose(1, 2, 0), sigma, out=noise[s : s + b, :, a : a + w])
 
 
+def _launch(n, sampler, grid: Grid, plan, params: GuidanceParams, dt: float, t0: float,
+            master_seed: int, workers: int | None, node_threshold=None, **observe) -> list:
+    """Step ``n`` walkers (stream ids 0..n-1) from ``sampler``'s start at ``t0``
+    through ``plan``, ``[(snapshot, steps)]``, in at most ``workers`` processes,
+    and return the chunks' ``_run_chunk`` results in stream order.  A point
+    start is checked against the grid before any drift table is built."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(sampler, PointSampler) and sampler.x.size != grid.dims:
+        raise ValueError(f"the start point has {sampler.x.size} coordinates, but the grid has "
+                         f"dims={grid.dims}")
+    segments = [(steps, _Interpolant(grid, drift_field(psi, params)),
+                 None if node_threshold is None else NodeBasinMap.from_wavefield(psi, node_threshold))
+                for psi, steps in plan]
+    workers = _pool_size(n, sum(steps for _, steps in plan), workers)
+    job = functools.partial(_run_chunk, master_seed=master_seed, sampler=sampler, grid=grid,
+                            params=params, dt=dt, t0=t0, segments=segments, **observe)
+    if workers == 1:
+        return [job(ids) for ids in _chunks(n, workers)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The children inherit ``job`` through the fork, and only results come
+    # back pickled.  Read in chunk order, they raise the lowest failing
+    # chunk's IntegratorFailure, as a serial run does; a child that dies
+    # raises BrokenProcessPool.  Leaving the block joins the processes.
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             _adopt, (job,)) as pool:
+        return list(pool.map(_pool_chunk, _chunks(n, workers)))
+
+
 def run_ensemble(
     n: int,
     sampler,
@@ -517,17 +548,11 @@ def run_ensemble(
     use); a run below the pool's break-even steps in this process.  No
     worker count changes a result.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if record_stride is not None and record_stride < 0:
         raise ValueError(f"record_stride must be >= 0, got {record_stride}")
     snaps = [psi_snapshots] if isinstance(psi_snapshots, WaveField) else list(psi_snapshots)
     t0 = min(s.time for s in snaps)   # ValueError without snapshots
     grid = snaps[0].grid
-    if isinstance(sampler, PointSampler):
-        _check_start(sampler.x, grid)
     if t_final < t0:
         raise ValueError(f"t_final={t_final} precedes the first snapshot time {t0}")
     checkpoint_steps = []
@@ -535,29 +560,10 @@ def run_ensemble(
         if not t0 <= tc <= t_final:
             raise ValueError(f"checkpoint time {tc} outside [{t0}, {t_final}]")
         checkpoint_steps.append(step_count(t0, tc, dt_L))
-    # Each segment's drift interpolant and basin map serve every chunk.
-    segments = [(steps, _Interpolant(grid, drift_field(psi, params)),
-                 None if node_threshold is None else NodeBasinMap.from_wavefield(psi, node_threshold))
-                for psi, steps in step_plan(snaps, t0, t_final, dt_L)]
-
-    total = sum(steps for steps, _, _ in segments)
-    workers = _pool_size(n, total, workers)
-    job = functools.partial(_run_chunk, master_seed=master_seed, sampler=sampler, grid=grid,
-                            params=params, dt=dt_L, t0=t0, segments=segments,
-                            checkpoint_steps=set(checkpoint_steps), record_stride=record_stride)
-    if workers == 1:
-        results = [job(ids) for ids in _chunks(n, workers)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The children inherit ``job`` through the fork, and only results come
-        # back pickled.  Read in chunk order, they raise the lowest failing
-        # chunk's IntegratorFailure, as a serial run does; a child that dies
-        # raises BrokenProcessPool.  Leaving the block joins the processes.
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _adopt, (job,)) as pool:
-            results = list(pool.map(_pool_chunk, _chunks(n, workers)))
+    plan = step_plan(snaps, t0, t_final, dt_L)
+    results = _launch(n, sampler, grid, plan, params, dt_L, t0, master_seed, workers,
+                      node_threshold, checkpoint_steps=set(checkpoint_steps),
+                      record_stride=record_stride)
 
     final_positions = np.concatenate([r[0] for r in results])
     crossings = np.concatenate([r[1] for r in results])
@@ -580,7 +586,7 @@ def run_ensemble(
         "epsilon": params.epsilon,
         "dt_L": dt_L,
         "t_final": t_final,
-        "steps": total,
+        "steps": sum(steps for _, steps in plan),
         "master_seed": master_seed,
     }
     return EnsembleResult(
@@ -613,19 +619,12 @@ def run_first_passage_ensemble(
     ``t_max``.  A walker leaves its chunk's batch when it hits; the others
     keep the rest of their noise block.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _check_dt(dt_L)
     if not t0 <= t_max < np.inf:
         raise ValueError(f"t_max={t_max} must be finite and not precede the start time t0={t0}")
-    sampler = PointSampler(x0)
-    _check_start(sampler.x, psi.grid)
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
-    segments = [(max_steps, _Interpolant(psi.grid, drift_field(psi, params)), None)]
-    out = []
-    for ids in _chunks(n, 1):
-        hits = _run_chunk(ids, master_seed, sampler, psi.grid, params, dt_L, t0, segments,
-                          stop=stop)[4]
-        out += [FirstPassage(sid, float(t0 + k * dt_L), False) if k >= 0
-                else FirstPassage(sid, t_max, True) for sid, k in zip(ids, hits)]
-    return out
+    # One process: a pool did not shorten a retiring run (module docstring).
+    hits = np.concatenate([r[4] for r in _launch(n, PointSampler(x0), psi.grid, [(psi, max_steps)],
+                                                 params, dt_L, t0, master_seed, 1, stop=stop)])
+    return [FirstPassage(sid, float(t0 + k * dt_L), False) if k >= 0
+            else FirstPassage(sid, t_max, True) for sid, k in enumerate(hits)]

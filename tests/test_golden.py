@@ -149,7 +149,8 @@ def test_metric_csv_hashes(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_metric_csv_hashes_through_a_fork_pool(name, tmp_path, monkeypatch):
-    # every walker run of two or more walkers steps its chunks in two processes
+    # every ensemble of two or more walkers steps its chunks in two processes;
+    # first passage (double_well_mfpt) still steps in this one
     monkeypatch.setattr(langevin, "_POOL_MIN_TRAJ_STEPS", 0)
     monkeypatch.setattr(langevin, "_cpus", lambda: 2)
     assert _hashes(name, tmp_path, workers=2) == GOLDEN[name]

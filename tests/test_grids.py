@@ -39,6 +39,9 @@ def test_grid_spacing_and_volume():
     [
         ((4,), ((0.0, 1.0),), ("periodic",)),          # too few points
         ((16,), ((1.0, 1.0),), ("periodic",)),          # empty extent
+        ((16,), ((0.0, np.inf),), ("periodic",)),       # infinite end
+        ((16,), ((-1e308, 1e308),), ("periodic",)),     # finite ends, infinite width
+        ((16,), ((np.nan, 1.0),), ("periodic",)),       # no end at all
         ((16,), ((0.0, 1.0),), ("absorbing",)),         # unknown boundary
         ((16, 16, 16, 16), ((0.0, 1.0),) * 4, ("periodic",) * 4),  # dims > 3
     ],

@@ -284,6 +284,24 @@ def test_a_pool_run_equals_a_serial_run_and_leaves_no_process(monkeypatch, dims)
     assert dims == 2 or serial.crossings.sum() > 0
 
 
+def test_first_passage_steps_in_this_process_however_large(monkeypatch):
+    # A retiring run asks the launch for one process: with the pool's
+    # break-even at zero and two CPUs, no pool starts and no time moves.
+    import concurrent.futures
+
+    g = Grid.make(256, (-8.0, 8.0), "reflecting")
+    psi = make_double_gaussian(g, DoubleGaussianParams(a=1.0, b=1.5))
+    args = (40, [-1.5], psi, GuidanceParams(lam=1.0), 0.01, PlaneCrossing(at=1.5), 10.0)
+    unpatched = run_first_passage_ensemble(*args, master_seed=3)
+    force_pool(monkeypatch)
+    monkeypatch.setattr(langevin, "_CHUNK", 8)   # 5 chunks
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor") as pool:
+        patched = run_first_passage_ensemble(*args, master_seed=3)
+    pool.assert_not_called()
+    assert patched == unpatched
+    assert 0 < sum(not r.censored for r in patched) < len(patched)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
 def test_a_chunk_failing_in_a_pool_process_raises_what_a_serial_run_raises(monkeypatch):
@@ -500,17 +518,24 @@ def test_recorded_rows_do_not_end_kernel_blocks(monkeypatch):
 
 @pytest.mark.parametrize("dims", [1, 2])
 def test_start_point_of_the_wrong_length_is_refused_before_any_drift_table(dims):
-    # A start point needs one coordinate per grid axis; both entry points say
-    # so before they build a drift table.
+    # A start point needs one coordinate per grid axis, a run at least one
+    # walker and a pool at least one process; both entry points say so
+    # before they build a drift table.
     g, psi = flat_setup(dims=dims, n=16)
     params = GuidanceParams(lam=1.0)
-    wrong = [0.0] * (3 - dims)   # 2 coordinates on a 1-d grid, 1 on a 2-d grid
+    right, wrong = [0.0] * dims, [0.0] * (3 - dims)   # 2 coordinates on a 1-d grid, 1 on 2-d
     message = f"has {3 - dims} coordinates, but the grid has dims={dims}"
     with mock.patch.object(langevin, "drift_field") as drift:
         with pytest.raises(ValueError, match=message):
             run_ensemble(2, PointSampler(wrong), psi, params, 0.01, 0.1)
         with pytest.raises(ValueError, match=message):
             run_first_passage_ensemble(2, wrong, psi, params, 0.01, PlaneCrossing(at=1.0), 0.1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_ensemble(0, PointSampler(right), psi, params, 0.01, 0.1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_first_passage_ensemble(0, right, psi, params, 0.01, PlaneCrossing(at=1.0), 0.1)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_ensemble(2, PointSampler(right), psi, params, 0.01, 0.1, workers=0)
     assert drift.call_count == 0
 
 

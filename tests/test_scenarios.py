@@ -271,8 +271,12 @@ PROPAGATED = ("harmonic_ground", "adiabatic_tracking", "interference", "free_pac
       for name in PROPAGATED],
     ("free_packet", {"grid": {"points": [256.5]}},
      ["grid.points must be a list of positive integers, got [256.5]"]),
+    ("free_packet", {"grid": {"extent": [[float("-inf"), float("inf")]]}},
+     ["grid: extent must be finite with hi > lo, got (-inf, inf)"]),
+    ("free_packet", {"grid": {"extent": [[-1e308, 1e308]]}},   # the width overflows
+     ["grid: extent must be finite with hi > lo, got (-1e+308, 1e+308)"]),
 ], ids=["double_well_2d", "product_1d", *[f"{name}_reflecting" for name in PROPAGATED],
-        "fractional_points"])
+        "fractional_points", "infinite_extent", "overflowing_width"])
 def test_grids_the_runner_cannot_use_are_listed(scenario, override, errors):
     # listed before compute: the runner used to raise on these after setup,
     # or to run on the points truncated to an integer
