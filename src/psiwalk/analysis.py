@@ -127,29 +127,36 @@ class CorrelationStats:
 
 
 def _pearson(u: np.ndarray, v: np.ndarray):
+    """Pearson correlation of two equal 1-d arrays, and whether either is
+    constant; centres ``u`` and ``v`` and overwrites ``u`` with the products."""
     su, sv = u.std(), v.std()
     if su == 0 or sv == 0:
         return np.nan, True
-    return float(np.mean((u - u.mean()) * (v - v.mean())) / (su * sv)), False
+    u -= u.mean()
+    v -= v.mean()
+    u *= v
+    return float(u.mean() / (su * sv)), False
 
 
 def independence_test(paths: np.ndarray, split: float = 0.0) -> CorrelationStats:
     """Correlation between the two coordinates of 2-d trajectory records.
 
-    ``paths`` has shape (n_traj, n_times, 2).  Correlates pooled per-step
-    increments, and the occupancy indicators x > split, y > split.
+    ``paths`` has shape (n_traj, n_times, 2), with n_traj >= 1 and
+    n_times >= 2.  Correlates pooled per-step increments, then, with those
+    freed, the occupancy indicators x > split, y > split: the test holds
+    about one and a half copies of ``paths`` more.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 3 or paths.shape[2] != 2:
         raise ValueError("paths must have shape (n_traj, n_times, 2)")
-    inc = np.diff(paths, axis=1)
-    dx = inc[:, :, 0].ravel()
-    dy = inc[:, :, 1].ravel()
-    rho_inc, degenerate_inc = _pearson(dx, dy)
-    occ_x = (paths[:, :, 0] > split).astype(float).ravel()
-    occ_y = (paths[:, :, 1] > split).astype(float).ravel()
-    rho_occ, degenerate_occ = _pearson(occ_x, occ_y)
+    if paths.shape[0] < 1 or paths.shape[1] < 2:
+        raise ValueError(f"independence_test needs a path and two rows, got shape {paths.shape}")
+    dx, dy = (np.diff(paths[:, :, k], axis=1).ravel() for k in (0, 1))
     n = dx.size
+    rho_inc, degenerate_inc = _pearson(dx, dy)
+    del dx, dy
+    occ_x, occ_y = ((paths[:, :, k] > split).astype(float).ravel() for k in (0, 1))
+    rho_occ, degenerate_occ = _pearson(occ_x, occ_y)
     return CorrelationStats(
         rho_increments=rho_inc,
         z_increments=rho_inc * np.sqrt(n) if np.isfinite(rho_inc) else np.nan,
@@ -168,11 +175,12 @@ def well_jumps(paths: np.ndarray, wells, axis: int = 0) -> np.ndarray:
     when the path actually reaches a different well.
     """
     x = np.asarray(paths, dtype=float)[..., axis]
-    labels = np.full(x.shape, -1, dtype=np.int64)
+    # Labels and row indices in the narrowest dtypes that hold them, not int64.
+    labels = np.full(x.shape, -1, dtype=np.min_scalar_type(-1 - len(wells)))
     for j, (lo, hi) in enumerate(wells):
         labels[(x >= lo) & (x <= hi)] = j
     # Forward-fill the gaps: each row reads the label of its last row in a well.
-    last = np.where(labels >= 0, np.arange(x.shape[1]), 0)
+    last = np.where(labels >= 0, np.arange(x.shape[1], dtype=np.min_scalar_type(x.shape[1])), 0)
     np.maximum.accumulate(last, axis=1, out=last)
     filled = np.take_along_axis(labels, last, axis=1)
     return ((filled[:, 1:] != filled[:, :-1]) & (filled[:, :-1] >= 0)).sum(axis=1)

@@ -26,9 +26,9 @@ a time up to the next event: noise-block end, snapshot-segment end,
 checkpoint, or the first step at which a walker meets an optional stop
 predicate.  A run either observes or stops: walkers retire from the batch
 only in a first-passage run (``run_first_passage_ensemble``), which observes
-nothing else.  A recorded row ends no block: the kernel appends each recorded
-position array, which no later step writes to, and the driver stacks the
-paths at the end.  A single trajectory is an ensemble of one.
+nothing else.  A recorded row ends no block: the driver allocates the chunk's
+paths once, and the kernel writes each recorded row into them.  A single
+trajectory is an ensemble of one.
 
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
@@ -310,14 +310,15 @@ def _advance_block(positions, t0, step, dt, noise, drift, grid, cap, stream_ids,
     a ``stop`` predicate the block ends after the first step at which some
     walker hits.  With a basin map, each step counts into ``crossings`` the
     walkers whose basin differs from their last one, ``basin_prev``, which node
-    cells (-1) keep.  ``record``, a ``(rows, first, stride)`` triple, appends to
-    the list ``rows`` the positions after step ``first`` of the block and every
-    ``stride``-th step after it; no step writes to a position array again.
+    cells (-1) keep.  ``record``, a ``(paths, stride)`` pair, writes the
+    positions after each step k of the run that is a multiple of ``stride``
+    into ``paths[:, k // stride]``, ``paths`` being ``(m, rows, dims)``.
     Returns ``(positions, steps, hit)``, ``hit`` marking the walkers that
     stopped (None when the block ran out)."""
     m = noise.shape[1]
     dt_array = np.array(dt)   # a 0-d operand costs less per call than a float
-    rows, nxt, stride = record if record is not None else (None, 0, 0)
+    paths, stride = record if record is not None else (None, 0)
+    nxt = stride - step % stride if stride else 0   # the block step of the next row
     if basin_map is not None:
         basins = np.empty(m, np.int64)
     for s, eta in enumerate(noise):
@@ -337,7 +338,7 @@ def _advance_block(positions, t0, step, dt, noise, drift, grid, cap, stream_ids,
                 crossings += changed & (basins >= 0) & (basin_prev >= 0)
                 np.copyto(basin_prev, basins, where=basins >= 0)
         if s + 1 == nxt:
-            rows.append(positions)
+            paths[:, (step + nxt) // stride] = positions
             nxt += stride
         if stop is not None:
             hit = stop.hit(positions, side)
@@ -398,7 +399,11 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
     step = 0
     if stop is not None and np.count_nonzero(hit := stop.hit(positions, side)):
         retire(hit, step)
-    recorded = [positions]   # the start row, then the kernel's rows in step order
+    paths = record = None
+    if record_stride:   # the start row, then the kernel's rows
+        paths = np.empty((m, 1 + total // record_stride, dims))
+        paths[:, 0] = positions
+        record = (paths, record_stride)
     captured = {0: positions.copy()} if 0 in checkpoint_steps else {}
     for steps, drift, bmap in segments:
         if bmap is not None:
@@ -412,8 +417,6 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
             # Advance to the next event (block end, segment end or checkpoint),
             # or less if some walker meets ``stop``.
             nxt = min([seg_end, step + len(noise)] + [c for c in checkpoint_steps if c > step])
-            record = (recorded, record_stride - step % record_stride,
-                      record_stride) if record_stride else None
             k, hit = nxt - step, None
             if rows.size:
                 positions, k, hit = _advance_block(
@@ -426,9 +429,7 @@ def _run_chunk(stream_ids, master_seed, sampler, grid: Grid, params: GuidancePar
             if step in checkpoint_steps:
                 captured[step] = positions.copy()
 
-    del buf, noise  # release the noise before stacking the recorded paths
     final[rows] = positions
-    paths = np.stack(recorded, axis=1) if record_stride else None
     return final, crossings, captured, paths, hit_steps
 
 
@@ -542,8 +543,9 @@ def run_ensemble(
 
     The walkers start at the earliest snapshot's time.  The final-position
     histogram is normalized on the field grid.  ``checkpoint_times`` capture
-    full position snapshots at step-aligned times; ``record_stride`` keeps
-    every k-th step of every trajectory (memory permitting).  ``workers``
+    full position snapshots at step-aligned times; ``record_stride`` k keeps
+    every k-th step of every trajectory in one ``(n, 1 + steps // k, dims)``
+    array of doubles.  ``workers``
     caps the processes that step chunks (None: every CPU this process may
     use); a run below the pool's break-even steps in this process.  No
     worker count changes a result.
@@ -574,7 +576,8 @@ def run_ensemble(
     paths = None
     path_times = None
     if record_stride:
-        paths = np.concatenate([r[3] for r in results])
+        # One chunk's paths are returned as they are: a copy would double the peak.
+        paths = results[0][3] if len(results) == 1 else np.concatenate([r[3] for r in results])
         path_times = t0 + dt_L * record_stride * np.arange(paths.shape[1])
 
     from .analysis import histogram as _histogram

@@ -14,7 +14,10 @@ from psiwalk import (
     total_variation,
     well_jumps,
 )
+from psiwalk.analysis import CorrelationStats
 from psiwalk.langevin import substream
+
+from _memory import traced_peak
 
 
 # -- histogram ---------------------------------------------------------------
@@ -216,6 +219,73 @@ def test_independence_degenerate_flagged():
     assert stats.degenerate
 
 
+def pearson_reference(u, v):
+    su, sv = u.std(), v.std()
+    if su == 0 or sv == 0:
+        return np.nan, True
+    return float(np.mean((u - u.mean()) * (v - v.mean())) / (su * sv)), False
+
+
+def independence_reference(paths, split=0.0):
+    """The test as it was computed on full-size copies: every increment at
+    once, each coordinate raveled from them, centred out of place."""
+    inc = np.diff(paths, axis=1)
+    dx = inc[:, :, 0].ravel()
+    dy = inc[:, :, 1].ravel()
+    rho_inc, degenerate_inc = pearson_reference(dx, dy)
+    occ_x = (paths[:, :, 0] > split).astype(float).ravel()
+    occ_y = (paths[:, :, 1] > split).astype(float).ravel()
+    rho_occ, degenerate_occ = pearson_reference(occ_x, occ_y)
+    n = dx.size
+    return CorrelationStats(
+        rho_increments=rho_inc,
+        z_increments=rho_inc * np.sqrt(n) if np.isfinite(rho_inc) else np.nan,
+        rho_occupancy=rho_occ,
+        z_occupancy=rho_occ * np.sqrt(occ_x.size) if np.isfinite(rho_occ) else np.nan,
+        n_increments=n,
+        degenerate=degenerate_inc or degenerate_occ,
+    )
+
+
+def _independence_cases():
+    rng = np.random.default_rng(23)
+    walk = np.cumsum(rng.standard_normal((5, 301, 2)), axis=1)
+    one = walk[:, :, :1]
+    flat_y = walk.copy()
+    flat_y[:, :, 1] = 0.25
+    return {"random": walk, "identical": np.concatenate([one, one], axis=2),
+            "constant": np.full((3, 40, 2), 1.5), "one_constant_coordinate": flat_y,
+            "one_row_pair": walk[:1, :2]}
+
+
+@pytest.mark.parametrize("case", list(_independence_cases()))
+@pytest.mark.parametrize("split", [0.0, 0.7])
+def test_independence_equals_the_full_copy_formula_bit_for_bit(case, split):
+    paths = _independence_cases()[case]
+    got, ref = independence_test(paths, split), independence_reference(paths, split)
+    for name, a in vars(got).items():
+        b = getattr(ref, name)
+        assert a == b or (np.isnan(a) and np.isnan(b)), name
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 2), (0, 5, 2), (2, 0, 2)])
+def test_independence_needs_a_path_and_two_rows(shape):
+    # below that, each reduction would average an empty array: numpy warns
+    # "Degrees of freedom <= 0" and the statistics come out NaN
+    with pytest.raises(ValueError, match="a path and two rows"):
+        independence_test(np.zeros(shape))
+
+
+def test_independence_adds_at_most_one_and_a_half_copies_of_its_paths():
+    # one coordinate's increments (or indicators) and std's temporary
+    rng = np.random.default_rng(24)
+    paths = np.cumsum(rng.standard_normal((64, 2001, 2)), axis=1)
+    before = paths.copy()
+    _, peak = traced_peak(independence_test, paths)
+    assert np.array_equal(paths, before)
+    assert peak <= 1.6 * paths.nbytes, peak / paths.nbytes
+
+
 # -- well occupancy ---------------------------------------------------------------
 
 WELLS = [(-3.0, -1.0), (1.0, 3.0)]
@@ -236,13 +306,33 @@ def test_occupancy_neutral_gap_not_a_jump():
     assert list(well_jumps(path[None], WELLS)) == [1]
 
 
+def jump_counts(x, wells):
+    """Per path: the sequence of wells visited, gap rows dropped, and its changes."""
+    counts = []
+    for row in x:
+        visited = [j for v in row for j, (lo, hi) in enumerate(wells) if lo <= v <= hi]
+        counts.append(sum(a != b for a, b in zip(visited, visited[1:])))
+    return counts
+
+
 def test_well_jumps_count_the_changes_of_the_wells_each_path_visits():
-    # per path: the sequence of wells visited, gap rows dropped, and its changes
     rng = np.random.default_rng(11)
     paths = rng.choice([-2.0, -0.5, 0.0, 2.5, 4.0], size=(300, 40, 2))
-    x = paths[..., 1]
-    expected = []
-    for row in x:
-        visited = [j for v in row for j, (lo, hi) in enumerate(WELLS) if lo <= v <= hi]
-        expected.append(sum(a != b for a, b in zip(visited, visited[1:])))
-    assert list(well_jumps(paths, WELLS, axis=1)) == expected
+    assert list(well_jumps(paths, WELLS, axis=1)) == jump_counts(paths[..., 1], WELLS)
+
+
+def test_well_jumps_count_past_the_narrowest_label_and_row_dtypes():
+    # 200 wells outgrow int8 labels and 300 rows uint8 row indices
+    wells = [(j, j + 0.5) for j in range(200)]
+    rng = np.random.default_rng(13)
+    paths = rng.uniform(-1.0, 200.0, size=(4, 300, 1))
+    expected = jump_counts(paths[..., 0], wells)
+    assert sum(expected) > 100
+    assert list(well_jumps(paths, wells)) == expected
+
+
+def test_well_jumps_temporaries_stay_within_one_and_a_half_paths():
+    rng = np.random.default_rng(12)
+    paths = rng.choice([-2.0, -0.5, 0.0, 2.5, 4.0], size=(300, 2000, 1))
+    _, peak = traced_peak(well_jumps, paths, WELLS)
+    assert peak <= 1.5 * paths.nbytes, peak / paths.nbytes

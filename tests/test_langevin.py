@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import pickle
@@ -37,6 +38,7 @@ from psiwalk.analysis import coarsen
 from psiwalk.guidance import regularized_density
 
 from _interpolate import interpolate
+from _memory import traced_peak
 from _oracles import MFPT_FULL_CROSSING
 
 
@@ -514,6 +516,23 @@ def test_recorded_rows_do_not_end_kernel_blocks(monkeypatch):
     bound = [inspect.signature(langevin._advance_block).bind(*call.args, **call.kwargs)
              for call in kernel.call_args_list]
     assert [b.arguments["noise"].shape[0] for b in bound] == [5, 2, 3, 1, 3, 1, 5, 1]
+    # every call writes its rows into the one array the run returns
+    assert all(b.arguments["record"][0] is res.paths for b in bound)
+
+
+def test_a_recorded_run_holds_about_one_copy_of_its_paths(monkeypatch):
+    # The chunk allocates its paths once and the kernel writes each row into
+    # them, and a single chunk's paths are returned without a copy: keeping
+    # per-step rows and stacking them would peak at twice the paths.
+    g, psi = flat_setup(dims=2, n=16)
+    params = GuidanceParams(lam=1.0)
+    monkeypatch.setattr(langevin, "_NOISE_VALUES", 2**12)   # 32 steps of noise
+    run = functools.partial(run_ensemble, psi_snapshots=psi, params=params, dt_L=0.001,
+                            record_stride=1, workers=1)
+    run(2, PointSampler([0.0, 0.0]), t_final=0.01)   # lazy set-up outside the trace
+    res, peak = traced_peak(run, 64, PointSampler([0.0, 0.0]), t_final=2.0)
+    assert res.paths.shape == (64, 2001, 2)
+    assert peak <= 1.25 * res.paths.nbytes, peak / res.paths.nbytes
 
 
 @pytest.mark.parametrize("dims", [1, 2])
