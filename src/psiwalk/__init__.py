@@ -56,6 +56,5 @@ from .analysis import (
     kramers_prediction,
     mfpt_estimate,
     total_variation,
-    well_jumps,
 )
 from .scenarios import RunManifest, ScenarioConfig, run_scenario, validate_config

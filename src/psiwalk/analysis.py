@@ -166,21 +166,3 @@ def independence_test(paths: np.ndarray, split: float = 0.0) -> CorrelationStats
         degenerate=degenerate_inc or degenerate_occ,
     )
 
-
-def well_jumps(paths: np.ndarray, wells, axis: int = 0) -> np.ndarray:
-    """Number of jumps between wells of each path in ``paths``, shape (n, rows, dims).
-
-    ``wells`` is a list of (lo, hi) intervals on one axis; a row in no well
-    keeps the well of the path's last row in one, so a jump is counted only
-    when the path actually reaches a different well.
-    """
-    x = np.asarray(paths, dtype=float)[..., axis]
-    # Labels and row indices in the narrowest dtypes that hold them, not int64.
-    labels = np.full(x.shape, -1, dtype=np.min_scalar_type(-1 - len(wells)))
-    for j, (lo, hi) in enumerate(wells):
-        labels[(x >= lo) & (x <= hi)] = j
-    # Forward-fill the gaps: each row reads the label of its last row in a well.
-    last = np.where(labels >= 0, np.arange(x.shape[1], dtype=np.min_scalar_type(x.shape[1])), 0)
-    np.maximum.accumulate(last, axis=1, out=last)
-    filled = np.take_along_axis(labels, last, axis=1)
-    return ((filled[:, 1:] != filled[:, :-1]) & (filled[:, :-1] >= 0)).sum(axis=1)

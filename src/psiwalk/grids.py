@@ -242,13 +242,13 @@ def _check_dt(dt: float) -> None:
 def step_count(t0: float, t1: float, dt: float) -> int:
     """Number of ``dt`` steps from ``t0`` to ``t1``: the one step rule of every engine.
 
-    ``dt`` must be positive and finite, the steps must span ``t1 - t0`` to within
-    ``1e-9 * max(1, |t1 - t0|)``, and a positive span takes at least one step;
-    anything else raises ValueError.
+    ``dt`` must be positive and finite, the steps must be finitely many and span
+    ``t1 - t0`` to within ``1e-9 * max(1, |t1 - t0|)``, and a positive span takes
+    at least one step; anything else raises ValueError.
     """
     _check_dt(dt)
     span = t1 - t0
-    steps = int(round(span / dt))
+    steps = int(round(ratio)) if math.isfinite(ratio := span / dt) else -1   # -1 fails below
     if steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)) or (span > 0 and not steps):
         raise ValueError(f"dt={dt} does not divide the interval [{t0}, {t1}]")
     return steps

@@ -33,14 +33,14 @@ class GuidanceParams:
     drift_cap: float | None = None
 
     def __post_init__(self):
-        # lam = 0 is the deterministic limit (no noise, no guidance drift),
-        # useful for exercising the integrator; negative diffusion is not.
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.drift_cap is not None and self.drift_cap <= 0:
-            raise ValueError("drift_cap must be positive when set")
+        # lam = 0 is the deterministic limit (no noise, no guidance drift), useful
+        # for exercising the integrator; negative diffusion is not, nor NaN or inf.
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam={self.lam} must be nonnegative and finite")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon={self.epsilon} must be positive and finite")
+        if self.drift_cap is not None and not 0 < self.drift_cap < np.inf:
+            raise ValueError(f"drift_cap={self.drift_cap} must be positive and finite when set")
 
 
 def regularized_density(psi: WaveField, params: GuidanceParams) -> DensityField:

@@ -11,7 +11,7 @@ point back into the box, periodic boundaries wrap.
 
 One kernel, ``_advance_block``, takes every step of every entry point: it
 interpolates the drift at the in-box positions, caps it, adds the noise,
-folds, raises IntegratorFailure on a non-finite step, counts node-basin
+folds, raises IntegratorFailure on a non-finite step, counts basin-map
 crossings and records the path rows it is asked for.  ``Grid.fold`` returns
 its own input when every row is in the box, and an in-box row is finite, so
 the kernel scans for non-finite values only on steps where the fold moved a
@@ -33,8 +33,8 @@ trajectory is an ensemble of one.
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
 as in the density solver; checkpoints must lie a ``grids.step_count`` of
 steps from the start.  The launch builds each segment's drift interpolant
-and basin map once, for every chunk.  A basin map labels the open cells in
-numpy, so no walker run needs scipy.
+and basin map (node basins or wells) once, for every chunk.  Node basins are
+labelled in numpy, so no walker run needs scipy.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
@@ -167,15 +167,15 @@ class DensitySampler:
 
 
 # --------------------------------------------------------------------------
-# node-crossing diagnostics
+# crossing diagnostics
 
 class NodeBasinMap:
-    """Partition of grid cells into node zones and numbered basins.
+    """Grid cells labelled by numbered node basins or wells, -1 between them.
 
-    Cells with ``|Psi|^2 < threshold * max|Psi|^2`` form node barriers; the
-    connected components of the remaining cells are basins.  A trajectory
-    records one crossing whenever consecutive step endpoints belong to two
-    different basins.
+    ``from_wavefield``'s node cells, ``|Psi|^2 < threshold * max|Psi|^2``, get
+    -1, and the connected components of the others are basins.  A trajectory
+    records a crossing at each step that ends in a region other than its last
+    one; -1 cells keep the last.
     """
 
     def __init__(self, grid: Grid, labels: np.ndarray):
@@ -255,6 +255,10 @@ class PlaneCrossing:
 
     at: float = 0.0
     axis: int = 0
+
+    def __post_init__(self):
+        if not np.isfinite(self.at):   # a NaN plane would censor every walker
+            raise ValueError(f"the plane at={self.at} must be finite")
 
     def initial_side(self, x0) -> np.ndarray:
         return np.sign(np.atleast_2d(x0)[:, self.axis] - self.at)
@@ -494,7 +498,7 @@ def _fill(noise, rngs, sigma):
 
 
 def _launch(n, sampler, grid: Grid, plan, params: GuidanceParams, dt: float, t0: float,
-            master_seed: int, workers: int | None, node_threshold=None, **observe) -> list:
+            master_seed: int, workers: int | None, basins=None, **observe) -> list:
     """Step ``n`` walkers (stream ids 0..n-1) from ``sampler``'s start at ``t0``
     through ``plan``, ``[(snapshot, steps)]``, in at most ``workers`` processes,
     and return the chunks' ``_run_chunk`` results in stream order.  A point
@@ -507,8 +511,7 @@ def _launch(n, sampler, grid: Grid, plan, params: GuidanceParams, dt: float, t0:
         raise ValueError(f"the start point has {sampler.x.size} coordinates, but the grid has "
                          f"dims={grid.dims}")
     segments = [(steps, _Interpolant(grid, drift_field(psi, params)),
-                 None if node_threshold is None else NodeBasinMap.from_wavefield(psi, node_threshold))
-                for psi, steps in plan]
+                 None if basins is None else basins(psi)) for psi, steps in plan]
     workers = _pool_size(n, sum(steps for _, steps in plan), workers)
     job = functools.partial(_run_chunk, master_seed=master_seed, sampler=sampler, grid=grid,
                             params=params, dt=dt, t0=t0, segments=segments, **observe)
@@ -534,7 +537,7 @@ def run_ensemble(
     dt_L: float,
     t_final: float,
     master_seed: int = 0,
-    node_threshold: float | None = None,
+    basins=None,
     checkpoint_times=(),
     record_stride: int | None = None,
     workers: int | None = None,
@@ -542,7 +545,9 @@ def run_ensemble(
     """Run ``n`` independent trajectories with stream ids 0..n-1.
 
     The walkers start at the earliest snapshot's time.  The final-position
-    histogram is normalized on the field grid.  ``checkpoint_times`` capture
+    histogram is normalized on the field grid.  ``basins`` maps a snapshot to
+    the ``NodeBasinMap`` on which its steps count ``crossings`` (None: none
+    counted).  ``checkpoint_times`` capture
     full position snapshots at step-aligned times; ``record_stride`` k keeps
     every k-th step of every trajectory in one ``(n, 1 + steps // k, dims)``
     array of doubles.  ``workers``
@@ -564,7 +569,7 @@ def run_ensemble(
         checkpoint_steps.append(step_count(t0, tc, dt_L))
     plan = step_plan(snaps, t0, t_final, dt_L)
     results = _launch(n, sampler, grid, plan, params, dt_L, t0, master_seed, workers,
-                      node_threshold, checkpoint_steps=set(checkpoint_steps),
+                      basins, checkpoint_steps=set(checkpoint_steps),
                       record_stride=record_stride)
 
     final_positions = np.concatenate([r[0] for r in results])

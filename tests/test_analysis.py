@@ -12,7 +12,6 @@ from psiwalk import (
     kramers_prediction,
     mfpt_estimate,
     total_variation,
-    well_jumps,
 )
 from psiwalk.analysis import CorrelationStats
 from psiwalk.langevin import substream
@@ -284,55 +283,3 @@ def test_independence_adds_at_most_one_and_a_half_copies_of_its_paths():
     _, peak = traced_peak(independence_test, paths)
     assert np.array_equal(paths, before)
     assert peak <= 1.6 * paths.nbytes, peak / paths.nbytes
-
-
-# -- well occupancy ---------------------------------------------------------------
-
-WELLS = [(-3.0, -1.0), (1.0, 3.0)]
-
-
-def test_occupancy_single_well():
-    assert list(well_jumps(np.full((1, 50, 1), -2.0), WELLS)) == [0]
-
-
-def test_occupancy_alternating_every_step():
-    path = np.array([[-2.0], [2.0]] * 10)
-    assert list(well_jumps(path[None], WELLS)) == [len(path) - 1]
-
-
-def test_occupancy_neutral_gap_not_a_jump():
-    # visiting the gap and returning to the same well does not count
-    path = np.array([[-2.0], [0.0], [-2.0], [0.0], [2.0]])
-    assert list(well_jumps(path[None], WELLS)) == [1]
-
-
-def jump_counts(x, wells):
-    """Per path: the sequence of wells visited, gap rows dropped, and its changes."""
-    counts = []
-    for row in x:
-        visited = [j for v in row for j, (lo, hi) in enumerate(wells) if lo <= v <= hi]
-        counts.append(sum(a != b for a, b in zip(visited, visited[1:])))
-    return counts
-
-
-def test_well_jumps_count_the_changes_of_the_wells_each_path_visits():
-    rng = np.random.default_rng(11)
-    paths = rng.choice([-2.0, -0.5, 0.0, 2.5, 4.0], size=(300, 40, 2))
-    assert list(well_jumps(paths, WELLS, axis=1)) == jump_counts(paths[..., 1], WELLS)
-
-
-def test_well_jumps_count_past_the_narrowest_label_and_row_dtypes():
-    # 200 wells outgrow int8 labels and 300 rows uint8 row indices
-    wells = [(j, j + 0.5) for j in range(200)]
-    rng = np.random.default_rng(13)
-    paths = rng.uniform(-1.0, 200.0, size=(4, 300, 1))
-    expected = jump_counts(paths[..., 0], wells)
-    assert sum(expected) > 100
-    assert list(well_jumps(paths, wells)) == expected
-
-
-def test_well_jumps_temporaries_stay_within_one_and_a_half_paths():
-    rng = np.random.default_rng(12)
-    paths = rng.choice([-2.0, -0.5, 0.0, 2.5, 4.0], size=(300, 2000, 1))
-    _, peak = traced_peak(well_jumps, paths, WELLS)
-    assert peak <= 1.5 * paths.nbytes, peak / paths.nbytes

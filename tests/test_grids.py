@@ -397,6 +397,23 @@ def test_every_engine_rejects_a_dt_that_is_not_positive_and_finite(dt):
             run()
 
 
+@pytest.mark.parametrize("t0, t1, dt", [(0.0, np.inf, 0.01), (0.0, np.nan, 0.01),
+                                         (0.0, 1e308, 1e-300)])
+def test_every_engine_rejects_a_horizon_of_no_finite_step_count(t0, t1, dt):
+    # an infinite step ratio raised OverflowError ("cannot convert float
+    # infinity to integer"), and a NaN one numpy's "cannot convert float NaN"
+    g = Grid.make(32, (-4.0, 4.0), "periodic")
+    psi = make_packet(g, [0.0], 1.0)
+    p0 = DensityField(g, np.abs(psi.values) ** 2)
+    params = GuidanceParams(lam=1.0)
+    for run in (lambda: step_count(t0, t1, dt), lambda: step_plan([psi], t0, t1, dt),
+                lambda: evolve(psi, HamiltonianSpec(), t1, dt),
+                lambda: fp_evolve(p0, psi, params, dt, t1),
+                lambda: run_ensemble(4, PointSampler([0.0]), psi, params, dt, t1)):
+        with pytest.raises(ValueError, match=r"dt=\S+ does not divide the interval"):
+            run()
+
+
 @settings(max_examples=300, deadline=None)
 @given(dt=st.sampled_from([0.3, 0.25, 0.1, 0.01, 1e-3]),
        ks=st.lists(st.integers(0, 60), min_size=1, max_size=8),

@@ -29,6 +29,11 @@ def test_guidance_params_validation():
         GuidanceParams(lam=1.0, epsilon=0.0)
     with pytest.raises(ValueError):
         GuidanceParams(lam=1.0, drift_cap=-2.0)
+    # a NaN cap never bound (mag > nan is False), and NaN or inf passed every check
+    for bad in (np.nan, np.inf):
+        for kw in ({"lam": bad}, {"lam": 1.0, "epsilon": bad}, {"lam": 1.0, "drift_cap": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                GuidanceParams(**kw)
 
 
 def gaussian_field(n=192, half=6.0):

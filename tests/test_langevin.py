@@ -72,17 +72,22 @@ def em_reference(x, rng, grid, drift_of_step, params, dt, steps):
     return path
 
 
-class SnapshotReference:
-    """Drift array and basin map of each snapshot, and the snapshot governing
-    a time looked up on its own: the latest snapshot at or before it (1e-12
-    slack), or the first."""
+def node_basins(threshold):
+    """The ``basins`` argument that labels each snapshot's node basins."""
+    return lambda psi: NodeBasinMap.from_wavefield(psi, threshold)
 
-    def __init__(self, snapshots, params, node_threshold=None):
+
+class SnapshotReference:
+    """Drift array and basin map (``basins`` of the snapshot) of each snapshot,
+    and the snapshot governing a time looked up on its own: the latest
+    snapshot at or before it (1e-12 slack), or the first."""
+
+    def __init__(self, snapshots, params, basins=None):
         self.snapshots = sorted(snapshots, key=lambda s: s.time)
         self.grid = self.snapshots[0].grid
         self.times = np.array([s.time for s in self.snapshots])
         self.drifts = [drift_field(s, params) for s in self.snapshots]
-        self.node_threshold = node_threshold
+        self._basin_of = basins
         self._basins = {}
 
     def segment_index(self, t):
@@ -91,7 +96,7 @@ class SnapshotReference:
 
     def basins(self, i):
         if i not in self._basins:
-            self._basins[i] = NodeBasinMap.from_wavefield(self.snapshots[i], self.node_threshold)
+            self._basins[i] = self._basin_of(self.snapshots[i])
         return self._basins[i]
 
 
@@ -174,7 +179,7 @@ def test_noise_blocks_and_chunks_do_not_change_results(monkeypatch, dims):
     params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
     sampler = DensitySampler(regularized_density(snaps[0], params))
     dt, t_final, seed, n = 0.01, 0.2, 21, 13
-    kw = dict(master_seed=seed, node_threshold=0.5, checkpoint_times=(0.05, 0.11),
+    kw = dict(master_seed=seed, basins=node_basins(0.5), checkpoint_times=(0.05, 0.11),
               record_stride=4)
     whole = run_ensemble(n, sampler, snaps, params, dt, t_final, **kw)
     monkeypatch.setattr(langevin, "_CHUNK", 5)
@@ -272,7 +277,8 @@ def test_a_pool_run_equals_a_serial_run_and_leaves_no_process(monkeypatch, dims)
     snaps = colliding_packets(dims)
     params = GuidanceParams(lam=5.0, epsilon=1.0, drift_cap=20.0)
     sampler = DensitySampler(regularized_density(snaps[0], params))
-    kw = dict(master_seed=21, node_threshold=0.5, checkpoint_times=(0.05, 0.11), record_stride=4)
+    kw = dict(master_seed=21, basins=node_basins(0.5), checkpoint_times=(0.05, 0.11),
+              record_stride=4)
     serial = run_ensemble(13, sampler, snaps, params, 0.01, 0.2, workers=1, **kw)
     force_pool(monkeypatch)
     monkeypatch.setattr(langevin, "_CHUNK", 3)   # 6 chunks on 2 processes
@@ -412,11 +418,11 @@ def test_kernel_matches_reference_for_any_chunk_and_noise_budget(
     with mock.patch.multiple(langevin, _CHUNK=chunk, _NOISE_VALUES=noise_values,
                              _FIRST_BLOCK=first_block, _TILE=tile):
         res = run_ensemble(n, sampler, snaps, params, dt, 0.09, master_seed=seed,
-                           node_threshold=0.1, checkpoint_times=(0.04,), record_stride=3)
+                           basins=node_basins(0.1), checkpoint_times=(0.04,), record_stride=3)
         passages = run_first_passage_ensemble(n, x0, snaps[0], params, dt, stop, 0.3,
                                               master_seed=seed)
 
-    source = SnapshotReference(snaps, params, node_threshold=0.1)
+    source = SnapshotReference(snaps, params, basins=node_basins(0.1))
 
     def segment(s):
         return source.segment_index(s * dt)
@@ -444,14 +450,14 @@ def test_kernel_reference_sees_crossings_and_node_cells():
         snaps = standing_waves(dims, "periodic")
         params = GuidanceParams(lam=3.0, epsilon=0.05, drift_cap=15.0)
         res = run_ensemble(20, DensitySampler(regularized_density(snaps[0], params)), snaps,
-                           params, 0.01, 0.09, master_seed=3, node_threshold=0.1,
+                           params, 0.01, 0.09, master_seed=3, basins=node_basins(0.1),
                            record_stride=1)
-        basins = SnapshotReference(snaps, params, node_threshold=0.1).basins(0)
+        basins = SnapshotReference(snaps, params, basins=node_basins(0.1)).basins(0)
         assert res.crossings.sum() > 0
         assert (basins.basins_at(res.paths.reshape(-1, dims)) < 0).any()
 
 
-def test_crossings_compare_carried_labels_of_any_size(monkeypatch):
+def test_crossings_compare_carried_labels_of_any_size():
     # 400 one-cell basins, then a map of mostly node cells with labels below
     # 60, then 400 basins again: walkers on the second map's node cells carry
     # labels up to 399 into it, and they must be compared as they are.
@@ -461,13 +467,14 @@ def test_crossings_compare_carried_labels_of_any_size(monkeypatch):
     cells = np.arange(400)
     few = np.where(cells % 3 == 0, cells % 60, -1)
     maps = [NodeBasinMap(g, m) for m in (cells, few, cells)]
-    # every basin map, the ensemble's and the reference's, is the one of its snapshot here
-    monkeypatch.setattr(NodeBasinMap, "from_wavefield",
-                        classmethod(lambda cls, psi, threshold: maps[round(psi.time / 0.1)]))
-    source = SnapshotReference(snaps, params, node_threshold=0.5)
+
+    def basins(psi):   # the ensemble's and the reference's map of each snapshot
+        return maps[round(psi.time / 0.1)]
+
+    source = SnapshotReference(snaps, params, basins)
     dt = 0.01
     res = run_ensemble(40, DensitySampler(regularized_density(snaps[0], params)), snaps,
-                       params, dt, 0.3, master_seed=4, node_threshold=0.5, record_stride=1)
+                       params, dt, 0.3, master_seed=4, basins=basins, record_stride=1)
     for sid, path in enumerate(res.paths):
         assert res.crossings[sid] == reference_crossings(
             path, source, lambda s: source.segment_index(s * dt))
@@ -475,6 +482,30 @@ def test_crossings_compare_carried_labels_of_any_size(monkeypatch):
     at_switch = res.paths[:, 10]
     on_node = maps[1].basins_at(at_switch) < 0
     assert (on_node & (maps[0].basins_at(at_switch) > 127)).any()
+
+
+@pytest.mark.parametrize("path, jumps", [
+    ([-2.0] * 50, 0),
+    ([-2.0, 2.0] * 10, 19),
+    ([-2.0, 0.0, -2.0, 0.0, 2.0], 1),
+    ([0.0, 2.0, 0.0, -2.0, -2.5], 1),
+], ids=["single_well", "alternating_every_step", "neutral_gap_not_a_jump", "start_in_the_gap"])
+def test_kernel_counts_a_jump_at_each_change_of_well(path, jumps):
+    # Wells left of -1 (label 0) and right of 1 (label 1), the gap between
+    # (-1): a step into the gap keeps the walker's last well, so only
+    # reaching the other well counts.  The noise of each step is the path's
+    # increment, under no drift.
+    g = Grid.make(80, (-4.0, 4.0), "reflecting")
+    x = g.coords(0)
+    wells = NodeBasinMap(g, np.where(x <= -1.0, 0, np.where(x >= 1.0, 1, -1)))
+    start = np.array([[path[0]]])
+    prev = wells.basins_at(start)   # as the chunk driver starts a segment
+    crossings = np.zeros(1, dtype=np.int64)
+    noise = np.diff(path).reshape(-1, 1, 1)
+    end, steps, _ = langevin._advance_block(start, 0.0, 0, 0.01, noise, np.zeros_like, g, None,
+                                            [0], wells, prev, crossings)
+    assert steps == len(path) - 1 and end[0, 0] == path[-1]
+    assert list(crossings) == [jumps]
 
 
 def test_start_point_off_a_reflecting_wall_starts_from_its_mirror_image():
@@ -802,6 +833,13 @@ def test_first_passage_rejects_a_t_max_that_is_not_finite(t_max):
                                    PlaneCrossing(at=3.0), t_max)
 
 
+@pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
+def test_a_plane_that_is_not_finite_is_refused(at):
+    # a NaN plane censored every first-passage walker: no gap compares <= nan
+    with pytest.raises(ValueError, match="must be finite"):
+        PlaneCrossing(at=at)
+
+
 def test_first_passage_with_t_max_at_t0_censors_at_the_start():
     g = Grid.make(64, (-8.0, 8.0), "reflecting")
     psi = WaveField(g, np.exp(-g.coords(0) ** 2 / 2))
@@ -925,7 +963,7 @@ def test_node_confinement_static_standing_wave():
     params = GuidanceParams(lam=1.0, epsilon=1e-12, drift_cap=2.0 * np.sqrt(2.0 / dt))
     res = run_ensemble(
         500, DensitySampler(DensityField(g, np.abs(psi.values) ** 2)), psi, params, dt, 1.0,
-        master_seed=41, node_threshold=1e-6,
+        master_seed=41, basins=node_basins(1e-6),
     )
     assert np.mean(res.crossings == 0) >= 0.99
 

@@ -24,7 +24,6 @@ KEEP = {
     "fp_step": "perfbench/calibrate.py times the explicit density step",
     "fp_step_implicit": "perfbench/calibrate.py times the implicit density step",
     # references the tests compare against
-    "NodeBasinMap": "basins_at is the reference for the kernel's node-crossing count",
     "read_field": "reads back the wave and density snapshots that run_scenario writes",
     "substream": "the per-walker noise stream that the one-draw-per-step references replay",
     # types callers meet through an entry point that is used

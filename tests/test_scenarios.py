@@ -1,11 +1,14 @@
 import json
 import timeit
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from psiwalk import langevin
 from psiwalk.cli import main
 from psiwalk.scenarios import (
     _REQUIRED, _SCENARIOS, _SHARED, SCENARIO_NAMES, RunManifest, run_scenario, validate_config,
@@ -212,13 +215,9 @@ def test_an_increment_correlation_check_that_cannot_fail_is_listed(t_final, n):
     ({"well_gap": 20.0}, {"well_gap": 1.0},
      "params.localization.well_gap=20.0 exceeds params.b=1.0: the walkers would start at -b, "
      "outside their own well"),
-    ({"record_stride": 100000}, {"record_stride": 54},
-     "params.localization.record_stride=100000 exceeds the localization run's 54 steps; "
-     "well_jumps needs a second recorded row to be able to count a jump"),
-], ids=["well_gap", "record_stride"])
+], ids=["well_gap"])
 def test_a_localization_check_that_cannot_fail_is_listed(localization, fixed, error):
-    # on [-9.5, 9.5] a well_gap of 20 left both wells empty, and a stride
-    # past the horizon recorded only the start row: no_jump_fraction 1.0 passed
+    # on [-9.5, 9.5] a well_gap of 20 left both wells empty: no_jump_fraction 1.0 passed
     def source(loc):
         return {"scenario": "double_well",
                 "grid": {"points": [512], "extent": [[-9.5, 9.5]], "boundary": ["reflecting"]},
@@ -698,6 +697,44 @@ def test_double_well_localizes_on_short_horizon(tmp_path):
     paths_csv = (tmp_path / "metrics" / "paths.csv").read_text().splitlines()
     assert paths_csv[0] == "stream_id,t,x1"
     assert len(paths_csv) > 10
+
+
+def test_localization_counts_every_change_of_well_at_every_step(tmp_path):
+    # The recorded paths, one row per step, against a per-step reference: a
+    # row's well is that of its cell's centre (at or below -b/2, at or above
+    # b/2, or none), and a jump is a change of the last well a path was in.
+    # Recording changes nothing: without write_paths the run records no path
+    # and its metrics are the same.
+    def localization(write_paths):
+        cfg, errors = validate_config({
+            "scenario": "double_well",
+            "grid": {"points": [512], "extent": [[-9.5, 9.5]], "boundary": ["reflecting"]},
+            "ensemble": {"n_trajectories": 0},
+            "params": {"a": 1.0, "b": 2.0, "equilibrium": {"enabled": False},
+                       "localization": {"n": 30, "horizon_fraction": 0.5, "dt": 0.01,
+                                        "record_stride": 1, "stay_fraction": 0.0,
+                                        "write_paths": write_paths}},
+            "master_seed": 6})
+        assert errors == []
+        with mock.patch.object(langevin, "run_ensemble", wraps=langevin.run_ensemble) as run:
+            manifest = run_scenario(cfg, out_dir=tmp_path / str(write_paths))
+        assert (run.call_args.kwargs["record_stride"] is None) == (write_paths == 0)
+        return cfg, manifest
+
+    cfg, manifest = localization(30)
+    rows = np.loadtxt(tmp_path / "30" / "metrics" / "paths.csv", delimiter=",", skiprows=1)
+    grid = cfg.build_grid()
+    centres = grid.coords(0)[grid.cell_index(rows[:, 2:])[:, 0]]
+    wells = np.where(centres <= -1.0, 0, np.where(centres >= 1.0, 1, -1))
+    jumps = []
+    for sid in range(30):
+        visited = [w for w in wells[rows[:, 0] == sid] if w >= 0]
+        jumps.append(sum(a != b for a, b in zip(visited, visited[1:])))
+    assert len(rows) == 30 * (1 + round(manifest.metrics["localization_horizon"] / 0.01))
+    assert sum(jumps) > 0
+    assert manifest.metrics["mean_jumps"] == np.mean(jumps)
+    assert manifest.metrics["no_jump_fraction"] == np.mean(np.array(jumps) == 0)
+    assert localization(0)[1].metrics == manifest.metrics
 
 
 def run_mfpt(out_dir, **mfpt):
