@@ -53,18 +53,15 @@ def total_variation(p: DensityField, q: DensityField) -> float:
     return 0.5 * float(np.sum(np.abs(p.values - q.values))) * p.grid.cell_volume
 
 
-def coarsen(field: DensityField, factor) -> DensityField:
-    """Block-average a density onto a grid coarser by an integer factor per axis."""
-    factors = (factor,) * field.grid.dims if np.isscalar(factor) else tuple(factor)
-    points = []
-    for n, f in zip(field.grid.points, factors):
-        if n % f:
-            raise ValueError(f"{n} cells do not divide into blocks of {f}")
-        points.append(n // f)
-    coarse = Grid(points=tuple(points), extent=field.grid.extent, boundary=field.grid.boundary)
+def coarsen(field: DensityField, factor: int) -> DensityField:
+    """Block-average a density onto a grid coarser by one integer factor on every axis."""
+    if any(n % factor for n in field.grid.points):
+        raise ValueError(f"{field.grid.points} cells do not divide into blocks of {factor}")
+    points = tuple(n // factor for n in field.grid.points)
+    coarse = Grid(points=points, extent=field.grid.extent, boundary=field.grid.boundary)
     values = field.values
-    for axis, f in enumerate(factors):
-        shape = values.shape[:axis] + (values.shape[axis] // f, f) + values.shape[axis + 1 :]
+    for axis, n in enumerate(points):
+        shape = values.shape[:axis] + (n, factor) + values.shape[axis + 1 :]
         values = values.reshape(shape).mean(axis=axis + 1)
     return DensityField(coarse, values, field.time)
 

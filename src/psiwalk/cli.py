@@ -14,29 +14,21 @@ from pathlib import Path
 from .scenarios import RunManifest, run_scenario, validate_config
 
 
-def _worker_count(text: str) -> int:
-    """An ``--workers`` value: an integer >= 1, as the config's key."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
-
-
-def _load_config(path, seed=None, workers=None):
+def _load_config(path, **overrides):
+    """The config at ``path`` with ``overrides`` (None: kept) judged by its own rules."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         cfg, errors = None, [f"cannot read {path}: {exc.strerror}"]
     else:
         cfg, errors = validate_config(text)
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if cfg and overrides:
+        cfg, errors = validate_config({**cfg.to_dict(), **overrides})
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return None
-    if seed is not None:
-        cfg.master_seed = seed
-    if workers is not None:
-        cfg.workers = workers
     return cfg
 
 
@@ -51,7 +43,7 @@ def _print_manifest_summary(manifest: RunManifest):
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.workers)
+    cfg = _load_config(args.config, master_seed=args.seed, workers=args.workers)
     if cfg is None:
         return 1
     try:
@@ -98,7 +90,7 @@ def main(argv=None) -> int:
     sp_run = sub.add_parser("run", help="run a scenario end to end")
     sp_run.add_argument("--config", required=True, help="scenario config JSON file")
     sp_run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    sp_run.add_argument("--workers", type=_worker_count, default=None,
+    sp_run.add_argument("--workers", type=int, default=None,
                         help="override workers: the processes that step walker chunks")
     sp_run.add_argument("--out", default=None, help="output directory")
 
@@ -109,13 +101,7 @@ def main(argv=None) -> int:
     sp_rep.add_argument("--manifest", required=True, help="path to manifest.json")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    return 1
+    return {"run": _cmd_run, "validate": _cmd_validate, "report": _cmd_report}[args.command](args)
 
 
 if __name__ == "__main__":

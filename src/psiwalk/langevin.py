@@ -251,22 +251,21 @@ def _label_basins(open_cells: np.ndarray, boundary) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaneCrossing:
-    """Stop when the trajectory reaches or crosses the plane x[axis] = at."""
+    """Stop when the trajectory reaches or crosses the plane x[0] = at."""
 
     at: float = 0.0
-    axis: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.at):   # a NaN plane would censor every walker
             raise ValueError(f"the plane at={self.at} must be finite")
 
     def initial_side(self, x0) -> np.ndarray:
-        return np.sign(np.atleast_2d(x0)[:, self.axis] - self.at)
+        return np.sign(np.atleast_2d(x0)[:, 0] - self.at)
 
     def hit(self, x, side) -> np.ndarray:
         if not (type(x) is np.ndarray and x.ndim == 2):
             x = np.atleast_2d(x)
-        gap = x[:, self.axis] - self._at
+        gap = x[:, 0] - self._at
         gap *= side
         return gap <= 0
 
@@ -277,7 +276,8 @@ class PlaneCrossing:
 
 @dataclass(frozen=True)
 class RegionEntry:
-    """Stop when the trajectory enters the axis-aligned box [lower, upper]."""
+    """Stop when the trajectory enters the axis-aligned box [lower, upper],
+    one bound per grid axis."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -287,9 +287,11 @@ class RegionEntry:
 
     def hit(self, x, side) -> np.ndarray:
         x = np.atleast_2d(x)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        return np.all((x >= lower) & (x <= upper), axis=1)
+        return np.all((x >= self._box[0]) & (x <= self._box[1]), axis=1)
+
+    @functools.cached_property
+    def _box(self) -> np.ndarray:
+        return np.array([self.lower, self.upper], dtype=float)   # built once, not per step
 
 
 @dataclass(frozen=True)
@@ -625,11 +627,15 @@ def run_first_passage_ensemble(
     A walker's time is ``t0 + k dt_L`` for the first step k after which the
     ``stop`` predicate holds (``t0`` if it holds at the start), censored at
     ``t_max``.  A walker leaves its chunk's batch when it hits; the others
-    keep the rest of their noise block.
+    keep the rest of their noise block.  A ``RegionEntry`` box is checked
+    against the grid before any drift table is built.
     """
     _check_dt(dt_L)
     if not t0 <= t_max < np.inf:
         raise ValueError(f"t_max={t_max} must be finite and not precede the start time t0={t0}")
+    if isinstance(stop, RegionEntry) and {len(stop.lower), len(stop.upper)} != {psi.grid.dims}:
+        raise ValueError(f"the box [{stop.lower}, {stop.upper}] needs one bound per grid axis, "
+                         f"dims={psi.grid.dims}")
     max_steps = int(np.ceil((t_max - t0) / dt_L - 1e-12))
     # One process: a pool did not shorten a retiring run (module docstring).
     hits = np.concatenate([r[4] for r in _launch(n, PointSampler(x0), psi.grid, [(psi, max_steps)],

@@ -19,13 +19,14 @@ import warnings
 from dataclasses import asdict, dataclass, field as dc_field
 from numbers import Integral, Real
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, langevin, schrodinger, smoluchowski
 from .fieldio import write_field
-from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, step_count
+from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, step_count, step_plan
 from .guidance import GuidanceParams, regularized_density
 from .version import __version__
 
@@ -241,17 +242,14 @@ def _walk(spec: dict, given: dict, path: str, defaults: dict, errors: list) -> d
 
 
 def _snapshot_steps(st: _Stage):
-    """Raise as ``step_plan`` would on ``st``'s snapshot segments.  The full
-    segments are alike, so one of them and the last (or last two) suffice."""
+    """Raise as ``step_plan`` would through the snapshots ``schrodinger.evolve``
+    returns for ``st``.  The full segments between them are alike, so the
+    snapshots at steps 0, ``stride``, the last below n and n suffice."""
     dt_psi, stride = st.lattice
     n = step_count(0.0, st.t1, dt_psi)
     last = max(n - 1, 0) // stride * stride   # the last snapshot step below n
-    if last >= stride:
-        step_count(0.0, stride * dt_psi, st.dt)
-    # the final snapshot starts a segment of its own if it falls before t1 - 1e-12
-    ends = [last * dt_psi, *([n * dt_psi] if n * dt_psi < st.t1 - 1e-12 else []), st.t1]
-    for a, b in zip(ends, ends[1:]):
-        step_count(a, b, st.dt)
+    snaps = [SimpleNamespace(time=s * dt_psi) for s in {0, min(stride, n), last, n}]
+    step_plan(snaps, 0.0, st.t1, st.dt)
 
 
 def _stage_error(st: _Stage) -> str | None:

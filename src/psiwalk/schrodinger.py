@@ -29,32 +29,23 @@ class UnsupportedPropagatorError(ValueError):
 class HamiltonianSpec:
     """Kinetic term plus a local external potential on the grid.
 
-    ``mass`` may be a scalar or one value per dimension; ``potential`` is an
-    ndarray on the grid (or None for free motion).
+    ``mass`` is one scalar for every axis; ``potential`` is an ndarray on the
+    grid (or None for free motion).
     """
 
     hbar: float = 1.0
-    mass: float | tuple[float, ...] = 1.0
+    mass: float = 1.0
     potential: np.ndarray | None = None
 
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        masses = np.atleast_1d(np.asarray(self.mass, dtype=float))
-        if np.any(masses <= 0):
+        if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.potential is not None:
             self.potential = np.asarray(self.potential, dtype=float)
             if not np.all(np.isfinite(self.potential)):
                 raise ValueError("potential must be finite on all grid points")
-
-    def mass_per_dim(self, dims: int) -> np.ndarray:
-        masses = np.atleast_1d(np.asarray(self.mass, dtype=float))
-        if masses.size == 1:
-            return np.full(dims, masses[0])
-        if masses.size != dims:
-            raise ValueError(f"mass has {masses.size} entries for a {dims}-d grid")
-        return masses
 
 
 @dataclass(frozen=True)
@@ -78,13 +69,12 @@ def _require_periodic(grid: Grid):
 
 def _phase_tables(grid: Grid, h: HamiltonianSpec, dt: float):
     """Potential half-step and kinetic full-step phase factors."""
-    masses = h.mass_per_dim(grid.dims)
     k2_over_m = np.zeros(grid.points)
     for axis in range(grid.dims):
         k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis], d=grid.spacing[axis])
         shape = [1] * grid.dims
         shape[axis] = grid.points[axis]
-        k2_over_m = k2_over_m + (k**2 / masses[axis]).reshape(shape)
+        k2_over_m = k2_over_m + (k**2 / h.mass).reshape(shape)
     exp_kin = np.exp(-0.5j * h.hbar * dt * k2_over_m)
     if h.potential is not None:
         if h.potential.shape != grid.points:
@@ -190,9 +180,8 @@ def hamiltonian_matrix(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
     if n > 4096:
         raise ValueError("grid too large for dense diagonalization")
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[0])
-    mass = h.mass_per_dim(1)[0]
     kin = np.fft.ifft(
-        (0.5 * h.hbar**2 * k**2 / mass)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0
+        (0.5 * h.hbar**2 * k**2 / h.mass)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0
     )
     mat = np.real(kin)
     mat = 0.5 * (mat + mat.T)

@@ -20,14 +20,13 @@ def free_packet_sigma(sigma0: float, t: float, hbar: float = 1.0, mass: float = 
 def energy_expectation(psi, h) -> float:
     """<H> of a wave field on a periodic grid, kinetic part evaluated spectrally."""
     grid = psi.grid
-    masses = h.mass_per_dim(grid.dims)
     psik = np.fft.fftn(psi.values)
     k2_over_m = np.zeros(grid.points)
     for axis in range(grid.dims):
         k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis], d=grid.spacing[axis])
         shape = [1] * grid.dims
         shape[axis] = grid.points[axis]
-        k2_over_m = k2_over_m + (k**2 / masses[axis]).reshape(shape)
+        k2_over_m = k2_over_m + (k**2 / h.mass).reshape(shape)
     kinetic = 0.5 * h.hbar**2 * np.sum(k2_over_m * np.abs(psik) ** 2) / psik.size
     kinetic = float(kinetic) * grid.cell_volume
     rho = np.abs(psi.values) ** 2

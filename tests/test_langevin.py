@@ -889,6 +889,23 @@ def test_region_entry_predicate():
     assert stop.hit(np.array([[1.5]]), side)[0]
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_a_region_box_of_the_wrong_dimension_is_refused_before_any_drift_table(dims):
+    # A 2-d box on a 1-d grid broadcast against the walkers' (m, 1) positions
+    # and censored every walker; a 1-d box on a 2-d grid applied its one
+    # bound to both axes.  Both are refused, as is a box whose lower and
+    # upper bounds differ in length.
+    g, psi = flat_setup(dims=dims, n=16)
+    wrong = RegionEntry((1.0,) * (3 - dims), (2.0,) * (3 - dims))
+    ragged = RegionEntry((1.0,) * dims, (2.0,) * (dims + 1))
+    with mock.patch.object(langevin, "drift_field") as drift:
+        for box in (wrong, ragged):
+            with pytest.raises(ValueError, match=f"one bound per grid axis, dims={dims}"):
+                run_first_passage_ensemble(2, [0.0] * dims, psi, GuidanceParams(lam=1.0), 0.01,
+                                           box, 0.1)
+    assert drift.call_count == 0
+
+
 # -- node confinement -----------------------------------------------------------
 
 def test_node_basins_merge_through_periodic_face_in_chains():

@@ -5,13 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from psiwalk import langevin
+from psiwalk import Grid, HamiltonianSpec, WaveField, evolve, langevin
 from psiwalk.cli import main
+from psiwalk.grids import step_plan
 from psiwalk.scenarios import (
-    _REQUIRED, _SCENARIOS, _SHARED, SCENARIO_NAMES, RunManifest, run_scenario, validate_config,
+    _REQUIRED, _SCENARIOS, _SHARED, SCENARIO_NAMES, RunManifest, _Stage, _stage_error, run_scenario,
+    validate_config,
 )
 
 
@@ -340,6 +342,40 @@ def test_validation_time_does_not_grow_with_the_snapshot_count():
     assert min(timeit.repeat(lambda: validate_config(config), number=1, repeat=5)) < 1e-3
 
 
+def test_the_snapshot_stage_check_agrees_with_stepping_every_snapshot():
+    # The validator reads four snapshot times; the runner steps through all
+    # that evolve returns.  Horizons are whole dt_psi steps, as the runner's
+    # are, or off them by a slack-sized amount, which step_plan treats as a
+    # stretch of its own when it exceeds 1e-12.  The examples need the
+    # stride's snapshot (dt divides 6 and 2 steps of dt_psi, not 3) and the
+    # final one (a 1e-11 stretch takes no step).
+    grid = Grid.make(8, (0.0, 1.0), "periodic")
+    psi0 = WaveField(grid, np.ones(8, dtype=complex), 0.0)
+    outcomes = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([1e-3, 2e-3, 3e-3, 0.1]), st.integers(1, 4), st.integers(0, 12),
+           st.sampled_from([0.0, 1e-13, 1e-11, -1e-11]),
+           st.sampled_from([5e-4, 1e-3, 1.5e-3, 2e-3, 3e-3, 0.05]))
+    @example(3e-3, 3, 8, 0.0, 2e-3)
+    @example(1e-3, 2, 5, 1e-11, 5e-4)
+    def check(dt_psi, stride, steps, off, dt):
+        t1 = steps * dt_psi + off
+        assume(t1 >= 0)   # a horizon never precedes the start
+        stage = _Stage("time.dt_langevin", "the horizon", 0.0, t1, dt, (dt_psi, stride))
+        try:
+            step_plan(evolve(psi0, HamiltonianSpec(), t1, dt_psi, stride), 0.0, t1, dt)
+        except ValueError:
+            runs = False
+        else:
+            runs = True
+        assert (_stage_error(stage) is None) == runs
+        outcomes.append(runs)
+
+    check()
+    assert any(outcomes) and not all(outcomes)
+
+
 @st.composite
 def small_configs(draw, names=SCENARIO_NAMES):
     """A config of one of ``names`` small enough to run in a fraction of a
@@ -623,11 +659,14 @@ def test_cli_seed_override_changes_results(tmp_path):
 
 
 def test_cli_workers_override_is_checked_and_changes_no_result(tmp_path, capsys):
+    # the config's own rule judges the override: a configuration error, exit code 1
     p = write_config(tmp_path, small_harmonic(workers=2))
-    for bad in ("0", "-1", "two"):
-        with pytest.raises(SystemExit):
-            main(["run", "--config", str(p), "--out", str(tmp_path / "bad"), "--workers", bad])
-        assert "--workers" in capsys.readouterr().err
+    for bad in ("0", "-1"):
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "bad"), "--workers", bad]) == 1
+        assert capsys.readouterr().err == f"config error: workers must be an integer >= 1, got {bad}\n"
+    with pytest.raises(SystemExit):   # not an integer: argparse's own error
+        main(["run", "--config", str(p), "--out", str(tmp_path / "bad"), "--workers", "two"])
+    assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
     main(["run", "--config", str(p), "--out", str(tmp_path / "a")])
     main(["run", "--config", str(p), "--out", str(tmp_path / "b"), "--workers", "1"])
