@@ -242,15 +242,29 @@ def _check_dt(dt: float) -> None:
 def step_count(t0: float, t1: float, dt: float) -> int:
     """Number of ``dt`` steps from ``t0`` to ``t1``: the one step rule of every engine.
 
-    ``dt`` must be positive and finite, the steps must be finitely many and span
-    ``t1 - t0`` to within ``1e-9 * max(1, |t1 - t0|)``, and a positive span takes
-    at least one step; anything else raises ValueError.
+    ``dt`` must be positive and finite, the span ``t1 - t0`` must not be
+    negative, the steps must be finitely many and span it to within
+    ``1e-9 * max(1, t1 - t0)``, and a positive span takes at least one step;
+    anything else raises ValueError.
     """
     _check_dt(dt)
     span = t1 - t0
     steps = int(round(ratio)) if math.isfinite(ratio := span / dt) else -1   # -1 fails below
-    if steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)) or (span > 0 and not steps):
+    if span < 0 or steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, span) or (span > 0 and not steps):
         raise ValueError(f"dt={dt} does not divide the interval [{t0}, {t1}]")
+    return steps
+
+
+def checkpoint_steps(times, t0: float, t1: float, dt: float, total: int) -> list[int]:
+    """The step of each of ``times`` (its :func:`step_count` from ``t0``) in a run
+    of ``total`` ``dt`` steps to ``t1``: the checkpoint rule of both ensemble
+    engines.  One before ``t0`` or past the last step raises ValueError.  Counts,
+    not times: snapshot times can land an ulp past a horizon (9 * 0.001 > 0.009)."""
+    steps = []
+    for tc in times:
+        if tc < t0 or (k := step_count(t0, tc, dt)) > total:
+            raise ValueError(f"checkpoint time {tc} outside [{t0}, {t1}]")
+        steps.append(k)
     return steps
 
 

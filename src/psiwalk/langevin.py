@@ -31,10 +31,10 @@ paths once, and the kernel writes each recorded row into them.  A single
 trajectory is an ensemble of one.
 
 Time steps follow ``grids.step_plan``, one segment per governing snapshot,
-as in the density solver; checkpoints must lie a ``grids.step_count`` of
-steps from the start.  The launch builds each segment's drift interpolant
-and basin map (node basins or wells) once, for every chunk.  Node basins are
-labelled in numpy, so no walker run needs scipy.
+and checkpoints ``grids.checkpoint_steps``, as in the density solver.  The
+launch builds each segment's drift interpolant and basin map (node basins or
+wells) once, for every chunk.  Node basins are labelled in numpy, so no
+walker run needs scipy.
 
 Reproducibility: every trajectory owns a counter-based Philox substream keyed
 by (master_seed, stream_id), so results are a pure function of the scenario
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DensityField, Grid, WaveField, _check_dt, _Interpolant, step_count, step_plan
+from .grids import DensityField, Grid, WaveField, _check_dt, _Interpolant, checkpoint_steps, step_plan
 from .guidance import GuidanceParams, _cap_vectors, drift_field
 
 _CHUNK = 4096           # trajectories per chunk (bounds memory; results do not depend on it)
@@ -549,13 +549,13 @@ def run_ensemble(
     The walkers start at the earliest snapshot's time.  The final-position
     histogram is normalized on the field grid.  ``basins`` maps a snapshot to
     the ``NodeBasinMap`` on which its steps count ``crossings`` (None: none
-    counted).  ``checkpoint_times`` capture
-    full position snapshots at step-aligned times; ``record_stride`` k keeps
-    every k-th step of every trajectory in one ``(n, 1 + steps // k, dims)``
-    array of doubles.  ``workers``
-    caps the processes that step chunks (None: every CPU this process may
-    use); a run below the pool's break-even steps in this process.  No
-    worker count changes a result.
+    counted).  ``checkpoint_times`` capture full position snapshots at the
+    steps ``grids.checkpoint_steps`` gives them, in the order given;
+    ``record_stride`` k keeps every k-th step of every trajectory in one
+    ``(n, 1 + steps // k, dims)`` array of doubles.  ``workers`` caps the
+    processes that step chunks (None: every CPU this process may use); a run
+    below the pool's break-even steps in this process.  No worker count
+    changes a result.
     """
     if record_stride is not None and record_stride < 0:
         raise ValueError(f"record_stride must be >= 0, got {record_stride}")
@@ -564,22 +564,17 @@ def run_ensemble(
     grid = snaps[0].grid
     if t_final < t0:
         raise ValueError(f"t_final={t_final} precedes the first snapshot time {t0}")
-    checkpoint_steps = []
-    for tc in checkpoint_times:
-        if not t0 <= tc <= t_final:
-            raise ValueError(f"checkpoint time {tc} outside [{t0}, {t_final}]")
-        checkpoint_steps.append(step_count(t0, tc, dt_L))
     plan = step_plan(snaps, t0, t_final, dt_L)
+    steps = sum(k for _, k in plan)
+    marks = checkpoint_steps(checkpoint_times, t0, t_final, dt_L, steps)
     results = _launch(n, sampler, grid, plan, params, dt_L, t0, master_seed, workers,
-                      basins, checkpoint_steps=set(checkpoint_steps),
+                      basins, checkpoint_steps=set(marks),
                       record_stride=record_stride)
 
     final_positions = np.concatenate([r[0] for r in results])
     crossings = np.concatenate([r[1] for r in results])
-    checkpoints = [
-        (tc, np.concatenate([r[2][k] for r in results]))
-        for tc, k in zip(checkpoint_times, checkpoint_steps)
-    ]
+    checkpoints = [(tc, np.concatenate([r[2][k] for r in results]))
+                   for tc, k in zip(checkpoint_times, marks)]
     paths = None
     path_times = None
     if record_stride:
@@ -596,7 +591,7 @@ def run_ensemble(
         "epsilon": params.epsilon,
         "dt_L": dt_L,
         "t_final": t_final,
-        "steps": sum(steps for _, steps in plan),
+        "steps": steps,
         "master_seed": master_seed,
     }
     return EnsembleResult(

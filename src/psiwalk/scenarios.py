@@ -46,7 +46,6 @@ class ScenarioConfig:
     params: dict
     master_seed: int
     histogram_refine: int
-    out_dir: str | None = None
     workers: int | None = None
 
     def to_dict(self) -> dict:
@@ -116,7 +115,6 @@ _SHARED = {
         "at": (None, (lambda v: _is_number(v) or _is_list(v), "a number or a list of numbers"))})}),
     "master_seed": (20260808, (lambda v: _is_number(v, Integral), "an integer")),
     "histogram_refine": (4, _STRIDE),
-    "out_dir": (None, (lambda v: isinstance(v, str), "a string")),
     # None: every CPU this process may use; no count changes a result.
     "workers": (None, _STRIDE),
 }
@@ -128,15 +126,14 @@ _ORACLE = {"checkpoints": (_REQUIRED, (lambda v: _is_list(v) and len(v) > 0,
 
 
 class _Stage(NamedTuple):
-    """One interval a runner steps: ``dt`` from ``t0`` to ``t1`` on a static
+    """One interval a runner steps from t = 0: ``dt`` up to ``t1`` on a static
     field, or through the snapshots ``schrodinger.evolve`` returns every
-    ``stride`` steps of ``dt_psi`` from t = 0 when ``lattice`` is
-    ``(dt_psi, stride)``.  ``key`` names dt and ``horizon`` names t1 in the
-    validator's messages.  A ``rounded`` t1 is a horizon the runner takes to
-    whole steps, and it must keep at least one."""
+    ``stride`` steps of ``dt_psi`` when ``lattice`` is ``(dt_psi, stride)``.
+    ``key`` names dt and ``horizon`` names t1 in the validator's messages.  A
+    ``rounded`` t1 is a horizon the runner takes to whole steps, and it must
+    keep at least one."""
     key: str
     horizon: str
-    t0: float
     t1: float
     dt: float
     lattice: tuple | None = None
@@ -151,24 +148,19 @@ def _whole(t: float, dt: float) -> float:
 def _to_t_final(m: dict, key: str, lattice=None) -> _Stage:
     """Steps of ``time.<key>`` from 0 to time.t_final."""
     tm = m["time"]
-    return _Stage(f"time.{key}", f"time.t_final={tm['t_final']}", 0.0, tm["t_final"], tm[key], lattice)
+    return _Stage(f"time.{key}", f"time.t_final={tm['t_final']}", tm["t_final"], tm[key], lattice)
 
 
 def _equilibrium_stages(m: dict) -> list:
     """The walkers up to time.t_final, if there are any; with ``params.oracle``
-    then the density solver's legs between the sorted checkpoints, and the
-    walkers' checkpoints from t = 0."""
+    then each checkpoint from t = 0 in the density solver's steps, then in theirs."""
     if not m["ensemble"]["n_trajectories"]:
         return []
     stages, oracle = [_to_t_final(m, "dt_langevin")], m["params"]["oracle"]
     if oracle:
         dt = m["time"]["dt_langevin"]
-        legs = sorted(set(oracle["checkpoints"]))
-        stages += [_Stage("params.oracle.fp_dt", f"the checkpoint time {b}" if a == 0 else
-                          f"the interval [{a}, {b}] between checkpoints", a, b, oracle["fp_dt"] or dt)
-                   for a, b in zip([0.0] + legs, legs)]
-        stages += [_Stage("time.dt_langevin", f"the checkpoint time {tc}", 0.0, tc, dt)
-                   for tc in oracle["checkpoints"]]
+        for key, step in (("params.oracle.fp_dt", oracle["fp_dt"] or dt), ("time.dt_langevin", dt)):
+            stages += [_Stage(key, f"the checkpoint time {tc}", tc, step) for tc in oracle["checkpoints"]]
     return stages
 
 
@@ -198,7 +190,7 @@ def _double_well_stages(m: dict) -> list:
         horizon = loc["horizon_fraction"] * _escape_time(m)
         key, dt = (("params.localization.dt", loc["dt"]) if loc["dt"]
                    else ("time.dt_langevin", m["time"]["dt_langevin"]))
-        stages.append(_Stage(key, f"the localization horizon {horizon}", 0.0, _whole(horizon, dt), dt,
+        stages.append(_Stage(key, f"the localization horizon {horizon}", _whole(horizon, dt), dt,
                              rounded=True))
     return stages
 
@@ -210,10 +202,10 @@ def _interference_stages(m: dict) -> list:
     tm, p = m["time"], m["params"]
     meet = tm["t_final"] or float(p["separation"]) / float(p["momentum"]) * m["mass"] / m["hbar"]
     fringe = _whole(meet, tm["dt_psi"])
-    stages = [_Stage("time.dt_psi", f"the fringe time {meet}", 0.0, fringe, tm["dt_psi"], rounded=True)]
+    stages = [_Stage("time.dt_psi", f"the fringe time {meet}", fringe, tm["dt_psi"], rounded=True)]
     if m["ensemble"]["n_trajectories"]:
         stages.append(_Stage("time.dt_langevin", f"the snapshot intervals up to the fringe time {fringe}",
-                             0.0, fringe, tm["dt_langevin"], (tm["dt_psi"], tm["snapshot_stride"])))
+                             fringe, tm["dt_langevin"], (tm["dt_psi"], tm["snapshot_stride"])))
     return stages
 
 
@@ -259,7 +251,7 @@ def _stage_error(st: _Stage) -> str | None:
     try:
         if st.lattice:
             _snapshot_steps(st)
-        elif not step_count(st.t0, st.t1, st.dt) and st.rounded:
+        elif not step_count(0.0, st.t1, st.dt) and st.rounded:
             return f"{st.key}={st.dt} rounds {st.horizon} to zero steps"
     except ValueError:
         return f"{st.key}={st.dt} does not divide {st.horizon}"
@@ -293,19 +285,13 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
         warnings.simplefilter("ignore")
         stages = need.stages(m)
         escape = _escape_time(m) if scenario == "double_well" else None
-    # A stage from t0 > 0 (an oracle leg) resumes where the last stage of its
-    # dt stopped, and is never reached once that one fails.
-    stopped = set()
-    for st in stages:
-        error = None if st.t0 > 0 and st.key in stopped else _stage_error(st)
-        if error:
-            errors.append(error)
-            stopped.add(st.key)
+    stage_errors = [e for e in map(_stage_error, stages) if e]
+    errors += stage_errors
     if p.get("oracle"):
         errors += _oracle_errors(p["oracle"], m)
-    if scenario == "product_separation" and stages and not stopped:
+    if scenario == "product_separation" and stages and not stage_errors:
         (st,) = stages   # the walkers
-        n = en["n_trajectories"] * (step_count(st.t0, st.t1, st.dt) // p["record_stride"])
+        n = en["n_trajectories"] * (step_count(0.0, st.t1, st.dt) // p["record_stride"])
         if n <= 9:   # the bound 3/sqrt(n) is then at least 1, which no |rho| exceeds
             errors.append(f"product_separation records {n} path increments (walkers x steps // "
                           "params.record_stride); increment_correlation needs 10 to be able to fail")
@@ -507,7 +493,7 @@ def _run_harmonic_ground(cfg: ScenarioConfig, stages):
 
     # propagator hygiene: the ground state is stationary; norm must hold
     norm_run, *equilibrium_stages = stages
-    steps = step_count(norm_run.t0, norm_run.t1, norm_run.dt)
+    steps = step_count(0.0, norm_run.t1, norm_run.dt)
     norm0 = psi0.norm_sq()
     psi_final = schrodinger.evolve(psi0, h, norm_run.t1, norm_run.dt, snapshot_stride=steps)[-1]
     norm_drift = abs(psi_final.norm_sq() - norm0) / norm0
@@ -531,40 +517,34 @@ def _equilibrium_check(cfg, out, stages, psi, params, equilibrium, limit):
     ``_equilibrium_stages``), check the TV distance of its final histogram from
     ``equilibrium`` against ``limit``, and cross-check the density solver at
     ``params.oracle``'s checkpoints when it is set.  Returns the TV distance."""
-    walkers, *oracle_stages = stages
-    result = _walkers(cfg, psi, psi, params, walkers,
-                      checkpoint_times=tuple(st.t1 for st in oracle_stages if st.key == walkers.key))
+    oracle = cfg.params["oracle"]
+    result = _walkers(cfg, psi, psi, params, stages[0],
+                      checkpoint_times=oracle["checkpoints"] if oracle else ())
     tv, _ = _distance(result.histogram, equilibrium, cfg.histogram_refine)
     out.metrics["tv_equilibrium"] = tv
     _check(out, "tv_equilibrium", tv, "<", limit)
     out.fields.append(("final_histogram", result.histogram))
-    if cfg.params["oracle"]:
-        legs = [st for st in oracle_stages if st.key != walkers.key]
-        _oracle_cross_check(cfg, out, psi, params, result, legs)
+    if oracle:   # stages[1] is the density solver's first checkpoint
+        _oracle_cross_check(cfg, out, psi, params, result, float(stages[1].dt))
     return tv
 
 
-def _oracle_cross_check(cfg, out, psi, params, result, legs):
+def _oracle_cross_check(cfg, out, psi, params, result, dt):
     """TV between the Langevin checkpoint histograms and the density solver,
-    which steps ``legs`` one after another."""
+    which steps ``dt`` from t = 0 through the same checkpoints in one call."""
     start = cfg.ensemble["sampler"]
     grid = psi.grid
     # A point start is the walkers' folded start point, binned by the one cell rule.
     p0 = (analysis.histogram(grid.fold(np.asarray(start["at"], dtype=float)), grid)
           if start["type"] == "point" else regularized_density(psi, params).normalized())
-    # One evolution through the sorted checkpoints, each leg starting where the
-    # last one ended, at the checkpoint time the validator planned it from.
-    densities = {}
-    dens = DensityField(grid, p0.values, 0.0)
-    for leg in legs:
-        dens = densities[leg.t1] = smoluchowski.fp_evolve(dens, psi, params, float(leg.dt), leg.t1,
-                                                          method="auto")[-1]
-        dens = DensityField(grid, dens.values, leg.t1)
-    rows = [[tc, *_distance(analysis.histogram(positions, grid), densities[tc], cfg.histogram_refine)]
-            for tc, positions in result.checkpoints]
+    times = [tc for tc, _ in result.checkpoints]
+    densities = smoluchowski.fp_evolve(p0, psi, params, dt, max(times), method="auto",
+                                       checkpoint_times=times)
+    rows = [[tc, *_distance(analysis.histogram(positions, grid), dens, cfg.histogram_refine)]
+            for (tc, positions), dens in zip(result.checkpoints, densities)]
     worst = max(tv for _, tv, _ in rows)
     out.metrics["oracle_tv_max"] = worst
-    out.metrics["oracle_checkpoints"] = [float(t) for t, _ in result.checkpoints]
+    out.metrics["oracle_checkpoints"] = [float(t) for t in times]
     _check(out, "oracle_tv_max", worst, "<", cfg.params["oracle"]["tv_limit"])
     out.tables["oracle_tv"] = (["t", "tv", "maxnorm"], rows)
 
@@ -679,9 +659,8 @@ def _run_adiabatic_tracking(cfg: ScenarioConfig, stages):
              for lam in p["lam_values"]]
     p0 = regularized_density(psi0, sweep[0]).normalized()
     densities = smoluchowski.fp_evolve(p0, snaps, sweep, run.dt, run.t1, method="implicit",
-                                       snapshot_stride=cfg.time["snapshot_stride"])
+                                       checkpoint_times=[s.time for s in snaps])
     series = [[] for _ in sweep]   # the tracking_series rows of each lam
-    # densities and snapshots both fall every snapshot_stride steps and at the end
     for snap, *dens in zip(snaps, *densities):
         ref = regularized_density(snap, sweep[0])
         for rows, lam, d in zip(series, p["lam_values"], dens):
@@ -897,14 +876,14 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunManifest:
     """Run a config from ``validate_config`` and write its manifest, metric
-    CSVs and field snapshots under ``out_dir`` (by default ``cfg.out_dir``,
-    else ``runs/<scenario>``).  The runner steps the stages its scenario
-    declares, the ones the validator checked."""
+    CSVs and field snapshots under ``out_dir`` (by default ``runs/<scenario>``).
+    The runner steps the stages its scenario declares, the ones the validator
+    checked."""
     t_start = _time.perf_counter()
     need = _SCENARIOS[cfg.scenario]
     outcome = need.run(cfg, need.stages(cfg.to_dict()))
 
-    out_base = Path(out_dir or cfg.out_dir or f"runs/{cfg.scenario}")
+    out_base = Path(out_dir or f"runs/{cfg.scenario}")
     out_base.mkdir(parents=True, exist_ok=True)
     files = []
     for name, fld in outcome.fields:

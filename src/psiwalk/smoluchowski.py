@@ -21,8 +21,8 @@ rounding regardless of time step.  The explicit step is positivity-preserving
 under its stability bound; backward Euler with per-axis operator splitting
 (an M-matrix solve) handles stiff large-lambda runs at any dt.
 
-Time steps.  ``fp_evolve`` follows ``grids.step_plan``, as the walkers do, so
-a dt that does not divide a snapshot interval is rejected.
+Time steps.  ``fp_evolve`` steps by ``grids.step_plan`` and checkpoints by
+``grids.checkpoint_steps``, as the walkers do.
 
 Cost.  An ``FPOperator`` computes its face weights when it is built and its
 explicit stability bound on first use.  The first implicit step at a given dt
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import PERIODIC, DensityField, Grid, WaveField, _check_finite, _shift, step_plan
+from .grids import PERIODIC, DensityField, Grid, WaveField, _check_finite, _shift, checkpoint_steps, step_plan
 from .guidance import GuidanceParams, log_density
 
 
@@ -302,7 +302,7 @@ def fp_evolve(
     dt: float,
     t_final: float,
     method: str = "auto",
-    snapshot_stride: int = 1,
+    checkpoint_times=None,
 ) -> list[DensityField] | list[list[DensityField]]:
     """Evolve the density against a sequence of wave-field snapshots.
 
@@ -310,8 +310,10 @@ def fp_evolve(
     segment's operator is built from its governing snapshot, and only the
     current one and its factors are held.  ``method`` is "explicit",
     "implicit", or "auto" (explicit when dt is within the stability bound).
-    Returns density snapshots every ``snapshot_stride`` steps, always
-    including the initial and final states.
+    Returns the density, timed by its accumulated steps, at each of
+    ``checkpoint_times`` (None: ``t_final`` alone) in the order given, repeats
+    allowed, placed by the walkers' rule ``grids.checkpoint_steps`` (``p0``
+    itself at ``p0.time``); it holds only those and the current density.
 
     ``params`` is one GuidanceParams, or a sequence of them sharing one
     epsilon: a lambda sweep from the common ``p0``.  A sweep returns one
@@ -329,13 +331,13 @@ def fp_evolve(
                          f"{[q.epsilon for q in sweep]}")
     if method not in ("explicit", "implicit", "auto"):
         raise ValueError(f"unknown stepping method {method!r}")
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
     if t_final < p0.time:
         raise ValueError(f"t_final={t_final} precedes the initial time {p0.time}")
     plan = step_plan(psi_snapshots, p0.time, t_final, dt)
-    total = sum(steps for _, steps in plan)
-    outs, ps, done = [[p0] for _ in sweep], [p0] * len(sweep), 0   # done: steps taken
+    marks = checkpoint_steps((t_final,) if checkpoint_times is None else checkpoint_times,
+                             p0.time, t_final, dt, sum(steps for _, steps in plan))
+    wanted, ps, done = set(marks), [p0] * len(sweep), 0   # done: steps taken
+    kept = {0: list(ps)} if 0 in wanted else {}   # step -> the densities then
     for psi, steps in plan:
         first = FPOperator.from_wavefield(psi, sweep[0])
         ops = [first] + [first._with_lam(q.lam) for q in sweep[1:]]
@@ -351,7 +353,7 @@ def fp_evolve(
             for k in explicit:
                 ps[k] = fp_step(ps[k], ops[k], dt)
             done += 1
-            if done % snapshot_stride == 0 or done == total:
-                for out, q in zip(outs, ps):
-                    out.append(q)
+            if done in wanted:
+                kept[done] = list(ps)
+    outs = [[kept[k][j] for k in marks] for j in range(len(sweep))]
     return outs[0] if single else outs

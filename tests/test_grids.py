@@ -21,7 +21,7 @@ from psiwalk import (
     run_ensemble,
     run_first_passage_ensemble,
 )
-from psiwalk.grids import step_count, step_plan
+from psiwalk.grids import checkpoint_steps, step_count, step_plan
 
 from _interpolate import interpolate
 
@@ -375,6 +375,26 @@ def test_step_count_rule():
                        (1.0, 21.0 + 3e-8, 1e-5)]:
         with pytest.raises(ValueError, match="does not divide the interval"):
             step_count(t0, t1, dt)
+
+
+def test_step_count_refuses_a_span_that_ends_before_it_starts():
+    # within the 1e-9 tolerance of 0 it counted 0 steps, while evolve to that
+    # horizon raised
+    for t0, t1 in [(0.0, -1e-11), (0.0, -1e-300), (1.0, 1.0 - 2.0**-52)]:
+        with pytest.raises(ValueError, match="does not divide the interval"):
+            step_count(t0, t1, 1e-3)
+    assert step_count(1.0, 1.0, 1e-3) == 0
+
+
+def test_checkpoint_steps_compares_step_counts_not_times():
+    # 9 * 0.001 lies an ulp past 0.009, and is the run's last step
+    assert checkpoint_steps([9 * 0.001, 0.0, 0.004, 0.004], 0.0, 0.009, 1e-3, 9) == [9, 0, 4, 4]
+    assert checkpoint_steps([], 0.0, 0.009, 1e-3, 9) == []
+    for tc in (0.01, -1e-3, -1e-12):
+        with pytest.raises(ValueError, match=rf"checkpoint time {tc} outside \[0.0, 0.009\]"):
+            checkpoint_steps([0.004, tc], 0.0, 0.009, 1e-3, 9)
+    with pytest.raises(ValueError, match="does not divide the interval"):
+        checkpoint_steps([0.0045], 0.0, 0.009, 1e-3, 9)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psiwalk import Grid, HamiltonianSpec, WaveField, evolve, langevin
@@ -173,10 +173,10 @@ def test_checkpoint_within_the_step_rule_validates_and_runs(tmp_path):
 
 
 def test_oracle_legs_are_checked_as_the_density_solver_steps_them():
-    # each leg starts at the previous checkpoint; the solver stops at the first it cannot step
+    # the solver steps from t = 0 through every checkpoint in one call
     oracle = {"checkpoints": [0.3, 0.45, 0.2], "fp_dt": 0.1}
     assert validate_config({"scenario": "harmonic_ground", "params": {"oracle": oracle}})[1] == [
-        "params.oracle.fp_dt=0.1 does not divide the interval [0.3, 0.45] between checkpoints"]
+        "params.oracle.fp_dt=0.1 does not divide the checkpoint time 0.45"]
 
 
 @pytest.mark.parametrize("scenario, override, error", [
@@ -346,9 +346,10 @@ def test_the_snapshot_stage_check_agrees_with_stepping_every_snapshot():
     # The validator reads four snapshot times; the runner steps through all
     # that evolve returns.  Horizons are whole dt_psi steps, as the runner's
     # are, or off them by a slack-sized amount, which step_plan treats as a
-    # stretch of its own when it exceeds 1e-12.  The examples need the
-    # stride's snapshot (dt divides 6 and 2 steps of dt_psi, not 3) and the
-    # final one (a 1e-11 stretch takes no step).
+    # stretch of its own when it exceeds 1e-12, and a horizon of -1e-11
+    # precedes the start, which both refuse.  The examples need the stride's
+    # snapshot (dt divides 6 and 2 steps of dt_psi, not 3) and the final one
+    # (a 1e-11 stretch takes no step).
     grid = Grid.make(8, (0.0, 1.0), "periodic")
     psi0 = WaveField(grid, np.ones(8, dtype=complex), 0.0)
     outcomes = []
@@ -361,8 +362,7 @@ def test_the_snapshot_stage_check_agrees_with_stepping_every_snapshot():
     @example(1e-3, 2, 5, 1e-11, 5e-4)
     def check(dt_psi, stride, steps, off, dt):
         t1 = steps * dt_psi + off
-        assume(t1 >= 0)   # a horizon never precedes the start
-        stage = _Stage("time.dt_langevin", "the horizon", 0.0, t1, dt, (dt_psi, stride))
+        stage = _Stage("time.dt_langevin", "the horizon", t1, dt, (dt_psi, stride))
         try:
             step_plan(evolve(psi0, HamiltonianSpec(), t1, dt_psi, stride), 0.0, t1, dt)
         except ValueError:
@@ -469,7 +469,7 @@ def test_every_config_the_validator_accepts_runs(tmp_path):
     ("double_well", {"params": {"oracle": 5}}, "params.oracle must be a JSON object, got 5"),
     ("free_packet", {"ensembel": {"n_trajectories": 10}},
      "ensembel is not a config key; valid keys: scenario, grid, hbar, mass, guidance, time, "
-     "ensemble, master_seed, histogram_refine, out_dir, workers, params"),
+     "ensemble, master_seed, histogram_refine, workers, params"),
     ("free_packet", {"ensemble": {"n_trajectory": 10}},
      "ensemble.n_trajectory is not an ensemble key; valid keys: n_trajectories, sampler"),
     ("free_packet", {"params": {"sigma_0": 2.0}},

@@ -27,6 +27,8 @@ from psiwalk.analysis import coarsen
 from psiwalk.guidance import regularized_density
 from psiwalk.smoluchowski import _gm
 
+from _memory import traced_peak
+
 
 def double_well_setup(b=1.0, n=256, half=8.0):
     g = Grid.make(n, (-half, half), "reflecting")
@@ -343,13 +345,13 @@ def test_operator_reused_across_dt_matches_fresh_operators():
 
 def test_fp_evolve_raises_on_nonfinite_state_before_next_snapshot():
     # a state that overflows in the first explicit step raises no later than
-    # the next returned snapshot (step 4)
+    # the next checkpoint (step 4)
     g, psi, params, op, eq = double_well_setup(n=64)
     p0 = DensityField(g, np.where(np.arange(64) % 2, 1.5e308, 0.0))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-        fp_evolve(p0, psi, params, 1e-3, 4e-3, method="explicit", snapshot_stride=4)
-    # the returned snapshots carry the per-step accumulated time
-    out = fp_evolve(eq, psi, params, 1e-3, 4e-3, method="explicit", snapshot_stride=3)
+        fp_evolve(p0, psi, params, 1e-3, 4e-3, method="explicit", checkpoint_times=(4e-3,))
+    # the returned densities carry the per-step accumulated time
+    out = fp_evolve(eq, psi, params, 1e-3, 4e-3, method="explicit", checkpoint_times=(0.0, 3e-3, 4e-3))
     assert [p.time for p in out] == [0.0, 0.001 + 0.001 + 0.001, 0.001 + 0.001 + 0.001 + 0.001]
 
 
@@ -363,16 +365,78 @@ def test_fp_evolve_rejects_a_dt_that_does_not_divide_a_snapshot_interval():
         with pytest.raises(ValueError, match="does not divide the interval"):
             evolve_off()
     on = [psi, WaveField(g, psi.values, time=0.02)]
-    assert [p.time for p in fp_evolve(eq, on, params, 0.01, 0.04, snapshot_stride=2)] == [
-        0.0, 0.01 + 0.01, 0.01 + 0.01 + 0.01 + 0.01]
+    out = fp_evolve(eq, on, params, 0.01, 0.04, checkpoint_times=(0.0, 0.02, 0.04))
+    assert [p.time for p in out] == [0.0, 0.01 + 0.01, 0.01 + 0.01 + 0.01 + 0.01]
 
 
-@pytest.mark.parametrize("stride", [0, -2])
-def test_fp_evolve_rejects_a_snapshot_stride_below_one(stride):
-    # 0 raised ZeroDivisionError after the first step; -2 ran as a stride of 2
+@pytest.mark.parametrize("start, tc", [(0.0, 5e-3), (0.0, 0.1), (1.0, 0.5), (1.0, 1.0 - 1e-12)],
+                         ids=["one_step_past", "past", "before", "just_before"])
+def test_fp_evolve_refuses_a_checkpoint_outside_its_run(start, tc):
+    # before any step, by the walkers' rule and message: a checkpoint's step
+    # count from p0.time must not exceed the run's, nor its span be negative
     g, psi, params, op, eq = double_well_setup(n=64)
-    with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
-        fp_evolve(eq, psi, params, 1e-3, 0.05, snapshot_stride=stride)
+    p0 = DensityField(g, eq.values, time=start)
+    t_final = start + 4e-3
+    with mock.patch.object(smoluchowski, "fp_step_implicit") as implicit, \
+            mock.patch.object(smoluchowski, "fp_step") as explicit:
+        for method in ("explicit", "implicit"):
+            with pytest.raises(ValueError, match=rf"checkpoint time {tc} outside \[{start}, {t_final}\]"):
+                fp_evolve(p0, psi, params, 1e-3, t_final, method=method,
+                          checkpoint_times=(start + 2e-3, tc))
+    assert not implicit.called and not explicit.called
+
+
+def test_fp_evolve_returns_unsorted_and_repeated_checkpoints_in_the_order_given():
+    g, psi, params, op, eq = double_well_setup(n=64)
+    p0 = DensityField(g, np.roll(eq.values, 9))
+    steps = [p0]
+    for _ in range(10):
+        steps.append(fp_step(steps[-1], op, 1e-3))
+    out = fp_evolve(p0, psi, params, 1e-3, 0.01, method="explicit",
+                    checkpoint_times=(5e-3, 2e-3, 5e-3, 0.01, 0.0))
+    assert len(out) == 5 and out[0] is out[2] and out[4] is p0
+    for d, k in zip(out, (5, 2, 5, 10, 0)):
+        assert d.time == steps[k].time and np.array_equal(d.values, steps[k].values)
+    assert fp_evolve(p0, psi, params, 1e-3, 0.01, checkpoint_times=()) == []
+    # by default only t_final, the same density as asking for it
+    (final,) = fp_evolve(p0, psi, params, 1e-3, 0.01, method="explicit")
+    assert np.array_equal(final.values, out[3].values)
+
+
+def test_fp_evolve_returns_p0_at_a_checkpoint_at_its_start():
+    g, psi, params, op, eq = double_well_setup(n=64)
+    for start in (0.0, 1.0):
+        p0 = DensityField(g, eq.values, time=start)
+        sweep = [params, GuidanceParams(lam=1000.0)]
+        assert fp_evolve(p0, psi, params, 1e-3, start + 4e-3, checkpoint_times=(start,)) == [p0]
+        assert fp_evolve(p0, psi, sweep, 1e-3, start + 4e-3, checkpoint_times=(start,)) == [[p0], [p0]]
+
+
+def test_a_checkpoint_an_ulp_past_a_decimal_t_final_is_its_last_step_in_both_engines():
+    # 9 steps of 0.001 land at 0.009000000000000001 > 0.009, as evolve's
+    # snapshot times do; the walkers refused it as outside [0.0, 0.009]
+    g, psi, params, op, eq = double_well_setup(n=64)
+    tc = 9 * 0.001
+    assert tc > 0.009
+    res = run_ensemble(8, PointSampler([0.5]), psi, params, 1e-3, 0.009, checkpoint_times=(tc, 0.009))
+    assert [t for t, _ in res.checkpoints] == [tc, 0.009]
+    for _, positions in res.checkpoints:
+        assert np.array_equal(positions, res.final_positions)
+    got, final = fp_evolve(eq, psi, params, 1e-3, 0.009, checkpoint_times=(tc, 0.009))
+    assert got is final and got.time == sum([0.001] * 9)
+
+
+def test_fp_evolve_holds_a_few_densities_not_one_per_step():
+    # it kept every step's density by default: 2000 steps held 2001 of them
+    g = Grid.make(1024, (-8.0, 8.0), "periodic")
+    x = g.coords(0)
+    psi = WaveField(g, np.exp(-x**2 / 2))
+    params = GuidanceParams(lam=1.0)
+    p0 = DensityField(g, np.exp(-(x - 1.0) ** 2))
+    dt = 0.5 * FPOperator.from_wavefield(psi, params).stable_dt()
+    out, peak = traced_peak(fp_evolve, p0, psi, params, dt, 2000 * dt, method="explicit")
+    assert peak < 16 * p0.values.nbytes   # 8.4 here: the operator, one step's temporaries
+    assert [d.time for d in out] == [sum([dt] * 2000)]
 
 
 def test_fp_evolve_rejects_a_t_final_before_the_start():
@@ -421,8 +485,9 @@ def _assert_same_densities(got, want):
 @given(boundary=st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.sampled_from([P, R])] * d)),
        seed=st.integers(0, 2**32 - 1), lams=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=4),
        method=st.sampled_from(["explicit", "implicit", "auto"]),
-       segments=st.lists(st.integers(1, 3), min_size=1, max_size=3), stride=st.integers(1, 4))
-def test_a_lam_sweep_matches_separate_runs_bit_for_bit(boundary, seed, lams, method, segments, stride):
+       segments=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       marks=st.lists(st.integers(0, 9), max_size=4))
+def test_a_lam_sweep_matches_separate_runs_bit_for_bit(boundary, seed, lams, method, segments, marks):
     # moving snapshots, a start with empty cells, and under "auto" a dt between
     # the lambdas' bounds, so that each lambda picks its own method
     rng = np.random.default_rng(seed)
@@ -436,12 +501,14 @@ def test_a_lam_sweep_matches_separate_runs_bit_for_bit(boundary, seed, lams, met
     starts = np.cumsum([0] + segments)
     snaps = [WaveField(g, v, time=dt * int(k)) for v, k in zip(fields, starts)]
     t_final = dt * int(starts[-1])
+    # unsorted and repeated checkpoints on the step lattice
+    checkpoints = [dt * (k % (int(starts[-1]) + 1)) for k in marks]
     p0 = DensityField(g, rng.random(points) * (rng.random(points) < 0.7))
-    got = fp_evolve(p0, snaps, sweep, dt, t_final, method=method, snapshot_stride=stride)
+    got = fp_evolve(p0, snaps, sweep, dt, t_final, method=method, checkpoint_times=checkpoints)
     assert len(got) == len(sweep)
     for q, densities in zip(sweep, got):
         _assert_same_densities(densities, fp_evolve(p0, snaps, q, dt, t_final, method=method,
-                                                     snapshot_stride=stride))
+                                                     checkpoint_times=checkpoints))
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: "-".join(x[0] for x in b))
@@ -486,7 +553,7 @@ def test_a_sweep_raises_on_a_nonfinite_state_in_one_lam_before_its_next_snapshot
     sweep = [GuidanceParams(lam=10.0), GuidanceParams(lam=1000.0)]
     assert np.isfinite(fp_evolve(p0, psi, sweep[1], 1e-3, 4e-3)[-1].values).all()
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-        fp_evolve(p0, psi, sweep, 1e-3, 4e-3, snapshot_stride=4)
+        fp_evolve(p0, psi, sweep, 1e-3, 4e-3)
 
 
 @pytest.mark.parametrize("method, implicit_calls, explicit_calls", [
@@ -503,7 +570,8 @@ def test_fp_evolve_calls_the_module_fp_step_implicit_once_per_lockstep_step(
     with mock.patch.object(smoluchowski, "fp_step_implicit",
                            wraps=smoluchowski.fp_step_implicit) as implicit, \
             mock.patch.object(smoluchowski, "fp_step", wraps=smoluchowski.fp_step) as explicit:
-        out = fp_evolve(eq, snaps, sweep, 2.5e-3, 0.015, method=method, snapshot_stride=2)
+        out = fp_evolve(eq, snaps, sweep, 2.5e-3, 0.015, method=method,
+                        checkpoint_times=(0.0, 5e-3, 0.01, 0.015))
     assert implicit.call_count == implicit_calls
     assert explicit.call_count == explicit_calls * (1 if method == "auto" else len(lams))
     assert [len(densities) for densities in out] == [4] * len(lams)
