@@ -245,12 +245,15 @@ def step_count(t0: float, t1: float, dt: float) -> int:
     ``dt`` must be positive and finite, the span ``t1 - t0`` must not be
     negative, the steps must be finitely many and span it to within
     ``1e-9 * max(1, t1 - t0)``, and a positive span takes at least one step;
-    anything else raises ValueError.
+    anything else raises ValueError.  The engines leave a ``t1`` before their
+    start to this rule.
     """
     _check_dt(dt)
     span = t1 - t0
+    if span < 0:
+        raise ValueError(f"the interval [{t0}, {t1}] ends before it starts")
     steps = int(round(ratio)) if math.isfinite(ratio := span / dt) else -1   # -1 fails below
-    if span < 0 or steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, span) or (span > 0 and not steps):
+    if steps < 0 or abs(steps * dt - span) > 1e-9 * max(1.0, span) or (span > 0 and not steps):
         raise ValueError(f"dt={dt} does not divide the interval [{t0}, {t1}]")
     return steps
 

@@ -358,10 +358,10 @@ def _advance_block(positions, t0, step, dt, noise, drift, grid, cap, stream_ids,
 
 @dataclass
 class EnsembleResult:
-    """Per-trajectory outcomes plus the normalized final-position histogram."""
+    """Per-trajectory outcomes; ``metadata`` holds the walker count ``n`` and
+    the ``steps`` each took.  Callers bin ``final_positions`` themselves."""
 
     final_positions: np.ndarray
-    histogram: DensityField
     crossings: np.ndarray
     checkpoints: list[tuple[float, np.ndarray]]
     paths: np.ndarray | None
@@ -546,24 +546,22 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``n`` independent trajectories with stream ids 0..n-1.
 
-    The walkers start at the earliest snapshot's time.  The final-position
-    histogram is normalized on the field grid.  ``basins`` maps a snapshot to
-    the ``NodeBasinMap`` on which its steps count ``crossings`` (None: none
-    counted).  ``checkpoint_times`` capture full position snapshots at the
-    steps ``grids.checkpoint_steps`` gives them, in the order given;
-    ``record_stride`` k keeps every k-th step of every trajectory in one
-    ``(n, 1 + steps // k, dims)`` array of doubles.  ``workers`` caps the
-    processes that step chunks (None: every CPU this process may use); a run
-    below the pool's break-even steps in this process.  No worker count
-    changes a result.
+    The walkers start at the earliest snapshot's time and step by
+    ``grids.step_plan`` to ``t_final``, which refuses a ``t_final`` before
+    that.  ``basins`` maps a snapshot to the ``NodeBasinMap`` on which its
+    steps count ``crossings`` (None: none counted).  ``checkpoint_times``
+    capture full position snapshots at the steps ``grids.checkpoint_steps``
+    gives them, in the order given; ``record_stride`` k keeps every k-th step
+    of every trajectory in one ``(n, 1 + steps // k, dims)`` array of
+    doubles.  ``workers`` caps the processes that step chunks (None: every
+    CPU this process may use); a run below the pool's break-even steps in
+    this process.  No worker count changes a result.
     """
     if record_stride is not None and record_stride < 0:
         raise ValueError(f"record_stride must be >= 0, got {record_stride}")
     snaps = [psi_snapshots] if isinstance(psi_snapshots, WaveField) else list(psi_snapshots)
     t0 = min(s.time for s in snaps)   # ValueError without snapshots
     grid = snaps[0].grid
-    if t_final < t0:
-        raise ValueError(f"t_final={t_final} precedes the first snapshot time {t0}")
     plan = step_plan(snaps, t0, t_final, dt_L)
     steps = sum(k for _, k in plan)
     marks = checkpoint_steps(checkpoint_times, t0, t_final, dt_L, steps)
@@ -575,34 +573,14 @@ def run_ensemble(
     crossings = np.concatenate([r[1] for r in results])
     checkpoints = [(tc, np.concatenate([r[2][k] for r in results]))
                    for tc, k in zip(checkpoint_times, marks)]
-    paths = None
-    path_times = None
+    paths = path_times = None
     if record_stride:
         # One chunk's paths are returned as they are: a copy would double the peak.
         paths = results[0][3] if len(results) == 1 else np.concatenate([r[3] for r in results])
         path_times = t0 + dt_L * record_stride * np.arange(paths.shape[1])
 
-    from .analysis import histogram as _histogram
-
-    hist = _histogram(final_positions, grid)
-    metadata = {
-        "n": n,
-        "lam": params.lam,
-        "epsilon": params.epsilon,
-        "dt_L": dt_L,
-        "t_final": t_final,
-        "steps": steps,
-        "master_seed": master_seed,
-    }
-    return EnsembleResult(
-        final_positions=final_positions,
-        histogram=hist,
-        crossings=crossings,
-        checkpoints=checkpoints,
-        paths=paths,
-        path_times=path_times,
-        metadata=metadata,
-    )
+    return EnsembleResult(final_positions, crossings, checkpoints, paths, path_times,
+                          metadata={"n": n, "steps": steps})
 
 
 def run_first_passage_ensemble(

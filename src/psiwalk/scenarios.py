@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, langevin, schrodinger, smoluchowski
 from .fieldio import write_field
-from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, step_count, step_plan
+from .grids import PERIODIC, REFLECTING, DensityField, Grid, WaveField, checkpoint_steps, step_count, step_plan
 from .guidance import GuidanceParams, regularized_density
 from .version import __version__
 
@@ -126,18 +126,19 @@ _ORACLE = {"checkpoints": (_REQUIRED, (lambda v: _is_list(v) and len(v) > 0,
 
 
 class _Stage(NamedTuple):
-    """One interval a runner steps from t = 0: ``dt`` up to ``t1`` on a static
-    field, or through the snapshots ``schrodinger.evolve`` returns every
-    ``stride`` steps of ``dt_psi`` when ``lattice`` is ``(dt_psi, stride)``.
-    ``key`` names dt and ``horizon`` names t1 in the validator's messages.  A
-    ``rounded`` t1 is a horizon the runner takes to whole steps, and it must
-    keep at least one."""
+    """One engine call from t = 0: ``dt`` up to ``t1`` on a static field, or
+    through the snapshots ``schrodinger.evolve`` returns every ``stride``
+    steps of ``dt_psi`` when ``lattice`` is ``(dt_psi, stride)``, returning
+    its state at each of ``checkpoints``.  ``key`` names dt and ``horizon``
+    names t1 in the validator's messages.  A ``rounded`` t1 is a horizon the
+    runner takes to whole steps, and it must keep at least one."""
     key: str
     horizon: str
     t1: float
     dt: float
     lattice: tuple | None = None
     rounded: bool = False
+    checkpoints: tuple = ()
 
 
 def _whole(t: float, dt: float) -> float:
@@ -152,16 +153,18 @@ def _to_t_final(m: dict, key: str, lattice=None) -> _Stage:
 
 
 def _equilibrium_stages(m: dict) -> list:
-    """The walkers up to time.t_final, if there are any; with ``params.oracle``
-    then each checkpoint from t = 0 in the density solver's steps, then in theirs."""
+    """The walkers up to time.t_final, if there are any, through the checkpoints
+    of ``params.oracle``; with the oracle then the density solver from t = 0 to
+    the last checkpoint in fp_dt (or dt_langevin) steps, through the same ones."""
     if not m["ensemble"]["n_trajectories"]:
         return []
-    stages, oracle = [_to_t_final(m, "dt_langevin")], m["params"]["oracle"]
-    if oracle:
-        dt = m["time"]["dt_langevin"]
-        for key, step in (("params.oracle.fp_dt", oracle["fp_dt"] or dt), ("time.dt_langevin", dt)):
-            stages += [_Stage(key, f"the checkpoint time {tc}", tc, step) for tc in oracle["checkpoints"]]
-    return stages
+    walkers, oracle = _to_t_final(m, "dt_langevin"), m["params"]["oracle"]
+    if not oracle:
+        return [walkers]
+    times = tuple(oracle["checkpoints"])
+    key, dt = ("params.oracle.fp_dt", oracle["fp_dt"]) if oracle["fp_dt"] else (walkers.key, walkers.dt)
+    return [walkers._replace(checkpoints=times),
+            _Stage(key, f"the last checkpoint time {max(times)}", max(times), dt, checkpoints=times)]
 
 
 def _harmonic_stages(m: dict) -> list:
@@ -245,25 +248,29 @@ def _snapshot_steps(st: _Stage):
 
 
 def _stage_error(st: _Stage) -> str | None:
-    """Why the runner could not step ``st``, or None."""
+    """Why the engine could not step ``st`` or take its checkpoints, by its
+    own rules, or None."""
     if not np.isfinite(st.t1):
         return f"{st.horizon} is not finite"
     try:
-        if st.lattice:
+        if st.lattice:   # a snapshot stage takes no checkpoints
             _snapshot_steps(st)
-        elif not step_count(0.0, st.t1, st.dt) and st.rounded:
-            return f"{st.key}={st.dt} rounds {st.horizon} to zero steps"
+            return None
+        steps = step_count(0.0, st.t1, st.dt)
     except ValueError:
         return f"{st.key}={st.dt} does not divide {st.horizon}"
+    if not steps and st.rounded:
+        return f"{st.key}={st.dt} rounds {st.horizon} to zero steps"
+    for tc in st.checkpoints:
+        try:
+            checkpoint_steps([tc], 0.0, st.t1, st.dt, steps)
+        except ValueError:
+            return f"{st.key}={st.dt} takes no step at the checkpoint time {tc} of {st.horizon}"
     return None
 
 
-def _oracle_errors(oracle: dict, m: dict) -> list[str]:
-    """``params.oracle`` needs its checkpoints in [0, time.t_final] and the
-    walkers' equilibrium run to happen."""
-    t_final = m["time"]["t_final"]
-    if not all(0 <= tc <= t_final for tc in oracle["checkpoints"]):
-        return [f"params.oracle.checkpoints must be a list of times in [0, time.t_final={t_final}]"]
+def _oracle_errors(m: dict) -> list[str]:
+    """``params.oracle`` needs the walkers' equilibrium run to happen."""
     errors = []
     if m["ensemble"]["n_trajectories"] == 0:
         errors.append("params.oracle never runs: it needs ensemble.n_trajectories > 0")
@@ -288,7 +295,7 @@ def _relation_errors(scenario: str, m: dict) -> list[str]:
     stage_errors = [e for e in map(_stage_error, stages) if e]
     errors += stage_errors
     if p.get("oracle"):
-        errors += _oracle_errors(p["oracle"], m)
+        errors += _oracle_errors(m)
     if scenario == "product_separation" and stages and not stage_errors:
         (st,) = stages   # the walkers
         n = en["n_trajectories"] * (step_count(0.0, st.t1, st.dt) // p["record_stride"])
@@ -462,12 +469,14 @@ def _distance(p: DensityField, ref: DensityField, refine: int = 1) -> tuple[floa
 
 def _walkers(cfg: ScenarioConfig, psi0: WaveField, snaps, params: GuidanceParams, stage: _Stage, **kw):
     """The config's walkers, drawn by its sampler (a point, or the density of
-    ``psi0``) and stepped from its master seed through ``stage`` on ``snaps``."""
+    ``psi0``) and stepped from its master seed through ``stage`` on ``snaps``,
+    returning their positions at its checkpoints."""
     spec = cfg.ensemble["sampler"]
     sampler = (langevin.PointSampler(np.asarray(spec["at"], dtype=float)) if spec["type"] == "point"
                else langevin.DensitySampler(regularized_density(psi0, params)))
     return langevin.run_ensemble(cfg.ensemble["n_trajectories"], sampler, snaps, params, stage.dt,
-                                 stage.t1, master_seed=cfg.master_seed, workers=cfg.workers, **kw)
+                                 stage.t1, master_seed=cfg.master_seed, workers=cfg.workers,
+                                 checkpoint_times=stage.checkpoints, **kw)
 
 
 def _harmonic(cfg: ScenarioConfig, grid: Grid, omega: float) -> schrodinger.HamiltonianSpec:
@@ -513,38 +522,38 @@ def _run_harmonic_ground(cfg: ScenarioConfig, stages):
 
 
 def _equilibrium_check(cfg, out, stages, psi, params, equilibrium, limit):
-    """Run the ensemble on the static field ``psi`` through ``stages`` (see
-    ``_equilibrium_stages``), check the TV distance of its final histogram from
-    ``equilibrium`` against ``limit``, and cross-check the density solver at
-    ``params.oracle``'s checkpoints when it is set.  Returns the TV distance."""
-    oracle = cfg.params["oracle"]
-    result = _walkers(cfg, psi, psi, params, stages[0],
-                      checkpoint_times=oracle["checkpoints"] if oracle else ())
-    tv, _ = _distance(result.histogram, equilibrium, cfg.histogram_refine)
+    """Run the walkers' stage of ``stages`` (see ``_equilibrium_stages``) on
+    the static field ``psi``, check the TV distance of their binned final
+    positions from ``equilibrium`` against ``limit``, and hand the density
+    solver's stage, when there is one, to the oracle cross-check.  Returns
+    the TV distance."""
+    walkers, *solver = stages
+    result = _walkers(cfg, psi, psi, params, walkers)
+    hist = analysis.histogram(result.final_positions, psi.grid)
+    tv, _ = _distance(hist, equilibrium, cfg.histogram_refine)
     out.metrics["tv_equilibrium"] = tv
     _check(out, "tv_equilibrium", tv, "<", limit)
-    out.fields.append(("final_histogram", result.histogram))
-    if oracle:   # stages[1] is the density solver's first checkpoint
-        _oracle_cross_check(cfg, out, psi, params, result, float(stages[1].dt))
+    out.fields.append(("final_histogram", hist))
+    if solver:
+        _oracle_cross_check(cfg, out, psi, params, result, *solver)
     return tv
 
 
-def _oracle_cross_check(cfg, out, psi, params, result, dt):
-    """TV between the Langevin checkpoint histograms and the density solver,
-    which steps ``dt`` from t = 0 through the same checkpoints in one call."""
+def _oracle_cross_check(cfg, out, psi, params, result, stage: _Stage):
+    """TV between the walkers' checkpoint histograms and the density solver,
+    which steps ``stage`` from t = 0 through the same checkpoints in one call."""
     start = cfg.ensemble["sampler"]
     grid = psi.grid
     # A point start is the walkers' folded start point, binned by the one cell rule.
     p0 = (analysis.histogram(grid.fold(np.asarray(start["at"], dtype=float)), grid)
           if start["type"] == "point" else regularized_density(psi, params).normalized())
-    times = [tc for tc, _ in result.checkpoints]
-    densities = smoluchowski.fp_evolve(p0, psi, params, dt, max(times), method="auto",
-                                       checkpoint_times=times)
+    densities = smoluchowski.fp_evolve(p0, psi, params, stage.dt, stage.t1,
+                                       checkpoint_times=stage.checkpoints)
     rows = [[tc, *_distance(analysis.histogram(positions, grid), dens, cfg.histogram_refine)]
             for (tc, positions), dens in zip(result.checkpoints, densities)]
     worst = max(tv for _, tv, _ in rows)
     out.metrics["oracle_tv_max"] = worst
-    out.metrics["oracle_checkpoints"] = [float(t) for t in times]
+    out.metrics["oracle_checkpoints"] = [float(t) for t in stage.checkpoints]
     _check(out, "oracle_tv_max", worst, "<", cfg.params["oracle"]["tv_limit"])
     out.tables["oracle_tv"] = (["t", "tv", "maxnorm"], rows)
 
@@ -710,14 +719,15 @@ def _run_interference(cfg: ScenarioConfig, stages):
         params = cfg.guidance_params()
         result = _walkers(cfg, psi0, snaps, params, walkers[0], basins=lambda psi:
                           langevin.NodeBasinMap.from_wavefield(psi, float(p["node_threshold"])))
-        tv, _ = _distance(result.histogram, regularized_density(snaps[-1], params), cfg.histogram_refine)
+        hist = analysis.histogram(result.final_positions, grid)
+        tv, _ = _distance(hist, regularized_density(snaps[-1], params), cfg.histogram_refine)
         zero_fraction = float(np.mean(result.crossings == 0))
         out.metrics["tv_fringe"] = tv
         out.metrics["zero_crossing_fraction"] = zero_fraction
         out.metrics["mean_crossings"] = float(result.crossings.mean())
         _check(out, "tv_fringe", tv, "<", p["tv_limit"])
         _check(out, "zero_crossing_fraction", zero_fraction, ">=", p["zero_crossing_fraction"])
-        out.fields.append(("final_histogram", result.histogram))
+        out.fields.append(("final_histogram", hist))
         out.tables["interference"] = (
             ["fringe_time", "tv", "zero_crossing_fraction", "mean_crossings", "n"],
             [[fringe_time, tv, zero_fraction, float(result.crossings.mean()),

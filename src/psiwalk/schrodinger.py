@@ -110,8 +110,6 @@ def evolve(
     so it has ``ceil(steps / stride) + 1`` entries.  The step count from
     ``psi.time`` to ``t_final`` follows ``grids.step_count``.
     """
-    if t_final < psi.time:
-        raise ValueError(f"t_final={t_final} precedes the initial time {psi.time}")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     steps = step_count(psi.time, t_final, dt)

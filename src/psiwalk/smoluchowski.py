@@ -331,8 +331,6 @@ def fp_evolve(
                          f"{[q.epsilon for q in sweep]}")
     if method not in ("explicit", "implicit", "auto"):
         raise ValueError(f"unknown stepping method {method!r}")
-    if t_final < p0.time:
-        raise ValueError(f"t_final={t_final} precedes the initial time {p0.time}")
     plan = step_plan(psi_snapshots, p0.time, t_final, dt)
     marks = checkpoint_steps((t_final,) if checkpoint_times is None else checkpoint_times,
                              p0.time, t_final, dt, sum(steps for _, steps in plan))

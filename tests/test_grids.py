@@ -1,5 +1,6 @@
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from psiwalk import (
     run_ensemble,
     run_first_passage_ensemble,
 )
+from psiwalk import langevin, schrodinger, smoluchowski
 from psiwalk.grids import checkpoint_steps, step_count, step_plan
 
 from _interpolate import interpolate
@@ -371,17 +373,18 @@ def test_step_count_rule():
     # within 1e-9 of step 500, and within 1e-9 * span of 2e6 steps
     assert step_count(0.0, 0.0050000005, 1e-5) == 500
     assert step_count(1.0, 21.0 + 1e-8, 1e-5) == 2_000_000
-    for t0, t1, dt in [(0.0, 0.0105, 1e-3), (0.0, 1e-12, 1e-3), (0.5, 0.2, 0.1),
-                       (1.0, 21.0 + 3e-8, 1e-5)]:
+    for t0, t1, dt in [(0.0, 0.0105, 1e-3), (0.0, 1e-12, 1e-3), (1.0, 21.0 + 3e-8, 1e-5)]:
         with pytest.raises(ValueError, match="does not divide the interval"):
             step_count(t0, t1, dt)
+    with pytest.raises(ValueError, match=r"the interval \[0.5, 0.2\] ends before it starts"):
+        step_count(0.5, 0.2, 0.1)
 
 
 def test_step_count_refuses_a_span_that_ends_before_it_starts():
     # within the 1e-9 tolerance of 0 it counted 0 steps, while evolve to that
     # horizon raised
     for t0, t1 in [(0.0, -1e-11), (0.0, -1e-300), (1.0, 1.0 - 2.0**-52)]:
-        with pytest.raises(ValueError, match="does not divide the interval"):
+        with pytest.raises(ValueError, match=rf"the interval \[{t0}, {t1}\] ends before it starts"):
             step_count(t0, t1, 1e-3)
     assert step_count(1.0, 1.0, 1e-3) == 0
 
@@ -432,6 +435,26 @@ def test_every_engine_rejects_a_horizon_of_no_finite_step_count(t0, t1, dt):
                 lambda: run_ensemble(4, PointSampler([0.0]), psi, params, dt, t1)):
         with pytest.raises(ValueError, match=r"dt=\S+ does not divide the interval"):
             run()
+
+
+def test_every_engine_refuses_a_t_final_before_its_start_before_any_step():
+    # by step_count's message; each engine had a "t_final=... precedes" check
+    # of its own, as step_count said "does not divide" such a span
+    g = Grid.make(32, (-4.0, 4.0), "periodic")
+    psi = make_packet(g, [0.0], 1.0)
+    late, p0 = WaveField(g, psi.values, 1.0), DensityField(g, np.abs(psi.values) ** 2, 1.0)
+    params = GuidanceParams(lam=1.0)
+    with (mock.patch.object(schrodinger, "_apply_step") as propagator,
+          mock.patch.object(langevin, "_advance_block") as kernel,
+          mock.patch.object(smoluchowski, "fp_step") as explicit,
+          mock.patch.object(smoluchowski, "fp_step_implicit") as implicit):
+        for run in (lambda: evolve(late, HamiltonianSpec(), 0.5, 0.01),
+                    lambda: run_ensemble(4, PointSampler([0.0]), late, params, 0.01, 0.5),
+                    lambda: fp_evolve(p0, late, params, 0.01, 0.5, method="explicit"),
+                    lambda: fp_evolve(p0, late, params, 0.01, 0.5, method="implicit")):
+            with pytest.raises(ValueError, match=r"the interval \[1.0, 0.5\] ends before it starts"):
+                run()
+    assert not any(m.called for m in (propagator, kernel, explicit, implicit))
 
 
 @settings(max_examples=300, deadline=None)

@@ -34,7 +34,7 @@ from psiwalk import (
     total_variation,
 )
 from psiwalk import langevin
-from psiwalk.analysis import coarsen
+from psiwalk.analysis import coarsen, histogram
 from psiwalk.guidance import regularized_density
 
 from _interpolate import interpolate
@@ -288,7 +288,9 @@ def test_a_pool_run_equals_a_serial_run_and_leaves_no_process(monkeypatch, dims)
                  (serial.crossings, pooled.crossings), (serial.paths, pooled.paths),
                  *((x, y) for (_, x), (_, y) in zip(serial.checkpoints, pooled.checkpoints))]:
         assert a.tobytes() == b.tobytes()
-    assert serial.histogram.values.tobytes() == pooled.histogram.values.tobytes()
+    grid = snaps[0].grid
+    assert (histogram(serial.final_positions, grid).values.tobytes()
+            == histogram(pooled.final_positions, grid).values.tobytes())
     assert dims == 2 or serial.crossings.sum() > 0
 
 
@@ -777,9 +779,10 @@ def test_ensemble_equilibrium_double_gaussian_low_barrier():
         10_000, PointSampler([-1.0]), psi, params, 1e-2, 200.0, master_seed=31
     )
     eq = regularized_density(psi, params).normalized()
-    tv = total_variation(coarsen(res.histogram, 8), coarsen(eq, 8).normalized())
+    hist = histogram(res.final_positions, g)
+    tv = total_variation(coarsen(hist, 8), coarsen(eq, 8).normalized())
     assert tv < 0.05
-    assert abs(res.histogram.total() - 1.0) < 1e-9
+    assert abs(hist.total() - 1.0) < 1e-9
 
 
 def test_density_sampler_matches_density():
@@ -1013,6 +1016,5 @@ def test_histogram_metadata():
     res = run_ensemble(
         128, PointSampler([0.0]), psi, GuidanceParams(lam=2.0), 1e-2, 0.5, master_seed=9
     )
-    assert res.metadata["lam"] == 2.0
-    assert res.metadata["steps"] == 50
-    assert abs(res.histogram.total() - 1.0) < 1e-9
+    assert res.metadata == {"n": 128, "steps": 50}
+    assert abs(histogram(res.final_positions, g).total() - 1.0) < 1e-9

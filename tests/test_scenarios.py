@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from psiwalk import Grid, HamiltonianSpec, WaveField, evolve, langevin
 from psiwalk.cli import main
-from psiwalk.grids import step_plan
+from psiwalk.grids import checkpoint_steps, step_count, step_plan
 from psiwalk.scenarios import (
     _REQUIRED, _SCENARIOS, _SHARED, SCENARIO_NAMES, RunManifest, _Stage, _stage_error, run_scenario,
     validate_config,
@@ -147,13 +147,13 @@ def test_oracle_fp_dt_must_divide_every_checkpoint():
         return validate_config({"scenario": "harmonic_ground", "params": {"oracle": oracle}})[1]
 
     assert oracle_errors({"checkpoints": [0.25, 0.5], "fp_dt": 0.02}) == [
-        "params.oracle.fp_dt=0.02 does not divide the checkpoint time 0.25"]
+        "params.oracle.fp_dt=0.02 takes no step at the checkpoint time 0.25 of the last checkpoint time 0.5"]
     assert oracle_errors({"checkpoints": [0.25], "fp_dt": 0.0}) == [
         "params.oracle.fp_dt must be a positive number, got 0.0"]
     assert oracle_errors({"checkpoints": [0.25, 30.0]}) == [
-        "params.oracle.checkpoints must be a list of times in [0, time.t_final=20.0]"]
+        "time.dt_langevin=0.001 takes no step at the checkpoint time 30.0 of time.t_final=20.0"]
     assert oracle_errors({"checkpoints": [0.25, 0.0005], "fp_dt": 5e-4}) == [
-        "time.dt_langevin=0.001 does not divide the checkpoint time 0.0005"]
+        "time.dt_langevin=0.001 takes no step at the checkpoint time 0.0005 of time.t_final=20.0"]
     # fp_dt defaults to dt_langevin (1e-3), which divides both
     assert oracle_errors({"checkpoints": [0.25, 0.5]}) == []
 
@@ -176,7 +176,55 @@ def test_oracle_legs_are_checked_as_the_density_solver_steps_them():
     # the solver steps from t = 0 through every checkpoint in one call
     oracle = {"checkpoints": [0.3, 0.45, 0.2], "fp_dt": 0.1}
     assert validate_config({"scenario": "harmonic_ground", "params": {"oracle": oracle}})[1] == [
-        "params.oracle.fp_dt=0.1 does not divide the checkpoint time 0.45"]
+        "params.oracle.fp_dt=0.1 does not divide the last checkpoint time 0.45"]
+
+
+def test_the_oracle_check_agrees_with_the_engines_checkpoint_rule():
+    # validate_config accepts an oracle block exactly when grids.checkpoint_steps
+    # accepts its checkpoints in both runs: the walkers' to t_final in
+    # dt_langevin steps, and the density solver's to the last checkpoint in
+    # fp_dt (or dt_langevin) steps.  Checkpoints lie on the 1e-3 lattice, off
+    # it by 1e-11, an ulp past t_final (9 * 0.001 > 0.009), before 0 and past
+    # t_final.  The validator compared times and refused the first example.
+    outcomes = []
+
+    def runs(times, t1, dt):
+        try:
+            checkpoint_steps(times, 0.0, t1, dt, step_count(0.0, t1, dt))
+        except ValueError:
+            return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.006, 0.009, 0.012]), st.sampled_from([1e-3, 2e-3, 3e-3]),
+           st.sampled_from([None, 5e-4, 1e-3, 1.5e-3, 3e-3]),
+           st.lists(st.tuples(st.integers(-1, 14), st.sampled_from([0.0, 1e-11, -1e-11, "ulp"])),
+                    min_size=1, max_size=3))
+    @example(0.009, 1e-3, None, [(9, 0.0)])
+    @example(0.009, 1e-3, 3e-3, [(9, 1e-11), (3, 0.0)])
+    def check(t_final, dt, fp_dt, picks):
+        times = [np.nextafter(t_final, 1.0) if off == "ulp" else k * 1e-3 + off for k, off in picks]
+        config = {"scenario": "harmonic_ground",
+                  "time": {"t_final": t_final, "dt_langevin": dt, "dt_psi": dt},
+                  "ensemble": {"n_trajectories": 10},
+                  "params": {"oracle": {"checkpoints": times, "fp_dt": fp_dt}}}
+        accepted = runs(times, t_final, dt) and runs(times, max(times), fp_dt or dt)
+        assert (validate_config(config)[1] == []) == accepted
+        outcomes.append(accepted)
+
+    check()
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_a_checkpoint_an_ulp_past_t_final_validates_and_runs(tmp_path):
+    # 9 * 0.001 lies an ulp past 0.009 and is the walkers' last step; the
+    # validator refused it as outside [0, time.t_final=0.009]
+    cfg, errors = validate_config({
+        "scenario": "harmonic_ground", "time": {"t_final": 0.009, "dt_langevin": 1e-3, "dt_psi": 1e-3},
+        "ensemble": {"n_trajectories": 10}, "params": {"oracle": {"checkpoints": [9 * 0.001]}}})
+    assert errors == []
+    manifest = run_scenario(cfg, out_dir=tmp_path)
+    assert manifest.metrics["oracle_checkpoints"] == [9 * 0.001] == [0.009000000000000001]
 
 
 @pytest.mark.parametrize("scenario, override, error", [

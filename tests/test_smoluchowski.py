@@ -23,7 +23,7 @@ from psiwalk import (
     total_variation,
 )
 from psiwalk import smoluchowski
-from psiwalk.analysis import coarsen
+from psiwalk.analysis import coarsen, histogram
 from psiwalk.guidance import regularized_density
 from psiwalk.smoluchowski import _gm
 
@@ -160,7 +160,7 @@ def test_fp_evolve_matches_langevin_histogram():
     start[g.cell_index(np.array([1.5]))[0, 0]] = 1.0 / g.cell_volume
     p = DensityField(g, start)
     dens = fp_evolve(p, psi, params, 2e-3, t_final, method="auto")[-1]
-    tv = total_variation(coarsen(res.histogram, 4), coarsen(dens, 4).normalized())
+    tv = total_variation(coarsen(histogram(res.final_positions, g), 4), coarsen(dens, 4).normalized())
     assert tv < 0.05
 
 
@@ -440,10 +440,10 @@ def test_fp_evolve_holds_a_few_densities_not_one_per_step():
 
 
 def test_fp_evolve_rejects_a_t_final_before_the_start():
-    # it said "dt=0.001 does not divide the interval [1.0, 0.5]"
+    # by the step rule's own message, which once said "does not divide"
     g, psi, params, op, eq = double_well_setup(n=64)
     late = DensityField(g, eq.values, time=1.0)
-    with pytest.raises(ValueError, match="t_final=0.5 precedes the initial time 1.0"):
+    with pytest.raises(ValueError, match=r"the interval \[1.0, 0.5\] ends before it starts"):
         fp_evolve(late, psi, params, 1e-3, 0.5)
 
 
